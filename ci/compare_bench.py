@@ -1,19 +1,33 @@
 #!/usr/bin/env python3
-"""Compare a google-benchmark JSON run against the checked-in baseline.
+"""Gate a google-benchmark JSON run on same-run ratios; compare it with the baseline.
 
 Usage: compare_bench.py CURRENT.json [BASELINE.json]
 
-Prints one line per benchmark with the slowdown ratio and emits a GitHub
-Actions ::warning:: annotation for anything past the regression threshold.
-Shared CI runners are far too noisy to gate a build on timings, so the
-script NEVER fails the job: it always exits 0 unless the inputs are
-unreadable (a crash upstream should already have failed the run step).
+Two kinds of check:
+
+* Same-run ratio gates (RATIO_GATES).  Both sides of a ratio come from the
+  same run on the same machine, so runner speed cancels out; a gate past
+  its limit is a real regression and the script exits 1.
+* Absolute comparisons against the checked-in baseline.  Shared CI runners
+  are far too noisy to gate a build on absolute timings, so anything past
+  THRESHOLD only emits a GitHub Actions ::warning:: annotation.
+
+Unreadable inputs also exit non-zero (a crash upstream should already have
+failed the run step).
 """
 
 import json
 import sys
 
 THRESHOLD = 1.5  # warn past a 1.5x slowdown vs the baseline
+
+# (numerator, denominator, limit, reason): fail when num / den > limit.
+RATIO_GATES = [
+    ("BM_SweepPoint512_Analytic", "BM_SweepPoint512_CycleAccurate", 2e-4,
+     "an analytic 512x512 point must stay O(1): the default address order "
+     "is computed, never materialised (~1e-5 measured; ~2e-3 when it was "
+     "materialised)"),
+]
 
 UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
@@ -31,12 +45,33 @@ def load_times(path):
     return times
 
 
+def check_ratio_gates(current):
+    """Print every gate; return the number that failed."""
+    failures = 0
+    for num, den, limit, reason in RATIO_GATES:
+        if num not in current or den not in current:
+            print(f"::error title=ratio gate::{num} / {den}: benchmark "
+                  f"missing from the current run")
+            failures += 1
+            continue
+        ratio = current[num] / current[den]
+        verdict = "ok" if ratio <= limit else "FAIL"
+        print(f"gate {num} / {den} = {ratio:.3g} (limit {limit:g}): {verdict}")
+        if ratio > limit:
+            print(f"::error title=ratio gate::{num} / {den} = {ratio:.3g} "
+                  f"exceeds {limit:g} in the same run: {reason}")
+            failures += 1
+    return failures
+
+
 def main(argv):
     if len(argv) < 2:
         print(f"usage: {argv[0]} CURRENT.json [BASELINE.json]")
         return 2
     current = load_times(argv[1])
     baseline = load_times(argv[2] if len(argv) > 2 else "ci/bench_baseline.json")
+
+    failures = check_ratio_gates(current)
 
     regressions = []
     for name, base_ns in sorted(baseline.items()):
@@ -45,8 +80,8 @@ def main(argv):
             continue
         ratio = current[name] / base_ns
         marker = "  <-- REGRESSION" if ratio > THRESHOLD else ""
-        print(f"{name}: {current[name] / 1e6:.2f} ms vs baseline "
-              f"{base_ns / 1e6:.2f} ms ({ratio:.2f}x){marker}")
+        print(f"{name}: {current[name] / 1e6:.3f} ms vs baseline "
+              f"{base_ns / 1e6:.3f} ms ({ratio:.2f}x){marker}")
         if ratio > THRESHOLD:
             regressions.append((name, ratio))
 
@@ -57,7 +92,7 @@ def main(argv):
               f"acting")
     if not regressions:
         print(f"all benchmarks within {THRESHOLD}x of the baseline")
-    return 0
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

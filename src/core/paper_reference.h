@@ -1,5 +1,7 @@
 // The paper's published numbers, used by benches and regression tests to
-// print expected-vs-measured comparisons (EXPERIMENTS.md records them).
+// print expected-vs-measured comparisons.  `bench_table1_prr` prints the
+// Table 1 comparison; the repository benchmark (perfbench/) reports the
+// worst Table 1 PRR error as its `prr_error_pts` metric.
 #pragma once
 
 #include <array>

@@ -125,9 +125,10 @@ PrrComparison TestSession::compare_modes(const SessionConfig& config,
 
 PrrComparison TestSession::compare_modes_analytic(const SessionConfig& config,
                                                   const march::MarchTest& test) {
-  // Session-free fast path: no per-cell array is ever built, and the two
-  // mode runs share one address order, so a sweep point costs O(words)
-  // for the order plus O(1) for the closed form.
+  // Session-free fast path: no per-cell array is ever built, the two mode
+  // runs share one address order, and the default word-line-after-word-
+  // line order is computed rather than materialised.  The closed form reads
+  // only the order's size, so a default sweep point costs O(1).
   const march::AddressOrder order =
       config.order ? *config.order
                    : march::AddressOrder::word_line_after_word_line(

@@ -48,8 +48,8 @@ void JobSpec::validate() const {
   }
 }
 
-std::uint64_t fnv1a64(std::string_view text) {
-  std::uint64_t hash = 14695981039346656037ull;
+std::uint64_t fnv1a64(std::string_view text, std::uint64_t state) {
+  std::uint64_t hash = state;
   for (const char c : text) {
     hash ^= static_cast<unsigned char>(c);
     hash *= 1099511628211ull;

@@ -23,9 +23,15 @@
 
 namespace sramlp::dist {
 
-/// FNV-1a over @p text — the digest shared by JobSpec::fingerprint and the
-/// sweep service's per-point cache keys (dist/service.h).
-std::uint64_t fnv1a64(std::string_view text);
+/// FNV-1a offset basis: the digest state before any byte.
+inline constexpr std::uint64_t kFnv1a64Basis = 14695981039346656037ull;
+
+/// FNV-1a over @p text, continuing from @p state — the digest shared by
+/// JobSpec::fingerprint and the sweep service's per-point cache keys
+/// (dist/service.h).  fnv1a64(b, fnv1a64(a)) == fnv1a64(a + b), so keys
+/// that share a prefix hash it once.
+std::uint64_t fnv1a64(std::string_view text,
+                      std::uint64_t state = kFnv1a64Basis);
 
 /// One distributed job: a sweep grid, a fault campaign, or a schedule
 /// search (one work item per seeded restart).

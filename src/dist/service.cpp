@@ -201,28 +201,56 @@ ServiceStats service_stats_from_json(const io::JsonValue& json) {
 
 }  // namespace
 
-std::uint64_t point_fingerprint(const JobSpec& job, std::size_t index) {
-  io::JsonValue key = io::JsonValue::object();
+PointKeys::PointKeys(const JobSpec& job) : job_(job) {
   if (job.kind == JobSpec::Kind::kSweep) {
-    std::size_t geometry = 0, background = 0, algorithm = 0;
-    job.grid.split(index, &geometry, &background, &algorithm);
-    key.set("kind", io::JsonValue::string("sweep_point"));
-    key.set("config", io::to_json(job.grid.config_at(index)));
-    key.set("test", io::to_json(job.grid.algorithms[algorithm]));
+    cell_states_.resize(job.grid.geometries.size() *
+                        job.grid.backgrounds.size());
+    test_tails_.resize(job.grid.algorithms.size());
   } else if (job.kind == JobSpec::Kind::kCampaign) {
-    key.set("kind", io::JsonValue::string("campaign_entry"));
-    key.set("config", io::to_json(job.config));
-    key.set("test", io::to_json(*job.test));
-    key.set("fault", io::to_json(job.faults[index]));
+    SRAMLP_REQUIRE(job.test.has_value(), "campaign job needs a March test");
+    std::uint64_t s = fnv1a64("{\"kind\":\"campaign_entry\",\"config\":");
+    s = fnv1a64(io::to_json(job.config).dump(), s);
+    s = fnv1a64(",\"test\":", s);
+    s = fnv1a64(io::to_json(*job.test).dump(), s);
+    prefix_state_ = fnv1a64(",\"fault\":", s);
   } else {
     // A restart result is a pure function of (whole spec, restart index),
     // so the key must cover the entire SearchSpec — two jobs share a
     // cached restart only when every search knob matches.
-    key.set("kind", io::JsonValue::string("search_restart"));
-    key.set("search", io::to_json(*job.search));
-    key.set("restart", io::JsonValue::integer(index));
+    SRAMLP_REQUIRE(job.search.has_value(), "search job needs a SearchSpec");
+    std::uint64_t s = fnv1a64("{\"kind\":\"search_restart\",\"search\":");
+    s = fnv1a64(io::to_json(*job.search).dump(), s);
+    prefix_state_ = fnv1a64(",\"restart\":", s);
   }
-  return fnv1a64(key.dump());
+}
+
+std::uint64_t PointKeys::key(std::size_t index) {
+  if (job_.kind == JobSpec::Kind::kSweep) {
+    std::size_t geometry = 0, background = 0, algorithm = 0;
+    job_.grid.split(index, &geometry, &background, &algorithm);
+    std::optional<std::uint64_t>& cell =
+        cell_states_[geometry * job_.grid.backgrounds.size() + background];
+    if (!cell) {
+      std::uint64_t s = fnv1a64("{\"kind\":\"sweep_point\",\"config\":");
+      s = fnv1a64(io::to_json(job_.grid.config_at(index)).dump(), s);
+      cell = fnv1a64(",\"test\":", s);
+    }
+    std::string& tail = test_tails_[algorithm];
+    if (tail.empty())
+      tail = io::to_json(job_.grid.algorithms[algorithm]).dump() + '}';
+    return fnv1a64(tail, *cell);
+  }
+  if (job_.kind == JobSpec::Kind::kCampaign) {
+    SRAMLP_REQUIRE(index < job_.faults.size(),
+                   "campaign fault index out of range");
+    return fnv1a64(io::to_json(job_.faults[index]).dump() + '}',
+                   prefix_state_);
+  }
+  return fnv1a64(std::to_string(index) + '}', prefix_state_);
+}
+
+std::uint64_t point_fingerprint(const JobSpec& job, std::size_t index) {
+  return PointKeys(job).key(index);
 }
 
 // --- Service internals -------------------------------------------------------
@@ -241,6 +269,9 @@ struct Service::ActiveJob {
   std::vector<search::RestartResult> search;
   std::vector<bool> filled;
   std::size_t filled_count = 0;
+  /// PointKeys of every item, computed once at submit for the prefill and
+  /// reused by finalize (empty when the point cache is off).
+  std::vector<std::uint64_t> point_keys;
   std::vector<std::shared_ptr<io::LineChannel>> listeners;
   /// Result lines already streamed, replayed to a duplicate submitter
   /// that attaches mid-flight.
@@ -519,12 +550,17 @@ void Service::handle_submit(const std::shared_ptr<Connection>& conn,
 
   // Per-point cache: indices the service has answered before (under any
   // job) are filled from the cache; only the rest go onto the steal queue.
+  if (options_.point_cache) {
+    PointKeys keys(active->job);
+    active->point_keys.reserve(total);
+    for (std::size_t i = 0; i < total; ++i)
+      active->point_keys.push_back(keys.key(i));
+  }
   std::vector<std::size_t> uncached;
   uncached.reserve(total);
   for (std::size_t i = 0; i < total; ++i) {
     std::optional<std::string> payload;
-    if (options_.point_cache)
-      payload = cache_.get(point_fingerprint(active->job, i));
+    if (options_.point_cache) payload = cache_.get(active->point_keys[i]);
     if (!payload) {
       uncached.push_back(i);
       continue;
@@ -839,7 +875,7 @@ void Service::finalize_job_locked(std::unique_lock<std::mutex>& lock,
       } else {
         payload = io::to_json(job->search[i]).dump();
       }
-      cache_.put(point_fingerprint(job->job, i), std::move(payload));
+      cache_.put(job->point_keys[i], std::move(payload));
     }
   }
 

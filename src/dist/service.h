@@ -56,10 +56,39 @@
 
 namespace sramlp::dist {
 
-/// Canonical cache key of one work item: grid point @p index of a sweep
-/// job, or fault @p index of a campaign job.  Two jobs that contain the
-/// same point (same session config + algorithm (+ fault)) produce the same
-/// key whatever the rest of their grids look like.
+/// Canonical cache keys of a job's work items: grid points of a sweep job,
+/// faults of a campaign job, restarts of a search job.  key(i) is FNV-1a
+/// over the compact canonical document
+///
+///   {"kind":"sweep_point","config":C,"test":T}
+///   {"kind":"campaign_entry","config":C,"test":T,"fault":F}
+///   {"kind":"search_restart","search":S,"restart":i}
+///
+/// so two jobs that contain the same point (same session config +
+/// algorithm (+ fault)) produce the same key whatever the rest of their
+/// grids look like.  Each distinct config, test and spec is serialised
+/// once, on first use, and a key continues the hash state of its shared
+/// prefix instead of rebuilding the document.  @p job must outlive the
+/// builder.
+class PointKeys {
+ public:
+  explicit PointKeys(const JobSpec& job);
+
+  std::uint64_t key(std::size_t index);
+
+ private:
+  const JobSpec& job_;
+  /// Sweep: hash state after `{"kind":"sweep_point","config":C,"test":`,
+  /// per (geometry, background) cell.
+  std::vector<std::optional<std::uint64_t>> cell_states_;
+  /// Sweep: `T}` per algorithm (a dump is never empty; empty = not yet).
+  std::vector<std::string> test_tails_;
+  /// Campaign / search: hash state of the prefix every item shares.
+  std::uint64_t prefix_state_ = kFnv1a64Basis;
+};
+
+/// The key of one work item: PointKeys(job).key(index).  Use PointKeys
+/// directly for many items of one job.
 std::uint64_t point_fingerprint(const JobSpec& job, std::size_t index);
 
 struct ServiceStats {

@@ -34,7 +34,7 @@ bool CommandStream::peek_run(StreamRun* run) const {
   if (element.is_pause()) return false;
 
   const march::Direction dir = element.direction;
-  const march::Address& addr = order_->at(step_, dir);
+  const march::Address addr = order_->at(step_, dir);
   const bool descending = dir == march::Direction::kDown;
   // WLAWL sequences keep each row's groups contiguous, so the rest of the
   // current row is exactly this many addresses.
@@ -109,7 +109,7 @@ void CommandStream::materialize() const {
 
   if (element_ != cached_element_ || step_ != cached_step_) {
     const march::Direction dir = element.direction;
-    const march::Address& addr = order_->at(step_, dir);
+    const march::Address addr = order_->at(step_, dir);
     cmd.row = addr.row;
     cmd.col_group = addr.col;
     cmd.background = options_.background;

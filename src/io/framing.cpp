@@ -107,6 +107,15 @@ void disable_nagle(int fd) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 }
 
+/// One frame's document, or nullopt when the line is not valid JSON.
+std::optional<JsonValue> parse_frame(std::string_view line) {
+  try {
+    return JsonValue::parse(line);
+  } catch (const Error&) {
+    return std::nullopt;
+  }
+}
+
 }  // namespace
 
 // --- Socket ------------------------------------------------------------------
@@ -255,17 +264,21 @@ bool LineChannel::send(const JsonValue& value) {
 
 std::optional<JsonValue> LineChannel::receive() {
   for (;;) {
-    const std::size_t newline = read_buffer_.find('\n');
+    // Bytes before scanned_ hold no newline, so a frame arriving in many
+    // recv() pieces is scanned once in total, not once per piece.
+    const std::size_t newline = read_buffer_.find('\n', scanned_);
     if (newline != std::string::npos) {
-      std::string line = read_buffer_.substr(0, newline);
+      // Parsed in place; nullopt (a garbled frame) reads as a dead peer.
+      const std::optional<JsonValue> frame =
+          newline > 0 ? parse_frame(std::string_view(read_buffer_.data(),
+                                                     newline))
+                      : std::nullopt;
       read_buffer_.erase(0, newline + 1);
-      if (line.empty()) continue;
-      try {
-        return JsonValue::parse(line);
-      } catch (const Error&) {
-        return std::nullopt;  // garbled frame: treat the peer as dead
-      }
+      scanned_ = 0;
+      if (newline == 0) continue;  // empty line
+      return frame;
     }
+    scanned_ = read_buffer_.size();
     if (peer_dead_ || !socket_.valid()) return std::nullopt;
     char chunk[4096];
     const ssize_t n = ::recv(socket_.fd(), chunk, sizeof chunk, 0);

@@ -95,6 +95,7 @@ class LineChannel {
   Socket socket_;
   std::mutex send_mutex_;
   std::string read_buffer_;
+  std::size_t scanned_ = 0;  ///< read_buffer_ prefix known to hold no '\n'
   bool peer_dead_ = false;
 };
 

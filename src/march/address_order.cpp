@@ -1,11 +1,20 @@
 #include "march/address_order.h"
 
-#include <algorithm>
-
 #include "util/error.h"
 #include "util/rng.h"
 
 namespace sramlp::march {
+
+namespace {
+
+/// Kinds whose addresses at() computes from (rows, col_groups) alone.
+bool is_computed(AddressOrderKind kind) {
+  return kind == AddressOrderKind::kWordLineAfterWordLine ||
+         kind == AddressOrderKind::kFastRow ||
+         kind == AddressOrderKind::kAddressComplement;
+}
+
+}  // namespace
 
 std::string to_string(AddressOrderKind kind) {
   switch (kind) {
@@ -21,25 +30,22 @@ std::string to_string(AddressOrderKind kind) {
 }
 
 AddressOrder::AddressOrder(AddressOrderKind kind, std::size_t rows,
-                           std::size_t col_groups,
-                           std::vector<Address> sequence)
+                           std::size_t col_groups, std::vector<Address> table)
     : kind_(kind), rows_(rows), col_groups_(col_groups),
-      sequence_(std::move(sequence)) {
+      table_(std::move(table)) {
   SRAMLP_REQUIRE(rows_ >= 1 && col_groups_ >= 1, "empty address space");
-  // The word-line-after-word-line factory is trivially a permutation and
-  // sits on the batched hot path (sweep sessions build one per point);
-  // every other kind — including the cold pseudo-random / Gray-code /
-  // complement generators — keeps the O(n) DOF-1 scan as a safety net.
-  if (kind_ != AddressOrderKind::kWordLineAfterWordLine)
-    validate_permutation();
+  // Computed orders are permutations by construction.  Every table —
+  // including the pseudo-random and Gray-code generators' own — keeps the
+  // O(n) DOF-1 scan as a safety net.
+  if (!is_computed(kind_)) validate_permutation();
 }
 
 void AddressOrder::validate_permutation() const {
-  const std::size_t n = rows_ * col_groups_;
-  SRAMLP_REQUIRE(sequence_.size() == n,
+  const std::size_t n = size();
+  SRAMLP_REQUIRE(table_.size() == n,
                  "sequence length must equal rows * column groups");
   std::vector<bool> seen(n, false);
-  for (const Address& a : sequence_) {
+  for (const Address& a : table_) {
     SRAMLP_REQUIRE(a.row < rows_ && a.col < col_groups_,
                    "address outside the array");
     const std::size_t flat = a.row * col_groups_ + a.col;
@@ -48,42 +54,57 @@ void AddressOrder::validate_permutation() const {
   }
 }
 
-const Address& AddressOrder::at(std::size_t step, Direction direction) const {
-  SRAMLP_REQUIRE(step < sequence_.size(), "step beyond sequence end");
-  if (direction == Direction::kDown)
-    return sequence_[sequence_.size() - 1 - step];
-  return sequence_[step];
+Address AddressOrder::at(std::size_t step, Direction direction) const {
+  const std::size_t n = size();
+  SRAMLP_REQUIRE(step < n, "step beyond sequence end");
+  const std::size_t k = direction == Direction::kDown ? n - 1 - step : step;
+  switch (kind_) {
+    case AddressOrderKind::kWordLineAfterWordLine:
+      return {k / col_groups_, k % col_groups_};
+    case AddressOrderKind::kFastRow:
+      return {k % rows_, k / rows_};
+    case AddressOrderKind::kAddressComplement: {
+      // i, N-1-i, i+1, N-2-i, ...: even steps climb from the low end, odd
+      // steps descend from the high end; an odd N ends on the middle word.
+      const std::size_t flat = k % 2 == 0 ? k / 2 : n - 1 - k / 2;
+      return {flat / col_groups_, flat % col_groups_};
+    }
+    case AddressOrderKind::kPseudoRandom:
+    case AddressOrderKind::kGrayCode:
+    case AddressOrderKind::kCustom:
+      return table_[k];
+  }
+  throw Error("invalid AddressOrderKind");
+}
+
+std::vector<Address> AddressOrder::sequence() const {
+  std::vector<Address> seq;
+  seq.reserve(size());
+  for (std::size_t i = 0; i < size(); ++i)
+    seq.push_back(at(i, Direction::kUp));
+  return seq;
 }
 
 bool AddressOrder::is_word_line_after_word_line() const {
-  // Factory-built WLAWL orders are tagged; only custom permutations need
-  // the O(n) scan.
+  // Factory-built WLAWL orders are tagged.  Any other order can still equal
+  // it (a custom permutation, or fast-row over a single row), so scan; the
+  // scan stops at the first differing address.
   if (kind_ == AddressOrderKind::kWordLineAfterWordLine) return true;
-  for (std::size_t i = 0; i < sequence_.size(); ++i) {
-    if (sequence_[i].row != i / col_groups_ ||
-        sequence_[i].col != i % col_groups_)
-      return false;
+  for (std::size_t i = 0; i < size(); ++i) {
+    const Address a = at(i, Direction::kUp);
+    if (a.row != i / col_groups_ || a.col != i % col_groups_) return false;
   }
   return true;
 }
 
 AddressOrder AddressOrder::word_line_after_word_line(std::size_t rows,
                                                      std::size_t col_groups) {
-  std::vector<Address> seq;
-  seq.reserve(rows * col_groups);
-  for (std::size_t r = 0; r < rows; ++r)
-    for (std::size_t c = 0; c < col_groups; ++c) seq.push_back({r, c});
   return AddressOrder(AddressOrderKind::kWordLineAfterWordLine, rows,
-                      col_groups, std::move(seq));
+                      col_groups);
 }
 
 AddressOrder AddressOrder::fast_row(std::size_t rows, std::size_t col_groups) {
-  std::vector<Address> seq;
-  seq.reserve(rows * col_groups);
-  for (std::size_t c = 0; c < col_groups; ++c)
-    for (std::size_t r = 0; r < rows; ++r) seq.push_back({r, c});
-  return AddressOrder(AddressOrderKind::kFastRow, rows, col_groups,
-                      std::move(seq));
+  return AddressOrder(AddressOrderKind::kFastRow, rows, col_groups);
 }
 
 AddressOrder AddressOrder::pseudo_random(std::size_t rows,
@@ -99,19 +120,7 @@ AddressOrder AddressOrder::pseudo_random(std::size_t rows,
 
 AddressOrder AddressOrder::address_complement(std::size_t rows,
                                               std::size_t col_groups) {
-  const std::size_t n = rows * col_groups;
-  std::vector<Address> seq;
-  seq.reserve(n);
-  const auto to_address = [col_groups](std::size_t flat) {
-    return Address{flat / col_groups, flat % col_groups};
-  };
-  for (std::size_t i = 0; i < n / 2; ++i) {
-    seq.push_back(to_address(i));
-    seq.push_back(to_address(n - 1 - i));
-  }
-  if (n % 2 == 1) seq.push_back(to_address(n / 2));
-  return AddressOrder(AddressOrderKind::kAddressComplement, rows, col_groups,
-                      std::move(seq));
+  return AddressOrder(AddressOrderKind::kAddressComplement, rows, col_groups);
 }
 
 AddressOrder AddressOrder::gray_code(std::size_t rows,

@@ -42,6 +42,12 @@ std::string to_string(AddressOrderKind kind);
 
 /// A concrete "up" sequence over all rows x column-groups.  The "down"
 /// sequence of the same order is its exact reverse (paper §3).
+///
+/// Word-line-after-word-line, fast-row and address-complement orders are
+/// pure functions of (rows, col_groups): at() computes their addresses in
+/// O(1) and nothing is materialised, so building one costs O(1) at any
+/// array size.  Gray-code (a filtered walk, not O(1)), pseudo-random and
+/// custom orders keep an address table, validated once against DOF-1.
 class AddressOrder {
  public:
   static AddressOrder word_line_after_word_line(std::size_t rows,
@@ -59,14 +65,15 @@ class AddressOrder {
   AddressOrderKind kind() const { return kind_; }
   std::size_t rows() const { return rows_; }
   std::size_t col_groups() const { return col_groups_; }
-  std::size_t size() const { return sequence_.size(); }
+  std::size_t size() const { return rows_ * col_groups_; }
 
-  /// Up-sequence view.
-  const std::vector<Address>& sequence() const { return sequence_; }
+  /// The up sequence, materialised from at(): O(size) time and memory, for
+  /// serialisation and tests rather than hot loops.
+  std::vector<Address> sequence() const;
 
   /// Address at @p step walking the sequence in @p direction
   /// (kEither walks ascending).
-  const Address& at(std::size_t step, Direction direction) const;
+  Address at(std::size_t step, Direction direction) const;
 
   /// True when the sequence equals the word-line-after-word-line order —
   /// the precondition of the low-power test mode.
@@ -74,15 +81,17 @@ class AddressOrder {
 
  private:
   AddressOrder(AddressOrderKind kind, std::size_t rows,
-               std::size_t col_groups, std::vector<Address> sequence);
+               std::size_t col_groups, std::vector<Address> table = {});
 
-  /// DOF-1 requirement: every address occurs exactly once.
+  /// DOF-1 requirement on a table: every address occurs exactly once.
   void validate_permutation() const;
 
   AddressOrderKind kind_;
   std::size_t rows_;
   std::size_t col_groups_;
-  std::vector<Address> sequence_;
+  /// Up sequence of the table-backed kinds (Gray code, pseudo-random,
+  /// custom); empty for the computed ones.
+  std::vector<Address> table_;
 };
 
 }  // namespace sramlp::march

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
+#include <thread>
 
 #include "core/fault_campaign.h"
 #include "core/session.h"
@@ -392,12 +394,20 @@ TEST(ParallelFor, ExceptionCancelsRemainingWork) {
   // jobs than threads, most of the queue must never run once job 0 throws.
   const std::size_t jobs = 100000;
   std::atomic<std::size_t> executed{0};
-  EXPECT_THROW(engine::parallel_for(jobs, 4,
-                                    [&](std::size_t i) {
-                                      executed.fetch_add(1);
-                                      if (i == 0) throw Error("cancel");
-                                    }),
-               Error);
+  EXPECT_THROW(
+      engine::parallel_for(jobs, 4,
+                           [&](std::size_t i) {
+                             executed.fetch_add(1);
+                             if (i == 0) throw Error("cancel");
+                             // Uncancelled, the queue takes >= 0.3 s.  A
+                             // first throw (unwind-table lookup) or a
+                             // descheduled worker holding index 0 takes
+                             // far less, but long enough for instant jobs
+                             // to drain the whole queue before the flag.
+                             std::this_thread::sleep_for(
+                                 std::chrono::microseconds(10));
+                           }),
+      Error);
   EXPECT_LT(executed.load(), jobs);
 }
 

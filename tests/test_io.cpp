@@ -7,13 +7,18 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <vector>
 
 #include "io/json.h"
 #include "io/serialize.h"
 #include "march/algorithms.h"
 #include "power/report.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -62,6 +67,45 @@ TEST(Json, ExactUint64RoundTrip) {
   // A fractional number refuses the exact lane instead of truncating.
   EXPECT_THROW(JsonValue::parse("1.5").as_uint(), Error);
   EXPECT_THROW(JsonValue::parse("-3").as_uint(), Error);
+}
+
+// Number tokens are written with std::to_chars and read with
+// std::from_chars.  The printf/strtod reference they replaced is kept
+// here: over random bit patterns and over the magnitudes results carry,
+// the bytes written and the values read must not move.
+TEST(Json, NumberTokensMatchPrintfAndStrtod) {
+  util::Rng rng(20061);
+  std::vector<double> values = {0.0, -0.0, 5e-324, -5e-324,
+                                2.2250738585072014e-308,
+                                1.7976931348623157e308};
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t bits = rng.next_u64();
+    double random_bits = 0.0;
+    std::memcpy(&random_bits, &bits, sizeof random_bits);
+    if (std::isfinite(random_bits)) values.push_back(random_bits);
+    values.push_back(
+        rng.next_double() *
+        std::pow(10.0, static_cast<double>(rng.next_below(40)) - 30.0));
+  }
+  for (const double v : values) {
+    char expected[32];
+    std::snprintf(expected, sizeof expected, "%.17g", v);
+    const std::string text = JsonValue::number(v).dump();
+    ASSERT_EQ(text, expected);
+    const double back = JsonValue::parse(text).as_double();
+    ASSERT_EQ(std::memcmp(&back, &v, sizeof v), 0) << text;
+    ASSERT_EQ(back, std::strtod(expected, nullptr)) << text;
+  }
+  // Tokens from_chars refuses keep the strtod verdict.
+  EXPECT_EQ(JsonValue::parse("+2.5").as_double(), 2.5);
+  EXPECT_EQ(JsonValue::parse("1e-400").as_double(),
+            std::strtod("1e-400", nullptr));
+  EXPECT_EQ(JsonValue::parse("18446744073709551616").as_double(),
+            18446744073709551616.0);
+  EXPECT_THROW(JsonValue::parse("18446744073709551616").as_uint(), Error);
+  EXPECT_EQ(JsonValue::parse("007").as_uint(), 7u);
+  EXPECT_THROW(JsonValue::parse("1e"), Error);
+  EXPECT_THROW(JsonValue::parse("1.2.3"), Error);
 }
 
 TEST(Json, RejectsNonFiniteNumbers) {

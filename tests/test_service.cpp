@@ -9,6 +9,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -27,7 +29,9 @@
 #include "march/algorithms.h"
 #include "obs/log.h"
 #include "obs/trace.h"
+#include "search/serialize.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -270,6 +274,71 @@ TEST(Framing, UnixSocketAndStaleBindRecovery) {
   server.join();
 }
 
+/// A LineChannel over one end of a Unix socket pair, and the raw other end.
+struct ChannelPair {
+  ChannelPair() {
+    int fds[2] = {-1, -1};
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    channel = std::make_unique<io::LineChannel>(io::Socket(fds[0]));
+    writer = io::Socket(fds[1]);
+  }
+
+  /// Send @p bytes in pieces of at most @p piece bytes, then end the
+  /// stream.
+  void send_then_close(const std::string& bytes, std::size_t piece) {
+    for (std::size_t off = 0; off < bytes.size();) {
+      const ssize_t n =
+          ::send(writer.fd(), bytes.data() + off,
+                 std::min(piece, bytes.size() - off), MSG_NOSIGNAL);
+      if (n <= 0) break;
+      off += static_cast<std::size_t>(n);
+    }
+    writer.shutdown();
+  }
+
+  /// Every document until end of stream.
+  std::vector<io::JsonValue> receive_all() {
+    std::vector<io::JsonValue> received;
+    while (auto message = channel->receive())
+      received.push_back(std::move(*message));
+    return received;
+  }
+
+  std::unique_ptr<io::LineChannel> channel;
+  io::Socket writer;
+};
+
+TEST(Framing, MegabyteFrameArrivingInSmallPiecesParses) {
+  ChannelPair pair;
+  io::JsonValue doc = io::JsonValue::object();
+  doc.set("blob", io::JsonValue::string(std::string(std::size_t{1} << 20,
+                                                    'x')));
+  doc.set("tail", io::JsonValue::integer(7));
+  const std::string frame = doc.dump() + '\n';
+  std::thread sender([&] { pair.send_then_close(frame, 4096); });
+  const std::vector<io::JsonValue> received = pair.receive_all();
+  sender.join();
+  ASSERT_EQ(received.size(), 1u);
+  EXPECT_EQ(received[0].dump(), doc.dump());
+}
+
+TEST(Framing, BurstOfSmallLinesParsesInOrder) {
+  ChannelPair pair;
+  constexpr std::uint64_t kLines = 10000;
+  std::string burst;
+  for (std::uint64_t i = 0; i < kLines; ++i) {
+    io::JsonValue line = io::JsonValue::object();
+    line.set("seq", io::JsonValue::integer(i));
+    burst += line.dump() + '\n';
+  }
+  std::thread sender([&] { pair.send_then_close(burst, burst.size()); });
+  const std::vector<io::JsonValue> received = pair.receive_all();
+  sender.join();
+  ASSERT_EQ(received.size(), kLines);
+  for (std::uint64_t i = 0; i < kLines; ++i)
+    EXPECT_EQ(received[i].at("seq").as_uint(), i);
+}
+
 TEST(Framing, GarbledFrameReadsAsEndOfStream) {
   io::Socket listener = io::listen_socket("tcp:0");
   const std::string address = io::local_address(listener);
@@ -305,6 +374,98 @@ TEST(Fingerprints, Fnv1a64MatchesKnownVector) {
   // FNV-1a test vectors: empty -> offset basis, "a" -> published digest.
   EXPECT_EQ(dist::fnv1a64(""), 14695981039346656037ull);
   EXPECT_EQ(dist::fnv1a64("a"), 12638187200555641996ull);
+  // Streaming: continuing a state equals hashing the concatenation.
+  EXPECT_EQ(dist::fnv1a64("b", dist::fnv1a64("a")), dist::fnv1a64("ab"));
+}
+
+/// The per-point key as it was built before PointKeys: one JSON object per
+/// index, dumped and hashed whole.  Frozen here so that every key a spill
+/// file already holds provably stays valid.
+std::uint64_t reference_point_fingerprint(const JobSpec& job,
+                                          std::size_t index) {
+  io::JsonValue key = io::JsonValue::object();
+  if (job.kind == JobSpec::Kind::kSweep) {
+    std::size_t geometry = 0, background = 0, algorithm = 0;
+    job.grid.split(index, &geometry, &background, &algorithm);
+    key.set("kind", io::JsonValue::string("sweep_point"));
+    key.set("config", io::to_json(job.grid.config_at(index)));
+    key.set("test", io::to_json(job.grid.algorithms[algorithm]));
+  } else if (job.kind == JobSpec::Kind::kCampaign) {
+    key.set("kind", io::JsonValue::string("campaign_entry"));
+    key.set("config", io::to_json(job.config));
+    key.set("test", io::to_json(*job.test));
+    key.set("fault", io::to_json(job.faults[index]));
+  } else {
+    key.set("kind", io::JsonValue::string("search_restart"));
+    key.set("search", io::to_json(*job.search));
+    key.set("restart", io::JsonValue::integer(index));
+  }
+  return dist::fnv1a64(key.dump());
+}
+
+/// A seeded sweep job: 1-3 non-square geometries of word width 1, 4 or 8,
+/// every background, 1-4 library algorithms, a perturbed session base.
+JobSpec generated_sweep_job(std::uint64_t seed) {
+  util::Rng rng(seed);
+  const std::vector<march::MarchTest> library = march::algorithms::all();
+  constexpr std::array<std::size_t, 3> kWidths = {1, 4, 8};
+  JobSpec job;
+  job.kind = JobSpec::Kind::kSweep;
+  for (std::uint64_t g = 0, n = 1 + rng.next_below(3); g < n; ++g) {
+    const std::size_t width = kWidths[rng.next_below(kWidths.size())];
+    job.grid.geometries.push_back(
+        {1 + rng.next_below(40), width * (1 + rng.next_below(12)), width});
+  }
+  job.grid.backgrounds.clear();
+  for (const sram::BackgroundKind kind : sram::DataBackground::kinds())
+    job.grid.backgrounds.push_back(sram::DataBackground(kind));
+  for (std::uint64_t a = 0, n = 1 + rng.next_below(4); a < n; ++a)
+    job.grid.algorithms.push_back(library[rng.next_below(library.size())]);
+  job.grid.base.wordline_duty = 0.25 + 0.5 * rng.next_double();
+  job.grid.base.row_transition_restore = rng.next_bool();
+  return job;
+}
+
+JobSpec small_search_job(std::uint64_t seed) {
+  JobSpec job;
+  job.kind = JobSpec::Kind::kSearch;
+  search::SearchSpec spec;
+  spec.config.geometry = {16, 32, 1};
+  spec.base = march::algorithms::march_c_minus();
+  spec.window_cycles = 4 * spec.config.geometry.words();
+  spec.seed = seed;
+  spec.restarts = 5;
+  spec.idle_quantum = 512;
+  job.search = std::move(spec);
+  return job;
+}
+
+TEST(Fingerprints, PointKeysMatchTheFrozenJsonObjectKeys) {
+  std::vector<JobSpec> jobs = {small_sweep_job(), small_campaign_job(),
+                               small_search_job(7), small_search_job(8)};
+  for (std::uint64_t seed = 1; seed <= 24; ++seed)
+    jobs.push_back(generated_sweep_job(seed));
+  JobSpec campaign = small_campaign_job();
+  campaign.config.geometry = {6, 24, 4};
+  campaign.config.background = sram::DataBackground::checkerboard();
+  campaign.test = march::algorithms::march_ss();
+  campaign.faults = faults::standard_fault_library(campaign.config.geometry, 3);
+  jobs.push_back(campaign);
+
+  std::size_t compared = 0;
+  for (const JobSpec& job : jobs) {
+    dist::PointKeys keys(job);
+    // Descending, so the lazily built prefixes are first needed out of
+    // grid order.
+    for (std::size_t i = job.size(); i-- > 0;) {
+      EXPECT_EQ(keys.key(i), reference_point_fingerprint(job, i))
+          << "item " << i << " of " << job.size();
+      ++compared;
+    }
+    EXPECT_EQ(dist::point_fingerprint(job, 0),
+              reference_point_fingerprint(job, 0));
+  }
+  EXPECT_GT(compared, 500u);
 }
 
 // --- Service end-to-end ------------------------------------------------------
@@ -546,6 +707,53 @@ TEST(Service, RejectsMalformedJobWithoutDying) {
   const dist::SubmitResult result =
       dist::submit_job(harness.address(), small_sweep_job(), 5000);
   EXPECT_EQ(result.document, single_document(small_sweep_job()));
+}
+
+/// The job a daemon that still built every point key as a JSON object
+/// served to write tests/data/point_cache_spill.jsonl (`sramlp_dist serve
+/// --spill`, one `submit` of this job, `shutdown`).
+JobSpec spill_fixture_job() {
+  JobSpec job;
+  job.kind = JobSpec::Kind::kSweep;
+  job.grid.geometries = {{6, 24, 4}, {4, 64, 8}};
+  job.grid.backgrounds = {sram::DataBackground::solid1(),
+                          sram::DataBackground::checkerboard()};
+  job.grid.algorithms = {march::algorithms::mats_plus(),
+                         march::algorithms::march_c_minus()};
+  return job;
+}
+
+TEST(Service, SpillFromTheJsonObjectKeyBuilderStillAnswersEveryPoint) {
+  TempDir dir("fixture");
+  const std::string spill = dir.str() + "/spill.jsonl";
+  // Copied first: the daemon appends to its spill file.
+  fs::copy_file(std::string(SRAMLP_TEST_DATA_DIR) + "/point_cache_spill.jsonl",
+                spill);
+  // The same points in a new grid shape: the whole-job key misses, so
+  // only the per-point keys can answer.
+  JobSpec reshaped = spill_fixture_job();
+  std::reverse(reshaped.grid.geometries.begin(),
+               reshaped.grid.geometries.end());
+  std::reverse(reshaped.grid.algorithms.begin(),
+               reshaped.grid.algorithms.end());
+
+  dist::Service::Options options;
+  options.cache.spill_path = spill;
+  ServiceHarness harness(options, /*workers=*/1);
+  const dist::SubmitResult result =
+      dist::submit_job(harness.address(), reshaped, 5000);
+  EXPECT_FALSE(result.cache_hit);
+  EXPECT_EQ(result.cached_points, reshaped.size());
+  EXPECT_EQ(result.document, single_document(reshaped));
+  const dist::ServiceStats stats = harness.service().stats();
+  EXPECT_EQ(stats.shards_executed, 0u);
+  EXPECT_EQ(stats.points_executed, 0u);
+
+  // The fixture's own job is still a whole-job hit.
+  const dist::SubmitResult original =
+      dist::submit_job(harness.address(), spill_fixture_job(), 5000);
+  EXPECT_TRUE(original.cache_hit);
+  EXPECT_EQ(original.document, single_document(spill_fixture_job()));
 }
 
 }  // namespace
