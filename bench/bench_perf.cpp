@@ -17,7 +17,6 @@
 #include "dist/job.h"
 #include "dist/service.h"
 #include "dist/steal_queue.h"
-#include "dist/worker.h"
 #include "engine/analytic_backend.h"
 #include "faults/models.h"
 #include "io/serialize.h"
@@ -359,9 +358,8 @@ BENCHMARK(BM_Campaign256_Batched)->Unit(benchmark::kMillisecond);
 
 // --- distributed-subsystem overheads ----------------------------------------
 // The dist/ layer's costs on top of the compute itself: JSON round-trips
-// of results (what every worker->coordinator point pays) and a whole
-// worker shard including protocol framing.  These bound the serialization
-// tax of going multi-process.
+// of results (what every worker->service point pays) and of job specs.
+// These bound the serialization tax of going multi-process.
 
 dist::JobSpec bench_sweep_job() {
   dist::JobSpec job;
@@ -392,8 +390,8 @@ void BM_DistPointJsonRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_DistPointJsonRoundTrip);
 
-// A whole job spec there and back — what `plan` pays per shard file and
-// every worker pays once at startup.
+// A whole job spec there and back — what every submit and every worker's
+// first lease of a job pay.
 void BM_DistJobSpecRoundTrip(benchmark::State& state) {
   const dist::JobSpec job = bench_sweep_job();
   for (auto _ : state) {
@@ -406,27 +404,9 @@ void BM_DistJobSpecRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_DistJobSpecRoundTrip);
 
-// One worker shard end to end (compute + JSONL framing into memory):
-// compare against BM_SweepPoint-style numbers to see the protocol tax.
-void BM_DistWorkerShard(benchmark::State& state) {
-  const dist::JobSpec job = bench_sweep_job();
-  const dist::ShardPlan plan = dist::ShardPlan::contiguous(job.size(), 4);
-  const dist::ShardSpec spec{job, plan, 0};
-  const dist::Worker worker;
-  for (auto _ : state) {
-    std::ostringstream out;
-    worker.run(spec, out);
-    benchmark::DoNotOptimize(out.str());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(plan.size_of(0)));
-  state.SetLabel("shard points computed+streamed/s");
-}
-BENCHMARK(BM_DistWorkerShard)->Unit(benchmark::kMillisecond);
-
 // --- sweep-service overheads -------------------------------------------------
 // The daemon's costs on top of the dist/ protocol: a whole submit through
-// the socket coordinator (connect + submit + steal + stream + merge)
+// the socket service (connect + submit + steal + stream + merge)
 // against the same submit answered from the fingerprint cache, plus the
 // bare steal-queue coordination cost per shard.
 

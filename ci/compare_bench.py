@@ -27,6 +27,12 @@ RATIO_GATES = [
      "an analytic 512x512 point must stay O(1): the default address order "
      "is computed, never materialised (~1e-5 measured; ~2e-3 when it was "
      "materialised)"),
+    ("BM_SweepPoint256_Traced", "BM_SweepPoint256_CycleAccurate", 1.3,
+     "time-resolved power tracing must stay cheap next to the untraced "
+     "cycle-accurate point (~1.22 measured)"),
+    ("BM_ServiceSubmitCached", "BM_ServiceSubmitCold", 0.6,
+     "a whole-job cache hit must stay well below a computed submit "
+     "(~0.34 measured)"),
 ]
 
 UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}

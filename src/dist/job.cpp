@@ -1,5 +1,9 @@
 #include "dist/job.h"
 
+#include <numeric>
+#include <utility>
+
+#include "engine/parallel.h"
 #include "search/serialize.h"
 #include "util/error.h"
 
@@ -7,46 +11,268 @@ namespace sramlp::dist {
 
 namespace {
 
-const char* kind_slug(JobSpec::Kind kind) {
-  switch (kind) {
-    case JobSpec::Kind::kSweep: return "sweep";
-    case JobSpec::Kind::kCampaign: return "campaign";
-    case JobSpec::Kind::kSearch: return "search";
-  }
+using KeyFn = std::function<std::uint64_t(std::size_t)>;
+
+/// One job kind: every place the distributed layer treats sweeps,
+/// campaigns and searches differently.
+struct JobKind {
+  JobSpec::Kind kind;
+  const char* slug;       ///< "kind" of job specs and merged documents
+  const char* item_type;  ///< "type" of a streamed result line
+  std::size_t (*size)(const JobSpec&);
+  void (*validate)(const JobSpec&);
+  /// Spec members after "kind": written by to_json, read by job_from_json.
+  void (*write_spec)(const JobSpec&, io::JsonValue&);
+  void (*read_spec)(const io::JsonValue&, JobSpec&);
+  KeyFn (*point_keys)(const JobSpec&);
+  bool (*execute)(const JobSpec&, const std::vector<std::size_t>&, unsigned,
+                  const EmitItem&);
+  /// Kind-specific rewrite of a payload on its way into / out of the
+  /// point cache (nullptr: stored unchanged).
+  void (*neutralize)(io::JsonValue&);
+  void (*rebind)(const JobSpec&, std::size_t, io::JsonValue&);
+  /// Document members after "kind", built from every item's data.
+  void (*merge)(const JobSpec&, std::vector<io::JsonValue>, io::JsonValue&);
+};
+
+io::JsonValue array_of(std::vector<io::JsonValue> items) {
+  io::JsonValue array = io::JsonValue::array();
+  for (io::JsonValue& item : items) array.push_back(std::move(item));
+  return array;
+}
+
+/// Emit @p results (parallel to @p indices) through @p emit.
+template <typename Result>
+bool emit_all(const std::vector<std::size_t>& indices,
+              const std::vector<Result>& results, const EmitItem& emit) {
+  SRAMLP_REQUIRE(results.size() == indices.size(),
+                 "a work unit produced a short result list");
+  for (std::size_t j = 0; j < indices.size(); ++j)
+    if (!emit(indices[j], io::to_json(results[j]))) return false;
+  return true;
+}
+
+// --- sweep: one grid point per item ------------------------------------------
+
+std::size_t sweep_size(const JobSpec& job) { return job.grid.size(); }
+
+void sweep_validate(const JobSpec& job) {
+  SRAMLP_REQUIRE(!job.grid.geometries.empty() &&
+                     !job.grid.backgrounds.empty() &&
+                     !job.grid.algorithms.empty(),
+                 "sweep job has an empty grid axis");
+}
+
+void sweep_write(const JobSpec& job, io::JsonValue& v) {
+  v.set("grid", io::to_json(job.grid));
+}
+
+void sweep_read(const io::JsonValue& json, JobSpec& job) {
+  job.grid = io::sweep_grid_from_json(json.at("grid"));
+}
+
+KeyFn sweep_keys(const JobSpec& job) {
+  // Hash state after `{"kind":"sweep_point","config":C,"test":` per
+  // (geometry, background) cell, and `T}` per algorithm (a dump is never
+  // empty; empty = not yet built).
+  std::vector<std::optional<std::uint64_t>> cells(
+      job.grid.geometries.size() * job.grid.backgrounds.size());
+  std::vector<std::string> tails(job.grid.algorithms.size());
+  return [&job, cells = std::move(cells),
+          tails = std::move(tails)](std::size_t index) mutable {
+    std::size_t geometry = 0, background = 0, algorithm = 0;
+    job.grid.split(index, &geometry, &background, &algorithm);
+    std::optional<std::uint64_t>& cell =
+        cells[geometry * job.grid.backgrounds.size() + background];
+    if (!cell) {
+      std::uint64_t s = fnv1a64("{\"kind\":\"sweep_point\",\"config\":");
+      s = fnv1a64(io::to_json(job.grid.config_at(index)).dump(), s);
+      cell = fnv1a64(",\"test\":", s);
+    }
+    std::string& tail = tails[algorithm];
+    if (tail.empty())
+      tail = io::to_json(job.grid.algorithms[algorithm]).dump() + '}';
+    return fnv1a64(tail, *cell);
+  };
+}
+
+bool sweep_execute(const JobSpec& job, const std::vector<std::size_t>& indices,
+                   unsigned threads, const EmitItem& emit) {
+  // run_indices IS run()'s arithmetic applied to the subset, so these
+  // points are bit-identical to the whole-grid slots they merge into.
+  const core::SweepRunner runner(
+      core::SweepRunner::Options{threads, core::BackendChoice::kAuto});
+  return emit_all(indices, runner.run_indices(job.grid, indices), emit);
+}
+
+/// The grid coordinates a cached sweep point is stored without.
+constexpr const char* kGridCoordinates[] = {"index", "geometry", "background",
+                                            "algorithm"};
+
+void sweep_neutralize(io::JsonValue& data) {
+  for (const char* member : kGridCoordinates)
+    data.set(member, io::JsonValue::integer(0));
+}
+
+void sweep_rebind(const JobSpec& job, std::size_t index, io::JsonValue& data) {
+  std::size_t coordinates[4] = {index, 0, 0, 0};
+  job.grid.split(index, &coordinates[1], &coordinates[2], &coordinates[3]);
+  for (std::size_t c = 0; c < 4; ++c)
+    data.set(kGridCoordinates[c], io::JsonValue::integer(coordinates[c]));
+}
+
+void sweep_merge(const JobSpec&, std::vector<io::JsonValue> payloads,
+                 io::JsonValue& doc) {
+  doc.set("points", array_of(std::move(payloads)));
+}
+
+// --- campaign: one fault per item --------------------------------------------
+
+std::size_t campaign_size(const JobSpec& job) { return job.faults.size(); }
+
+void campaign_validate(const JobSpec& job) {
+  SRAMLP_REQUIRE(job.test.has_value(), "campaign job needs a March test");
+  SRAMLP_REQUIRE(!job.faults.empty(), "campaign job has no faults");
+}
+
+void campaign_write(const JobSpec& job, io::JsonValue& v) {
+  v.set("config", io::to_json(job.config));
+  SRAMLP_REQUIRE(job.test.has_value(), "campaign job needs a March test");
+  v.set("test", io::to_json(*job.test));
+  io::JsonValue faults = io::JsonValue::array();
+  for (const faults::FaultSpec& f : job.faults)
+    faults.push_back(io::to_json(f));
+  v.set("faults", std::move(faults));
+}
+
+void campaign_read(const io::JsonValue& json, JobSpec& job) {
+  job.config = io::session_config_from_json(json.at("config"));
+  job.test = io::march_from_json(json.at("test"));
+  const io::JsonValue& faults = json.at("faults");
+  for (std::size_t i = 0; i < faults.size(); ++i)
+    job.faults.push_back(io::fault_spec_from_json(faults.at(i)));
+}
+
+KeyFn campaign_keys(const JobSpec& job) {
+  SRAMLP_REQUIRE(job.test.has_value(), "campaign job needs a March test");
+  std::uint64_t s = fnv1a64("{\"kind\":\"campaign_entry\",\"config\":");
+  s = fnv1a64(io::to_json(job.config).dump(), s);
+  s = fnv1a64(",\"test\":", s);
+  s = fnv1a64(io::to_json(*job.test).dump(), s);
+  const std::uint64_t prefix = fnv1a64(",\"fault\":", s);
+  return [&job, prefix](std::size_t index) {
+    SRAMLP_REQUIRE(index < job.faults.size(),
+                   "campaign fault index out of range");
+    return fnv1a64(io::to_json(job.faults[index]).dump() + '}', prefix);
+  };
+}
+
+bool campaign_execute(const JobSpec& job,
+                      const std::vector<std::size_t>& indices,
+                      unsigned threads, const EmitItem& emit) {
+  // run_subset computes exactly the entries a whole-library run() fills
+  // into these slots; batching within the subset only changes wall time.
+  core::CampaignRunner::Options options;
+  options.threads = threads;
+  options.batched = true;
+  return emit_all(indices,
+                  core::CampaignRunner(options).run_subset(
+                      job.config, *job.test, job.faults, indices),
+                  emit);
+}
+
+void campaign_merge(const JobSpec& job, std::vector<io::JsonValue> payloads,
+                    io::JsonValue& doc) {
+  doc.set("algorithm", io::JsonValue::string(job.test->name()));
+  doc.set("entries", array_of(std::move(payloads)));
+}
+
+// --- search: one seeded restart per item -------------------------------------
+
+std::size_t search_size(const JobSpec& job) {
+  return job.search ? job.search->size() : 0;
+}
+
+void search_validate(const JobSpec& job) {
+  SRAMLP_REQUIRE(job.search.has_value(), "search job needs a SearchSpec");
+  job.search->validate();
+}
+
+void search_write(const JobSpec& job, io::JsonValue& v) {
+  SRAMLP_REQUIRE(job.search.has_value(), "search job needs a SearchSpec");
+  v.set("search", io::to_json(*job.search));
+}
+
+void search_read(const io::JsonValue& json, JobSpec& job) {
+  job.search = io::search_spec_from_json(json.at("search"));
+}
+
+KeyFn search_keys(const JobSpec& job) {
+  // A restart result is a pure function of (whole spec, restart index), so
+  // the key covers the entire SearchSpec — two jobs share a cached restart
+  // only when every search knob matches.
+  SRAMLP_REQUIRE(job.search.has_value(), "search job needs a SearchSpec");
+  std::uint64_t s = fnv1a64("{\"kind\":\"search_restart\",\"search\":");
+  s = fnv1a64(io::to_json(*job.search).dump(), s);
+  const std::uint64_t prefix = fnv1a64(",\"restart\":", s);
+  return [prefix](std::size_t index) {
+    return fnv1a64(std::to_string(index) + '}', prefix);
+  };
+}
+
+bool search_execute(const JobSpec& job, const std::vector<std::size_t>& indices,
+                    unsigned threads, const EmitItem& emit) {
+  // run_restart(spec, r) is pure, so each restart reproduces the exact
+  // bytes of its slot in a single-process run_search.
+  std::vector<search::RestartResult> results(indices.size());
+  engine::parallel_for(indices.size(), threads, [&](std::size_t j) {
+    results[j] = search::run_restart(*job.search, indices[j]);
+  });
+  return emit_all(indices, results, emit);
+}
+
+void search_merge(const JobSpec&, std::vector<io::JsonValue> payloads,
+                  io::JsonValue& doc) {
+  // The global Pareto front depends only on the per-restart results, so
+  // this is byte-identical whoever computed the restarts.
+  std::vector<search::RestartResult> restarts;
+  restarts.reserve(payloads.size());
+  for (const io::JsonValue& payload : payloads)
+    restarts.push_back(io::restart_result_from_json(payload));
+  doc.set("restarts", array_of(std::move(payloads)));
+  io::JsonValue front = io::JsonValue::array();
+  for (const search::ScheduleResult& point : search::merge_front(restarts))
+    front.push_back(io::to_json(point));
+  doc.set("front", std::move(front));
+}
+
+// --- the table ---------------------------------------------------------------
+
+const JobKind kJobKinds[] = {
+    {JobSpec::Kind::kSweep, "sweep", "sweep_point", sweep_size,
+     sweep_validate, sweep_write, sweep_read, sweep_keys, sweep_execute,
+     sweep_neutralize, sweep_rebind, sweep_merge},
+    {JobSpec::Kind::kCampaign, "campaign", "campaign_entry", campaign_size,
+     campaign_validate, campaign_write, campaign_read, campaign_keys,
+     campaign_execute, nullptr, nullptr, campaign_merge},
+    {JobSpec::Kind::kSearch, "search", "search_restart", search_size,
+     search_validate, search_write, search_read, search_keys, search_execute,
+     nullptr, nullptr, search_merge},
+};
+
+const JobKind& kind_of(JobSpec::Kind kind) {
+  for (const JobKind& entry : kJobKinds)
+    if (entry.kind == kind) return entry;
   throw Error("invalid JobSpec::Kind");
 }
 
-JobSpec::Kind kind_from_slug(const std::string& slug) {
-  for (const auto kind : {JobSpec::Kind::kSweep, JobSpec::Kind::kCampaign,
-                          JobSpec::Kind::kSearch})
-    if (slug == kind_slug(kind)) return kind;
+const JobKind& kind_of(const std::string& slug) {
+  for (const JobKind& entry : kJobKinds)
+    if (slug == entry.slug) return entry;
   throw Error("unknown job kind '" + slug + "'");
 }
 
 }  // namespace
-
-std::size_t JobSpec::size() const {
-  switch (kind) {
-    case Kind::kSweep: return grid.size();
-    case Kind::kCampaign: return faults.size();
-    case Kind::kSearch: return search ? search->size() : 0;
-  }
-  throw Error("invalid JobSpec::Kind");
-}
-
-void JobSpec::validate() const {
-  if (kind == Kind::kSweep) {
-    SRAMLP_REQUIRE(!grid.geometries.empty() && !grid.backgrounds.empty() &&
-                       !grid.algorithms.empty(),
-                   "sweep job has an empty grid axis");
-  } else if (kind == Kind::kCampaign) {
-    SRAMLP_REQUIRE(test.has_value(), "campaign job needs a March test");
-    SRAMLP_REQUIRE(!faults.empty(), "campaign job has no faults");
-  } else {
-    SRAMLP_REQUIRE(search.has_value(), "search job needs a SearchSpec");
-    search->validate();
-  }
-}
 
 std::uint64_t fnv1a64(std::string_view text, std::uint64_t state) {
   std::uint64_t hash = state;
@@ -57,72 +283,92 @@ std::uint64_t fnv1a64(std::string_view text, std::uint64_t state) {
   return hash;
 }
 
+std::size_t JobSpec::size() const { return kind_of(kind).size(*this); }
+
+void JobSpec::validate() const { kind_of(kind).validate(*this); }
+
 std::uint64_t JobSpec::fingerprint() const {
   // FNV-1a over the canonical (compact, insertion-ordered) JSON form.
   return fnv1a64(to_json(*this).dump());
 }
 
 io::JsonValue to_json(const JobSpec& job) {
+  const JobKind& kind = kind_of(job.kind);
   io::JsonValue v = io::JsonValue::object();
-  v.set("kind", io::JsonValue::string(kind_slug(job.kind)));
-  if (job.kind == JobSpec::Kind::kSweep) {
-    v.set("grid", io::to_json(job.grid));
-  } else if (job.kind == JobSpec::Kind::kCampaign) {
-    v.set("config", io::to_json(job.config));
-    SRAMLP_REQUIRE(job.test.has_value(), "campaign job needs a March test");
-    v.set("test", io::to_json(*job.test));
-    io::JsonValue faults = io::JsonValue::array();
-    for (const faults::FaultSpec& f : job.faults)
-      faults.push_back(io::to_json(f));
-    v.set("faults", std::move(faults));
-  } else {
-    SRAMLP_REQUIRE(job.search.has_value(), "search job needs a SearchSpec");
-    v.set("search", io::to_json(*job.search));
-  }
+  v.set("kind", io::JsonValue::string(kind.slug));
+  kind.write_spec(job, v);
   return v;
 }
 
 JobSpec job_from_json(const io::JsonValue& json) {
+  const JobKind& kind = kind_of(json.at("kind").as_string());
   JobSpec job;
-  job.kind = kind_from_slug(json.at("kind").as_string());
-  if (job.kind == JobSpec::Kind::kSweep) {
-    job.grid = io::sweep_grid_from_json(json.at("grid"));
-  } else if (job.kind == JobSpec::Kind::kCampaign) {
-    job.config = io::session_config_from_json(json.at("config"));
-    job.test = io::march_from_json(json.at("test"));
-    const io::JsonValue& faults = json.at("faults");
-    for (std::size_t i = 0; i < faults.size(); ++i)
-      job.faults.push_back(io::fault_spec_from_json(faults.at(i)));
-  } else {
-    job.search = io::search_spec_from_json(json.at("search"));
-  }
+  job.kind = kind.kind;
+  kind.read_spec(json, job);
   job.validate();
   return job;
 }
 
-void ShardSpec::validate() const {
+PointKeys::PointKeys(const JobSpec& job)
+    : key_(kind_of(job.kind).point_keys(job)) {}
+
+std::uint64_t point_fingerprint(const JobSpec& job, std::size_t index) {
+  return PointKeys(job).key(index);
+}
+
+const char* item_type(const JobSpec& job) {
+  return kind_of(job.kind).item_type;
+}
+
+bool is_item_type(std::string_view type) {
+  for (const JobKind& entry : kJobKinds)
+    if (type == entry.item_type) return true;
+  return false;
+}
+
+bool execute(const JobSpec& job, const std::vector<std::size_t>& indices,
+             unsigned threads, const EmitItem& emit) {
+  return kind_of(job.kind).execute(job, indices, threads, emit);
+}
+
+std::string cache_payload(const JobSpec& job, const io::JsonValue& data) {
+  const JobKind& kind = kind_of(job.kind);
+  if (!kind.neutralize) return data.dump();
+  io::JsonValue neutral = data;
+  kind.neutralize(neutral);
+  return neutral.dump();
+}
+
+io::JsonValue from_cache(const JobSpec& job, std::size_t index,
+                         const std::string& payload) {
+  io::JsonValue data = io::JsonValue::parse(payload);
+  SRAMLP_REQUIRE(data.kind() == io::JsonValue::Kind::kObject,
+                 "point-cache payload is not a JSON object");
+  const JobKind& kind = kind_of(job.kind);
+  if (kind.rebind) kind.rebind(job, index, data);
+  return data;
+}
+
+std::string merge(const JobSpec& job, std::vector<io::JsonValue> payloads) {
+  const JobKind& kind = kind_of(job.kind);
+  SRAMLP_REQUIRE(payloads.size() == kind.size(job),
+                 "merge needs exactly one payload per work item");
+  io::JsonValue doc = io::JsonValue::object();
+  doc.set("kind", io::JsonValue::string(kind.slug));
+  kind.merge(job, std::move(payloads), doc);
+  return doc.dump(2) + "\n";
+}
+
+std::string single_document(const JobSpec& job, unsigned threads) {
   job.validate();
-  plan.validate();
-  SRAMLP_REQUIRE(shard < plan.shard_count, "shard index out of range");
-  SRAMLP_REQUIRE(plan.total == job.size(),
-                 "shard plan total does not match the job size");
-}
-
-io::JsonValue to_json(const ShardSpec& spec) {
-  io::JsonValue v = io::JsonValue::object();
-  v.set("job", to_json(spec.job));
-  v.set("plan", to_json(spec.plan));
-  v.set("shard", io::JsonValue::integer(spec.shard));
-  return v;
-}
-
-ShardSpec shard_spec_from_json(const io::JsonValue& json) {
-  ShardSpec spec;
-  spec.job = job_from_json(json.at("job"));
-  spec.plan = shard_plan_from_json(json.at("plan"));
-  spec.shard = json.at("shard").as_size();
-  spec.validate();
-  return spec;
+  std::vector<std::size_t> indices(job.size());
+  std::iota(indices.begin(), indices.end(), std::size_t{0});
+  std::vector<io::JsonValue> payloads(indices.size());
+  execute(job, indices, threads, [&](std::size_t index, io::JsonValue data) {
+    payloads[index] = std::move(data);
+    return true;
+  });
+  return merge(job, std::move(payloads));
 }
 
 }  // namespace sramlp::dist

@@ -1,15 +1,23 @@
-// The unit of distributed work: one whole sweep grid or fault campaign.
+// The unit of distributed work — one whole sweep grid, fault campaign or
+// schedule search — and the job-kind table that says everything the
+// distributed layer needs to know about each kind.
 //
 // A JobSpec is everything a worker process needs to recompute any flat
-// index of the job from scratch — the grid (or campaign config + test +
-// fault library) travels by value in JSON, never by reference to in-process
-// state.  Shard spec files pair a JobSpec with a ShardPlan and a shard
-// index; the fingerprint ties result files back to the exact job that
-// produced them so checkpoint/resume can never merge stale results from a
-// different job.
+// index of the job from scratch: the grid (or campaign config + test +
+// fault library, or search spec) travels by value in JSON, never by
+// reference to in-process state.
+//
+// Work items are opaque above this header.  A worker calls execute() and
+// streams each item as (flat index, data document); the service forwards,
+// caches (cache_payload / from_cache) and finally merges those documents
+// without decoding them.  merge() of every item — whatever process, shard
+// or cache produced each one — is byte-identical to single_document(), the
+// single-process reference.  job.cpp's table is the only code that
+// branches on JobSpec::Kind.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -17,7 +25,6 @@
 
 #include "core/fault_campaign.h"
 #include "core/sweep.h"
-#include "dist/shard.h"
 #include "io/serialize.h"
 #include "search/search.h"
 
@@ -27,9 +34,9 @@ namespace sramlp::dist {
 inline constexpr std::uint64_t kFnv1a64Basis = 14695981039346656037ull;
 
 /// FNV-1a over @p text, continuing from @p state — the digest shared by
-/// JobSpec::fingerprint and the sweep service's per-point cache keys
-/// (dist/service.h).  fnv1a64(b, fnv1a64(a)) == fnv1a64(a + b), so keys
-/// that share a prefix hash it once.
+/// JobSpec::fingerprint and the per-point cache keys (PointKeys).
+/// fnv1a64(b, fnv1a64(a)) == fnv1a64(a + b), so keys that share a prefix
+/// hash it once.
 std::uint64_t fnv1a64(std::string_view text,
                       std::uint64_t state = kFnv1a64Basis);
 
@@ -56,25 +63,79 @@ struct JobSpec {
 
   void validate() const;
 
-  /// Stable digest (FNV-1a over the canonical JSON form); result files
-  /// carry it so resume never merges results of a different job.
+  /// Stable digest (FNV-1a over the canonical JSON form): the whole-job
+  /// cache key, and what ties a streamed result line to its job.
   std::uint64_t fingerprint() const;
 };
 
 io::JsonValue to_json(const JobSpec& job);
 JobSpec job_from_json(const io::JsonValue& json);
 
-/// One shard assignment, as written to a shard spec file: the whole job
-/// plus the plan and the owned shard index.
-struct ShardSpec {
-  JobSpec job;
-  ShardPlan plan;
-  std::size_t shard = 0;
+/// Canonical cache keys of a job's work items: grid points of a sweep job,
+/// faults of a campaign job, restarts of a search job.  key(i) is FNV-1a
+/// over the compact canonical document
+///
+///   {"kind":"sweep_point","config":C,"test":T}
+///   {"kind":"campaign_entry","config":C,"test":T,"fault":F}
+///   {"kind":"search_restart","search":S,"restart":i}
+///
+/// so two jobs that contain the same point (same session config +
+/// algorithm (+ fault)) produce the same key whatever the rest of their
+/// grids look like.  Each distinct config, test and spec is serialised
+/// once, on first use, and a key continues the hash state of its shared
+/// prefix instead of rebuilding the document.  @p job must outlive the
+/// builder.
+class PointKeys {
+ public:
+  explicit PointKeys(const JobSpec& job);
 
-  void validate() const;
+  std::uint64_t key(std::size_t index) { return key_(index); }
+
+ private:
+  std::function<std::uint64_t(std::size_t)> key_;
 };
 
-io::JsonValue to_json(const ShardSpec& spec);
-ShardSpec shard_spec_from_json(const io::JsonValue& json);
+/// The key of one work item: PointKeys(job).key(index).  Use PointKeys
+/// directly for many items of one job.
+std::uint64_t point_fingerprint(const JobSpec& job, std::size_t index);
+
+/// The "type" of a streamed result line of @p job's items
+/// ("sweep_point", "campaign_entry" or "search_restart").
+const char* item_type(const JobSpec& job);
+
+/// True when @p type names a result line of some job kind.
+bool is_item_type(std::string_view type);
+
+/// Receives one computed item: its flat index and its data document.
+/// Returning false stops execution (the consumer has gone away).
+using EmitItem = std::function<bool(std::size_t index, io::JsonValue data)>;
+
+/// Compute @p indices of @p job on @p threads (0 = hardware count) through
+/// the single-process entry points (SweepRunner::run_indices, batched
+/// CampaignRunner::run_subset, search::run_restart), then emit each item in
+/// @p indices order.  Items are pure functions of (job, index), so any
+/// partition of the index space reassembles bit-identically.  Returns
+/// false when @p emit stopped it.
+bool execute(const JobSpec& job, const std::vector<std::size_t>& indices,
+             unsigned threads, const EmitItem& emit);
+
+/// Item @p data as stored in the point cache.  Sweep points drop their
+/// grid coordinates, so the same physical point answers any grid shape;
+/// other kinds store the data unchanged.
+std::string cache_payload(const JobSpec& job, const io::JsonValue& data);
+
+/// A point-cache payload as item @p index of @p job (sweep coordinates
+/// rebound to this grid).  Throws sramlp::Error on an unreadable payload.
+io::JsonValue from_cache(const JobSpec& job, std::size_t index,
+                         const std::string& payload);
+
+/// The canonical merged document of @p job from every item's data
+/// (payloads[i] is item i) — what `sramlp_dist single`, `run` and the
+/// service all write, every distributed path's byte-level diff target.
+std::string merge(const JobSpec& job, std::vector<io::JsonValue> payloads);
+
+/// merge(job, execute(job, every index, threads)): the single-process
+/// reference document.
+std::string single_document(const JobSpec& job, unsigned threads = 0);
 
 }  // namespace sramlp::dist

@@ -5,11 +5,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/fault_campaign.h"
-#include "core/sweep.h"
-#include "dist/coordinator.h"
-#include "io/serialize.h"
-#include "search/serialize.h"
 #include "obs/clock.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -27,6 +22,11 @@ const std::vector<double>& latency_bounds() {
       obs::Histogram::exponential_bounds(1e-4, 4.0, 10);
   return bounds;
 }
+
+/// Cap on shards per job: a huge job grows its shard size instead.
+constexpr std::size_t kMaxShardsPerJob = 512;
+/// Re-runs granted to a failed shard before its job is failed.
+constexpr unsigned kShardRetries = 1;
 
 /// Service-side instruments, registered once and cached by reference —
 /// increments after that are single relaxed atomics.
@@ -142,6 +142,17 @@ io::JsonValue error_message(const char* type, const std::string& error) {
   return v;
 }
 
+/// The streamed result line of item @p index of @p job (fingerprint
+/// @p fingerprint): what workers send and the service forwards verbatim.
+io::JsonValue item_line(const JobSpec& job, std::uint64_t fingerprint,
+                        std::size_t index, io::JsonValue data) {
+  io::JsonValue line = make_message(item_type(job));
+  line.set("fingerprint", io::JsonValue::integer(fingerprint));
+  line.set("index", io::JsonValue::integer(index));
+  line.set("data", std::move(data));
+  return line;
+}
+
 io::JsonValue to_json(const ResultCache::Stats& stats) {
   io::JsonValue v = io::JsonValue::object();
   v.set("hits", io::JsonValue::integer(stats.hits));
@@ -167,91 +178,31 @@ ResultCache::Stats cache_stats_from_json(const io::JsonValue& json) {
 
 io::JsonValue to_json(const ServiceStats& stats) {
   io::JsonValue v = io::JsonValue::object();
-  v.set("jobs_submitted", io::JsonValue::integer(stats.jobs_submitted));
-  v.set("jobs_completed", io::JsonValue::integer(stats.jobs_completed));
-  v.set("jobs_failed", io::JsonValue::integer(stats.jobs_failed));
-  v.set("jobs_deduplicated", io::JsonValue::integer(stats.jobs_deduplicated));
-  v.set("job_cache_hits", io::JsonValue::integer(stats.job_cache_hits));
-  v.set("point_cache_hits", io::JsonValue::integer(stats.point_cache_hits));
-  v.set("points_executed", io::JsonValue::integer(stats.points_executed));
-  v.set("shards_executed", io::JsonValue::integer(stats.shards_executed));
-  v.set("shard_requeues", io::JsonValue::integer(stats.shard_requeues));
-  v.set("workers_connected", io::JsonValue::integer(stats.workers_connected));
-  v.set("workers_lost", io::JsonValue::integer(stats.workers_lost));
+  for (const auto& [name, counter] : kServiceCounters)
+    v.set(name, io::JsonValue::integer(stats.*counter));
   v.set("cache", to_json(stats.cache));
   return v;
 }
 
 ServiceStats service_stats_from_json(const io::JsonValue& json) {
   ServiceStats stats;
-  stats.jobs_submitted = json.at("jobs_submitted").as_uint();
-  stats.jobs_completed = json.at("jobs_completed").as_uint();
-  stats.jobs_failed = json.at("jobs_failed").as_uint();
-  stats.jobs_deduplicated = json.at("jobs_deduplicated").as_uint();
-  stats.job_cache_hits = json.at("job_cache_hits").as_uint();
-  stats.point_cache_hits = json.at("point_cache_hits").as_uint();
-  stats.points_executed = json.at("points_executed").as_uint();
-  stats.shards_executed = json.at("shards_executed").as_uint();
-  stats.shard_requeues = json.at("shard_requeues").as_uint();
-  stats.workers_connected = json.at("workers_connected").as_uint();
-  stats.workers_lost = json.at("workers_lost").as_uint();
+  for (const auto& [name, counter] : kServiceCounters)
+    stats.*counter = json.at(name).as_uint();
   stats.cache = cache_stats_from_json(json.at("cache"));
   return stats;
 }
 
+io::JsonValue accepted_message(std::uint64_t fingerprint, std::size_t points,
+                               std::size_t cached_points, bool cache_hit) {
+  io::JsonValue v = make_message("job_accepted");
+  v.set("fingerprint", io::JsonValue::integer(fingerprint));
+  v.set("points", io::JsonValue::integer(points));
+  v.set("cached_points", io::JsonValue::integer(cached_points));
+  v.set("cache_hit", io::JsonValue::boolean(cache_hit));
+  return v;
+}
+
 }  // namespace
-
-PointKeys::PointKeys(const JobSpec& job) : job_(job) {
-  if (job.kind == JobSpec::Kind::kSweep) {
-    cell_states_.resize(job.grid.geometries.size() *
-                        job.grid.backgrounds.size());
-    test_tails_.resize(job.grid.algorithms.size());
-  } else if (job.kind == JobSpec::Kind::kCampaign) {
-    SRAMLP_REQUIRE(job.test.has_value(), "campaign job needs a March test");
-    std::uint64_t s = fnv1a64("{\"kind\":\"campaign_entry\",\"config\":");
-    s = fnv1a64(io::to_json(job.config).dump(), s);
-    s = fnv1a64(",\"test\":", s);
-    s = fnv1a64(io::to_json(*job.test).dump(), s);
-    prefix_state_ = fnv1a64(",\"fault\":", s);
-  } else {
-    // A restart result is a pure function of (whole spec, restart index),
-    // so the key must cover the entire SearchSpec — two jobs share a
-    // cached restart only when every search knob matches.
-    SRAMLP_REQUIRE(job.search.has_value(), "search job needs a SearchSpec");
-    std::uint64_t s = fnv1a64("{\"kind\":\"search_restart\",\"search\":");
-    s = fnv1a64(io::to_json(*job.search).dump(), s);
-    prefix_state_ = fnv1a64(",\"restart\":", s);
-  }
-}
-
-std::uint64_t PointKeys::key(std::size_t index) {
-  if (job_.kind == JobSpec::Kind::kSweep) {
-    std::size_t geometry = 0, background = 0, algorithm = 0;
-    job_.grid.split(index, &geometry, &background, &algorithm);
-    std::optional<std::uint64_t>& cell =
-        cell_states_[geometry * job_.grid.backgrounds.size() + background];
-    if (!cell) {
-      std::uint64_t s = fnv1a64("{\"kind\":\"sweep_point\",\"config\":");
-      s = fnv1a64(io::to_json(job_.grid.config_at(index)).dump(), s);
-      cell = fnv1a64(",\"test\":", s);
-    }
-    std::string& tail = test_tails_[algorithm];
-    if (tail.empty())
-      tail = io::to_json(job_.grid.algorithms[algorithm]).dump() + '}';
-    return fnv1a64(tail, *cell);
-  }
-  if (job_.kind == JobSpec::Kind::kCampaign) {
-    SRAMLP_REQUIRE(index < job_.faults.size(),
-                   "campaign fault index out of range");
-    return fnv1a64(io::to_json(job_.faults[index]).dump() + '}',
-                   prefix_state_);
-  }
-  return fnv1a64(std::to_string(index) + '}', prefix_state_);
-}
-
-std::uint64_t point_fingerprint(const JobSpec& job, std::size_t index) {
-  return PointKeys(job).key(index);
-}
 
 // --- Service internals -------------------------------------------------------
 
@@ -264,18 +215,14 @@ struct Service::ActiveJob {
   std::unique_ptr<StealQueue> queue;  ///< indirect: StealQueue owns a mutex
   std::size_t total = 0;
   std::size_t cached_points = 0;
-  std::vector<core::SweepPointResult> sweep;
-  std::vector<core::CampaignEntry> entries;
-  std::vector<search::RestartResult> search;
-  std::vector<bool> filled;
+  /// Each item's data document, null until delivered or point-cached.
+  /// Also what a duplicate submitter attaching mid-flight is replayed.
+  std::vector<io::JsonValue> items;
   std::size_t filled_count = 0;
   /// PointKeys of every item, computed once at submit for the prefill and
-  /// reused by finalize (empty when the point cache is off).
+  /// reused at delivery (empty when the point cache is off).
   std::vector<std::uint64_t> point_keys;
   std::vector<std::shared_ptr<io::LineChannel>> listeners;
-  /// Result lines already streamed, replayed to a duplicate submitter
-  /// that attaches mid-flight.
-  std::vector<io::JsonValue> replay;
   /// Who submitted this job ("anonymous" when the submit message carried
   /// no submitter) — the label on the per-submitter fairness counters.
   std::string submitter;
@@ -418,12 +365,7 @@ void Service::handle_connection(std::shared_ptr<Connection> conn) {
       handle_submit(conn, *message);
     } else if (type == "stats") {
       io::JsonValue reply = make_message("stats");
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ServiceStats stats = stats_;
-        stats.cache = cache_.stats();
-        reply.set("stats", to_json(stats));
-      }
+      reply.set("stats", to_json(stats()));
       conn->channel->send(reply);
     } else if (type == "metrics") {
       io::JsonValue reply = make_message("metrics");
@@ -444,6 +386,9 @@ void Service::handle_connection(std::shared_ptr<Connection> conn) {
           error_message("error", "unknown message type '" + type + "'"));
     }
   }
+  // Hang up now rather than when the connection is reaped, so a peer the
+  // service dropped (malformed or oversize frames) sees end-of-stream.
+  conn->channel->shutdown();
   obs::log_debug("service", "connection closed", {obs::kv("conn", conn->id)});
   ServiceMetrics::get().connections_active.sub(1);
   std::lock_guard<std::mutex> lock(mutex_);
@@ -454,8 +399,12 @@ void Service::handle_submit(const std::shared_ptr<Connection>& conn,
                             const io::JsonValue& message) {
   ServiceMetrics& metrics = ServiceMetrics::get();
   JobSpec job;
+  std::string submitter = "anonymous";
   try {
     job = job_from_json(message.at("job"));
+    if (message.has("submitter") &&
+        !message.at("submitter").as_string().empty())
+      submitter = message.at("submitter").as_string();
   } catch (const std::exception& e) {
     obs::log_warn("service", "submit rejected: bad job document",
                   {obs::kv("conn", conn->id), obs::kv("error", e.what())});
@@ -464,10 +413,6 @@ void Service::handle_submit(const std::shared_ptr<Connection>& conn,
   }
   const std::uint64_t fingerprint = job.fingerprint();
   const std::size_t total = job.size();
-  std::string submitter = "anonymous";
-  if (message.has("submitter") &&
-      !message.at("submitter").as_string().empty())
-    submitter = message.at("submitter").as_string();
   obs::log_info("service", "job submitted",
                 {obs::kv("conn", conn->id), obs::kv_hex("job", fingerprint),
                  obs::kv("points", total),
@@ -488,11 +433,8 @@ void Service::handle_submit(const std::shared_ptr<Connection>& conn,
     obs::log_debug("service", "job answered from cache",
                    {obs::kv("conn", conn->id),
                     obs::kv_hex("job", fingerprint)});
-    io::JsonValue accepted = make_message("job_accepted");
-    accepted.set("fingerprint", io::JsonValue::integer(fingerprint));
-    accepted.set("points", io::JsonValue::integer(total));
-    accepted.set("cached_points", io::JsonValue::integer(total));
-    accepted.set("cache_hit", io::JsonValue::boolean(true));
+    const io::JsonValue accepted =
+        accepted_message(fingerprint, total, total, true);
     io::JsonValue complete = make_message("job_complete");
     complete.set("fingerprint", io::JsonValue::integer(fingerprint));
     complete.set("cache_hit", io::JsonValue::boolean(true));
@@ -515,18 +457,15 @@ void Service::handle_submit(const std::shared_ptr<Connection>& conn,
     obs::log_debug("service", "submit attached to in-flight twin",
                    {obs::kv("conn", conn->id),
                     obs::kv_hex("job", fingerprint)});
-    io::JsonValue accepted = make_message("job_accepted");
-    accepted.set("fingerprint", io::JsonValue::integer(fingerprint));
-    accepted.set("points", io::JsonValue::integer(active->total));
-    accepted.set("cached_points",
-                 io::JsonValue::integer(active->cached_points));
-    accepted.set("cache_hit", io::JsonValue::boolean(false));
     // Register, then replay, under ONE lock hold: no live line can slip
     // between the replayed prefix and the forwarded suffix.
     active->listeners.push_back(conn->channel);
-    conn->channel->send(accepted);
-    for (const io::JsonValue& line : active->replay)
-      conn->channel->send(line);
+    conn->channel->send(accepted_message(fingerprint, active->total,
+                                         active->cached_points, false));
+    for (std::size_t i = 0; i < active->total; ++i)
+      if (!active->items[i].is_null())
+        conn->channel->send(
+            item_line(active->job, fingerprint, i, active->items[i]));
     state_cv_.wait(lock, [&] { return active->finished || stopping_; });
     return;
   }
@@ -540,13 +479,7 @@ void Service::handle_submit(const std::shared_ptr<Connection>& conn,
   active->job_json = dist::to_json(active->job);
   active->total = total;
   active->submitter = submitter;
-  active->filled.assign(total, false);
-  if (active->job.kind == JobSpec::Kind::kSweep)
-    active->sweep.resize(total);
-  else if (active->job.kind == JobSpec::Kind::kCampaign)
-    active->entries.resize(total);
-  else
-    active->search.resize(total);
+  active->items.resize(total);
 
   // Per-point cache: indices the service has answered before (under any
   // job) are filled from the cache; only the rest go onto the steal queue.
@@ -565,48 +498,23 @@ void Service::handle_submit(const std::shared_ptr<Connection>& conn,
       uncached.push_back(i);
       continue;
     }
-    io::JsonValue line;
     try {
-      const io::JsonValue data = io::JsonValue::parse(*payload);
-      if (active->job.kind == JobSpec::Kind::kSweep) {
-        core::SweepPointResult point = io::sweep_point_from_json(data);
-        // Cached payloads are grid-neutral (coordinates zeroed); rebind
-        // them to this job's grid.
-        point.index = i;
-        active->job.grid.split(i, &point.geometry, &point.background,
-                               &point.algorithm);
-        active->sweep[i] = point;
-        line = make_message("sweep_point");
-        line.set("data", io::to_json(point));
-      } else if (active->job.kind == JobSpec::Kind::kCampaign) {
-        active->entries[i] = io::campaign_entry_from_json(data);
-        line = make_message("campaign_entry");
-        line.set("index", io::JsonValue::integer(i));
-        line.set("data", io::to_json(active->entries[i]));
-      } else {
-        active->search[i] = io::restart_result_from_json(data);
-        line = make_message("search_restart");
-        line.set("index", io::JsonValue::integer(i));
-        line.set("data", io::to_json(active->search[i]));
-      }
+      active->items[i] = from_cache(active->job, i, *payload);
     } catch (const Error& e) {
       obs::log_warn("service", "unreadable point-cache entry; recomputing",
                     {obs::kv_hex("job", fingerprint), obs::kv("index", i),
                      obs::kv("error", e.what())});
-      uncached.push_back(i);  // unreadable cache entry: recompute
+      uncached.push_back(i);
       continue;
     }
-    active->filled[i] = true;
     ++active->filled_count;
     ++active->cached_points;
     ++stats_.point_cache_hits;
     metrics.point_cache_hits.inc();
-    active->replay.push_back(std::move(line));
   }
 
   active->queue = std::make_unique<StealQueue>(
-      std::move(uncached), options_.points_per_shard,
-      options_.max_shards_per_job);
+      std::move(uncached), options_.points_per_shard, kMaxShardsPerJob);
   active->listeners.push_back(conn->channel);
   active_jobs_[fingerprint] = active;
   job_order_.push_back(fingerprint);
@@ -618,14 +526,12 @@ void Service::handle_submit(const std::shared_ptr<Connection>& conn,
                  obs::kv("cached_points", active->cached_points),
                  obs::kv("shards", active->queue->stats().shard_count)});
 
-  io::JsonValue accepted = make_message("job_accepted");
-  accepted.set("fingerprint", io::JsonValue::integer(fingerprint));
-  accepted.set("points", io::JsonValue::integer(total));
-  accepted.set("cached_points", io::JsonValue::integer(active->cached_points));
-  accepted.set("cache_hit", io::JsonValue::boolean(false));
-  conn->channel->send(accepted);
-  for (const io::JsonValue& line : active->replay)
-    conn->channel->send(line);
+  conn->channel->send(
+      accepted_message(fingerprint, total, active->cached_points, false));
+  for (std::size_t i = 0; i < total; ++i)
+    if (!active->items[i].is_null())
+      conn->channel->send(
+          item_line(active->job, fingerprint, i, active->items[i]));
 
   if (active->filled_count == active->total) {
     finalize_job_locked(lock, active);
@@ -646,121 +552,15 @@ void Service::handle_worker(const std::shared_ptr<Connection>& conn) {
   metrics.workers_connected.inc();
   obs::log_info("service", "worker connected",
                 {obs::kv("conn", conn->id), obs::kv("worker", worker_id)});
-  for (;;) {
-    const std::optional<io::JsonValue> message = conn->channel->receive();
-    if (!message) break;
-    std::string type;
-    try {
-      type = message->at("type").as_string();
-    } catch (const Error& e) {
-      obs::log_warn("service", "worker sent message without a type",
-                    {obs::kv("conn", conn->id), obs::kv("worker", worker_id),
-                     obs::kv("error", e.what())});
-      break;
+  // Any malformed message drops the worker: the loop ends and its leases
+  // are requeued below, exactly as for a lost connection.
+  try {
+    while (serve_worker_message(conn, worker_id)) {
     }
-    if (type == "lease") {
-      // Fingerprints of jobs this worker already holds by value, so the
-      // job document travels at most once per (worker, job).
-      std::vector<std::uint64_t> known;
-      if (message->has("known")) {
-        const io::JsonValue& list = message->at("known");
-        for (std::size_t i = 0; i < list.size(); ++i)
-          known.push_back(list.at(i).as_uint());
-      }
-      io::JsonValue response;
-      {
-        std::unique_lock<std::mutex> lock(mutex_);
-        for (;;) {
-          if (stopping_) {
-            response = make_message("stop");
-            break;
-          }
-          bool leased = false;
-          for (const std::uint64_t fp : job_order_) {
-            const std::shared_ptr<ActiveJob>& job = active_jobs_.at(fp);
-            const std::optional<StealShard> shard =
-                job->queue->lease(worker_id);
-            if (!shard) continue;
-            response = make_message("shard");
-            response.set("fingerprint", io::JsonValue::integer(fp));
-            response.set("shard", io::JsonValue::integer(shard->id));
-            io::JsonValue indices = io::JsonValue::array();
-            for (const std::size_t index : shard->indices)
-              indices.push_back(io::JsonValue::integer(index));
-            response.set("indices", std::move(indices));
-            if (std::find(known.begin(), known.end(), fp) == known.end())
-              response.set("job", job->job_json);
-            if (obs::Tracer::global().enabled())
-              job->shard_trace_start[shard->id] = obs::monotonic_micros();
-            submitter_leased(job->submitter).inc();
-            leased = true;
-            break;
-          }
-          if (leased) {
-            update_queue_depth_locked();
-            break;
-          }
-          state_cv_.wait(lock);  // idle: block until work or shutdown
-        }
-      }
-      if (!conn->channel->send(response)) break;
-      if (response.at("type").as_string() == "stop") break;
-    } else if (type == "sweep_point" || type == "campaign_entry" ||
-               type == "search_restart") {
-      deliver_result(*message);
-    } else if (type == "shard_done") {
-      std::unique_lock<std::mutex> lock(mutex_);
-      const auto it = active_jobs_.find(message->at("fingerprint").as_uint());
-      if (it != active_jobs_.end()) {
-        const std::shared_ptr<ActiveJob> job = it->second;
-        const std::size_t shard_id = message->at("shard").as_size();
-        job->queue->complete(shard_id);
-        ++stats_.shards_executed;
-        metrics.shards_executed.inc();
-        if (const auto ts = job->shard_trace_start.find(shard_id);
-            ts != job->shard_trace_start.end()) {
-          const std::uint64_t end = obs::monotonic_micros();
-          obs::Tracer::Span span;
-          span.name = "shard";
-          span.category = "service";
-          span.ts_us = ts->second;
-          span.dur_us = end > ts->second ? end - ts->second : 0;
-          span.tid = obs::trace_thread_id();
-          span.args = {{"job", job->fingerprint},
-                       {"shard", shard_id},
-                       {"worker", worker_id}};
-          job->shard_trace_start.erase(ts);
-          obs::Tracer::global().record(std::move(span));
-        }
-        if (job->queue->done() && job->filled_count == job->total)
-          finalize_job_locked(lock, job);
-      }
-    } else if (type == "shard_failed") {
-      std::string error = "shard failed";
-      if (message->has("error")) error = message->at("error").as_string();
-      std::unique_lock<std::mutex> lock(mutex_);
-      const auto it = active_jobs_.find(message->at("fingerprint").as_uint());
-      if (it != active_jobs_.end()) {
-        const std::shared_ptr<ActiveJob> job = it->second;
-        const std::size_t shard_id = message->at("shard").as_size();
-        const bool requeued =
-            job->queue->fail(shard_id, options_.shard_retries);
-        obs::log_warn("service", "worker reported shard failure",
-                      {obs::kv("conn", conn->id),
-                       obs::kv("worker", worker_id),
-                       obs::kv_hex("job", job->fingerprint),
-                       obs::kv("shard", shard_id), obs::kv("error", error),
-                       obs::kv("requeued", requeued)});
-        if (requeued) {
-          ++stats_.shard_requeues;
-          metrics.shard_requeues.inc();
-          update_queue_depth_locked();
-          state_cv_.notify_all();
-        } else {
-          fail_job_locked(job, error);
-        }
-      }
-    }
+  } catch (const Error& e) {
+    obs::log_warn("service", "malformed worker message; dropping worker",
+                  {obs::kv("conn", conn->id), obs::kv("worker", worker_id),
+                   obs::kv("error", e.what())});
   }
   // Connection gone: whatever this worker still leased goes back on the
   // queues for someone else to steal.
@@ -784,53 +584,142 @@ void Service::handle_worker(const std::shared_ptr<Connection>& conn) {
   }
 }
 
-bool Service::deliver_result(const io::JsonValue& message) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  const auto it = active_jobs_.find(message.at("fingerprint").as_uint());
-  if (it == active_jobs_.end()) return false;  // stale: job already closed
-  const std::shared_ptr<ActiveJob> job = it->second;
-  std::size_t index = 0;
-  io::JsonValue line;
-  try {
-    if (job->job.kind == JobSpec::Kind::kSweep) {
-      core::SweepPointResult point =
-          io::sweep_point_from_json(message.at("data"));
-      index = point.index;
-      SRAMLP_REQUIRE(index < job->total, "worker result index out of range");
-      if (job->filled[index]) return true;  // requeue-race duplicate
-      job->sweep[index] = std::move(point);
-      line = make_message("sweep_point");
-      line.set("data", message.at("data"));
-    } else if (job->job.kind == JobSpec::Kind::kCampaign) {
-      index = message.at("index").as_size();
-      SRAMLP_REQUIRE(index < job->total, "worker result index out of range");
-      if (job->filled[index]) return true;
-      job->entries[index] = io::campaign_entry_from_json(message.at("data"));
-      line = make_message("campaign_entry");
-      line.set("index", io::JsonValue::integer(index));
-      line.set("data", message.at("data"));
-    } else {
-      index = message.at("index").as_size();
-      SRAMLP_REQUIRE(index < job->total, "worker result index out of range");
-      if (job->filled[index]) return true;
-      job->search[index] = io::restart_result_from_json(message.at("data"));
-      line = make_message("search_restart");
-      line.set("index", io::JsonValue::integer(index));
-      line.set("data", message.at("data"));
+bool Service::serve_worker_message(const std::shared_ptr<Connection>& conn,
+                                   std::uint64_t worker_id) {
+  ServiceMetrics& metrics = ServiceMetrics::get();
+  const std::optional<io::JsonValue> message = conn->channel->receive();
+  if (!message) return false;
+  const std::string& type = message->at("type").as_string();
+  if (type == "lease") {
+    // Fingerprints of jobs this worker already holds by value, so the job
+    // document travels at most once per (worker, job).
+    std::vector<std::uint64_t> known;
+    if (message->has("known")) {
+      const io::JsonValue& list = message->at("known");
+      for (std::size_t i = 0; i < list.size(); ++i)
+        known.push_back(list.at(i).as_uint());
     }
-  } catch (const Error& e) {
-    obs::log_warn("service", "malformed worker result line; dropped",
-                  {obs::kv_hex("job", job->fingerprint),
-                   obs::kv("error", e.what())});
-    return false;  // malformed worker line: drop it, the requeue covers us
+    io::JsonValue response;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      for (;;) {
+        if (stopping_) {
+          response = make_message("stop");
+          break;
+        }
+        bool leased = false;
+        for (const std::uint64_t fp : job_order_) {
+          const std::shared_ptr<ActiveJob>& job = active_jobs_.at(fp);
+          const std::optional<StealShard> shard = job->queue->lease(worker_id);
+          if (!shard) continue;
+          response = make_message("shard");
+          response.set("fingerprint", io::JsonValue::integer(fp));
+          response.set("shard", io::JsonValue::integer(shard->id));
+          io::JsonValue indices = io::JsonValue::array();
+          for (const std::size_t index : shard->indices)
+            indices.push_back(io::JsonValue::integer(index));
+          response.set("indices", std::move(indices));
+          if (std::find(known.begin(), known.end(), fp) == known.end())
+            response.set("job", job->job_json);
+          if (obs::Tracer::global().enabled())
+            job->shard_trace_start[shard->id] = obs::monotonic_micros();
+          submitter_leased(job->submitter).inc();
+          leased = true;
+          break;
+        }
+        if (leased) {
+          update_queue_depth_locked();
+          break;
+        }
+        state_cv_.wait(lock);  // idle: block until work or shutdown
+      }
+    }
+    return conn->channel->send(response) &&
+           response.at("type").as_string() != "stop";
   }
-  job->filled[index] = true;
-  ++job->filled_count;
+  if (is_item_type(type)) {
+    deliver_result(*message);
+    return true;
+  }
+  if (type == "shard_done") {
+    const std::uint64_t fingerprint = message->at("fingerprint").as_uint();
+    const std::size_t shard_id = message->at("shard").as_size();
+    std::unique_lock<std::mutex> lock(mutex_);
+    const auto it = active_jobs_.find(fingerprint);
+    if (it == active_jobs_.end()) return true;  // stale: job already closed
+    const std::shared_ptr<ActiveJob> job = it->second;
+    job->queue->complete(shard_id);
+    ++stats_.shards_executed;
+    metrics.shards_executed.inc();
+    if (const auto ts = job->shard_trace_start.find(shard_id);
+        ts != job->shard_trace_start.end()) {
+      const std::uint64_t end = obs::monotonic_micros();
+      obs::Tracer::Span span;
+      span.name = "shard";
+      span.category = "service";
+      span.ts_us = ts->second;
+      span.dur_us = end > ts->second ? end - ts->second : 0;
+      span.tid = obs::trace_thread_id();
+      span.args = {{"job", job->fingerprint},
+                   {"shard", shard_id},
+                   {"worker", worker_id}};
+      job->shard_trace_start.erase(ts);
+      obs::Tracer::global().record(std::move(span));
+    }
+    if (job->queue->done() && job->filled_count == job->total)
+      finalize_job_locked(lock, job);
+    return true;
+  }
+  if (type == "shard_failed") {
+    const std::uint64_t fingerprint = message->at("fingerprint").as_uint();
+    const std::size_t shard_id = message->at("shard").as_size();
+    const std::string error = message->has("error")
+                                  ? message->at("error").as_string()
+                                  : std::string("shard failed");
+    std::unique_lock<std::mutex> lock(mutex_);
+    const auto it = active_jobs_.find(fingerprint);
+    if (it == active_jobs_.end()) return true;
+    const std::shared_ptr<ActiveJob> job = it->second;
+    const bool requeued = job->queue->fail(shard_id, kShardRetries);
+    obs::log_warn("service", "worker reported shard failure",
+                  {obs::kv("conn", conn->id), obs::kv("worker", worker_id),
+                   obs::kv_hex("job", job->fingerprint),
+                   obs::kv("shard", shard_id), obs::kv("error", error),
+                   obs::kv("requeued", requeued)});
+    if (requeued) {
+      ++stats_.shard_requeues;
+      metrics.shard_requeues.inc();
+      update_queue_depth_locked();
+      state_cv_.notify_all();
+    } else {
+      fail_job_locked(job, error);
+    }
+    return true;
+  }
+  throw Error("unknown worker message type '" + type + "'");
+}
+
+void Service::deliver_result(const io::JsonValue& message) {
+  const std::uint64_t fingerprint = message.at("fingerprint").as_uint();
+  const std::size_t index = message.at("index").as_size();
+  const io::JsonValue& data = message.at("data");
+  SRAMLP_REQUIRE(data.kind() == io::JsonValue::Kind::kObject,
+                 "worker result data is not a JSON object");
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = active_jobs_.find(fingerprint);
+  if (it == active_jobs_.end()) return;  // stale: job already closed
+  ActiveJob& job = *it->second;
+  SRAMLP_REQUIRE(index < job.total, "worker result index out of range");
+  if (!job.items[index].is_null()) return;  // requeue-race duplicate
+  // Cached on delivery, not at finalize: a daemon killed mid-job and
+  // restarted on the same spill file resumes from here.
+  if (options_.point_cache)
+    cache_.put(job.point_keys[index], cache_payload(job.job, data));
+  job.items[index] = data;
+  ++job.filled_count;
   ++stats_.points_executed;
   ServiceMetrics::get().points_executed.inc();
-  for (const auto& listener : job->listeners) listener->send(line);
-  job->replay.push_back(std::move(line));
-  return true;
+  for (const auto& listener : job.listeners) listener->send(message);
 }
 
 void Service::update_queue_depth_locked() {
@@ -845,39 +734,14 @@ void Service::finalize_job_locked(std::unique_lock<std::mutex>& lock,
   (void)lock;  // held by the caller; sends go out under it by design
   obs::SpanGuard finalize_span("finalize", "service");
   finalize_span.arg("job", job->fingerprint);
-  MergedResult merged;
-  merged.kind = job->job.kind;
-  if (job->job.kind == JobSpec::Kind::kSweep) {
-    merged.sweep = job->sweep;
-  } else if (job->job.kind == JobSpec::Kind::kCampaign) {
-    merged.campaign.algorithm = job->job.test->name();
-    merged.campaign.entries = job->entries;
-  } else {
-    merged.search = job->search;
+  std::string document;
+  try {
+    document = merge(job->job, std::move(job->items));
+  } catch (const Error& e) {
+    fail_job_locked(job, std::string("merge failed: ") + e.what());
+    return;
   }
-  const std::string document = merged_document(merged);
-
   cache_.put(job->fingerprint, document);
-  if (options_.point_cache) {
-    for (std::size_t i = 0; i < job->total; ++i) {
-      std::string payload;
-      if (job->job.kind == JobSpec::Kind::kSweep) {
-        // Store grid-neutral: zero the grid coordinates so the same
-        // physical point hits from any future grid shape.
-        core::SweepPointResult neutral = job->sweep[i];
-        neutral.index = 0;
-        neutral.geometry = 0;
-        neutral.background = 0;
-        neutral.algorithm = 0;
-        payload = io::to_json(neutral).dump();
-      } else if (job->job.kind == JobSpec::Kind::kCampaign) {
-        payload = io::to_json(job->entries[i]).dump();
-      } else {
-        payload = io::to_json(job->search[i]).dump();
-      }
-      cache_.put(job->point_keys[i], std::move(payload));
-    }
-  }
 
   const StealQueue::Stats queue_stats = job->queue->stats();
   io::JsonValue complete = make_message("job_complete");
@@ -999,17 +863,20 @@ std::size_t ServiceWorker::run(const std::string& address,
       jobs.insert_or_assign(fingerprint,
                             job_from_json(response->at("job")));
     }
+    // Hand the shard back for another worker (or a bounded retry).
+    const auto report_failure = [&](const std::string& error) {
+      metrics.shards_failed.inc();
+      io::JsonValue failed = error_message("shard_failed", error);
+      failed.set("fingerprint", io::JsonValue::integer(fingerprint));
+      failed.set("shard", io::JsonValue::integer(shard_id));
+      return channel.send(failed);
+    };
     const auto job_it = jobs.find(fingerprint);
     if (job_it == jobs.end()) {
-      metrics.shards_failed.inc();
       obs::log_warn("worker", "leased a job this worker does not hold",
                     {obs::kv_hex("job", fingerprint),
                      obs::kv("shard", shard_id)});
-      io::JsonValue failed = error_message("shard_failed",
-                                           "worker does not hold this job");
-      failed.set("fingerprint", io::JsonValue::integer(fingerprint));
-      failed.set("shard", io::JsonValue::integer(shard_id));
-      if (!channel.send(failed)) return computed;
+      if (!report_failure("worker does not hold this job")) return computed;
       continue;
     }
     const JobSpec& job = job_it->second;
@@ -1020,64 +887,27 @@ std::size_t ServiceWorker::run(const std::string& address,
     execute_span.arg("points", indices.size());
     const std::uint64_t execute_start_us = obs::monotonic_micros();
     try {
-      const auto emit_point = [&](io::JsonValue line) -> bool {
-        if (options_.slow_point_us > 0)
-          ::usleep(static_cast<useconds_t>(options_.slow_point_us));
-        if (computed >= options_.die_after_points)
-          return false;  // simulated kill: vanish mid-shard
-        if (!channel.send(line)) return false;
-        ++computed;
-        return true;
-      };
-      if (job.kind == JobSpec::Kind::kSweep) {
-        // The exact single-process arithmetic on the stolen subset —
-        // identical bits whichever worker steals which indices.
-        const core::SweepRunner runner(core::SweepRunner::Options{
-            options_.threads, core::BackendChoice::kAuto});
-        const std::vector<core::SweepPointResult> points =
-            runner.run_indices(job.grid, indices);
-        for (const core::SweepPointResult& point : points) {
-          io::JsonValue line = make_message("sweep_point");
-          line.set("fingerprint", io::JsonValue::integer(fingerprint));
-          line.set("data", io::to_json(point));
-          if (!emit_point(std::move(line))) return computed;
-        }
-      } else if (job.kind == JobSpec::Kind::kCampaign) {
-        core::CampaignRunner::Options campaign_options;
-        campaign_options.threads = options_.threads;
-        campaign_options.batched = options_.batched_campaigns;
-        const std::vector<core::CampaignEntry> entries =
-            core::CampaignRunner(campaign_options)
-                .run_subset(job.config, *job.test, job.faults, indices);
-        for (std::size_t j = 0; j < indices.size(); ++j) {
-          io::JsonValue line = make_message("campaign_entry");
-          line.set("fingerprint", io::JsonValue::integer(fingerprint));
-          line.set("index", io::JsonValue::integer(indices[j]));
-          line.set("data", io::to_json(entries[j]));
-          if (!emit_point(std::move(line))) return computed;
-        }
-      } else {
-        // run_restart(spec, r) is pure, so the stolen restarts are
-        // bit-identical to the single-process slots they fill.
-        for (const std::size_t index : indices) {
-          const search::RestartResult restart =
-              search::run_restart(*job.search, index);
-          io::JsonValue line = make_message("search_restart");
-          line.set("fingerprint", io::JsonValue::integer(fingerprint));
-          line.set("index", io::JsonValue::integer(index));
-          line.set("data", io::to_json(restart));
-          if (!emit_point(std::move(line))) return computed;
-        }
-      }
+      // The exact single-process arithmetic on the stolen subset —
+      // identical bits whichever worker steals which indices.
+      const bool streamed = execute(
+          job, indices, options_.threads,
+          [&](std::size_t index, io::JsonValue data) {
+            if (options_.slow_point_us > 0)
+              ::usleep(static_cast<useconds_t>(options_.slow_point_us));
+            if (computed >= options_.die_after_points)
+              return false;  // simulated kill: vanish mid-shard
+            if (!channel.send(
+                    item_line(job, fingerprint, index, std::move(data))))
+              return false;
+            ++computed;
+            return true;
+          });
+      if (!streamed) return computed;
     } catch (const std::exception& e) {
-      metrics.shards_failed.inc();
       obs::log_warn("worker", "shard computation failed",
                     {obs::kv_hex("job", fingerprint),
                      obs::kv("shard", shard_id), obs::kv("error", e.what())});
-      io::JsonValue failed = error_message("shard_failed", e.what());
-      failed.set("fingerprint", io::JsonValue::integer(fingerprint));
-      failed.set("shard", io::JsonValue::integer(shard_id));
-      if (!channel.send(failed)) return computed;
+      if (!report_failure(e.what())) return computed;
       continue;
     }
     metrics.shard_execution.observe_micros(obs::monotonic_micros() -
@@ -1113,8 +943,7 @@ SubmitResult submit_job(
     if (type == "job_accepted") {
       result.total_points = message->at("points").as_size();
       result.cached_points = message->at("cached_points").as_size();
-    } else if (type == "sweep_point" || type == "campaign_entry" ||
-               type == "search_restart") {
+    } else if (is_item_type(type)) {
       ++result.streamed_lines;
       if (on_line) on_line(*message);
     } else if (type == "job_complete") {

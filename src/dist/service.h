@@ -1,41 +1,39 @@
-// The sweep service: a long-running coordinator daemon with dynamic shard
-// stealing and a fingerprint-keyed result cache.
-//
-// The fork/exec Coordinator answers "run this job once, survive crashes";
-// the service answers "keep answering jobs" — the ROADMAP's
-// millions-of-users shape, where analytic points cost ~0.2 ms and the
-// dominant costs are process spawn, static shard imbalance and
-// recomputing grid points already solved.  Three moves:
+// The sweep service: a long-running daemon with dynamic shard
+// stealing and a fingerprint-keyed result cache — the one distributed
+// execution path.  `sramlp_dist run` is this service started for one job
+// on a private socket; a long-lived daemon (`serve`) keeps answering jobs.
 //
 //   * keep-alive socket protocol — jobs arrive as JSON over a Unix/TCP
-//     socket (io::LineChannel frames the existing exact wire format) and
-//     the shard result stream goes back to the submitter LIVE, line by
-//     line, as workers finish points;
-//   * dynamic shard stealing — instead of a static ShardPlan, each job is
-//     chopped into many small StealQueue shards that idle workers pull;
-//     a deliberately slow worker just steals fewer shards (see
-//     tests/test_service_soak.cpp for the static-vs-steal wall-clock
-//     comparison).  A worker that dies mid-shard has its leases requeued;
-//     partially streamed points are idempotent because results are
+//     socket (io::LineChannel frames the exact wire format) and each
+//     work item's result line goes back to the submitter LIVE as workers
+//     finish it;
+//   * dynamic shard stealing — each job is chopped into many small
+//     StealQueue shards that idle workers pull; a deliberately slow
+//     worker just steals fewer shards (see tests/test_service_soak.cpp for
+//     the one-shard-per-worker comparison).  A worker that dies mid-shard,
+//     or sends a malformed message, is dropped and its leases requeued;
+//     partially streamed items are idempotent because results are
 //     deterministic and carry their flat indices;
 //   * result cache — completed jobs are cached as their exact merged
 //     document bytes keyed by JobSpec::fingerprint() (memory LRU +
 //     on-disk JSONL spill, ResultCache), so a resubmitted job is a
 //     lookup, not a run, and byte-identical to the fresh run.  Individual
-//     grid points / campaign entries are cached under their own canonical
-//     fingerprints too, so a NEW job overlapping an old one only computes
-//     the indices never seen before.
+//     work items are cached under their own PointKeys the moment they are
+//     delivered, so a NEW job overlapping an old one only computes the
+//     indices never seen before — and a daemon killed mid-job and
+//     restarted on the same spill file recomputes only what was never
+//     delivered (the checkpoint).
+//
+// Results are opaque here: the service forwards, caches and merges each
+// item's data document through dist/job.h and never decodes it.
 //
 // Topology: one Service process; any number of ServiceWorker processes or
-// threads connect and steal (the `sramlp_dist serve` CLI spawns N worker
-// subprocesses of its own binary; extra workers on other hosts can
-// `sramlp_dist work --connect tcp:host:port` to join).  Submitters
-// connect, send one job, and read the stream.  Identical jobs submitted
-// while one is in flight attach to it (deduplicated, replayed from the
-// start) rather than recomputing.
-//
-// The fork/exec Coordinator (`sramlp_dist run`) remains the degraded-path
-// fallback: batch runs, file transports, checkpoint/resume.
+// threads connect and steal (`sramlp_dist serve` and `run` spawn N worker
+// subprocesses of their own binary; workers on other hosts join with
+// `sramlp_dist work --connect tcp:host:port`).  Submitters connect, send
+// one job, and read the stream.  Identical jobs submitted while one is in
+// flight attach to it (deduplicated, replayed from the start) rather than
+// recomputing.
 #pragma once
 
 #include <condition_variable>
@@ -47,6 +45,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dist/job.h"
@@ -55,41 +54,6 @@
 #include "io/framing.h"
 
 namespace sramlp::dist {
-
-/// Canonical cache keys of a job's work items: grid points of a sweep job,
-/// faults of a campaign job, restarts of a search job.  key(i) is FNV-1a
-/// over the compact canonical document
-///
-///   {"kind":"sweep_point","config":C,"test":T}
-///   {"kind":"campaign_entry","config":C,"test":T,"fault":F}
-///   {"kind":"search_restart","search":S,"restart":i}
-///
-/// so two jobs that contain the same point (same session config +
-/// algorithm (+ fault)) produce the same key whatever the rest of their
-/// grids look like.  Each distinct config, test and spec is serialised
-/// once, on first use, and a key continues the hash state of its shared
-/// prefix instead of rebuilding the document.  @p job must outlive the
-/// builder.
-class PointKeys {
- public:
-  explicit PointKeys(const JobSpec& job);
-
-  std::uint64_t key(std::size_t index);
-
- private:
-  const JobSpec& job_;
-  /// Sweep: hash state after `{"kind":"sweep_point","config":C,"test":`,
-  /// per (geometry, background) cell.
-  std::vector<std::optional<std::uint64_t>> cell_states_;
-  /// Sweep: `T}` per algorithm (a dump is never empty; empty = not yet).
-  std::vector<std::string> test_tails_;
-  /// Campaign / search: hash state of the prefix every item shares.
-  std::uint64_t prefix_state_ = kFnv1a64Basis;
-};
-
-/// The key of one work item: PointKeys(job).key(index).  Use PointKeys
-/// directly for many items of one job.
-std::uint64_t point_fingerprint(const JobSpec& job, std::size_t index);
 
 struct ServiceStats {
   std::uint64_t jobs_submitted = 0;
@@ -106,6 +70,23 @@ struct ServiceStats {
   ResultCache::Stats cache;
 };
 
+/// Every ServiceStats counter under its wire name, in wire order — what
+/// the `stats` reply, its decoder and the CLI views all iterate.
+inline constexpr std::pair<const char*, std::uint64_t ServiceStats::*>
+    kServiceCounters[] = {
+        {"jobs_submitted", &ServiceStats::jobs_submitted},
+        {"jobs_completed", &ServiceStats::jobs_completed},
+        {"jobs_failed", &ServiceStats::jobs_failed},
+        {"jobs_deduplicated", &ServiceStats::jobs_deduplicated},
+        {"job_cache_hits", &ServiceStats::job_cache_hits},
+        {"point_cache_hits", &ServiceStats::point_cache_hits},
+        {"points_executed", &ServiceStats::points_executed},
+        {"shards_executed", &ServiceStats::shards_executed},
+        {"shard_requeues", &ServiceStats::shard_requeues},
+        {"workers_connected", &ServiceStats::workers_connected},
+        {"workers_lost", &ServiceStats::workers_lost},
+};
+
 class Service {
  public:
   struct Options {
@@ -116,14 +97,10 @@ class Service {
     /// the point — they are what lets idle workers steal around a slow
     /// one.
     std::size_t points_per_shard = 4;
-    /// Cap on shards per job (shard size grows instead).  0 = uncapped.
-    std::size_t max_shards_per_job = 512;
-    /// Re-runs granted to a failed shard before the job is failed.
-    unsigned shard_retries = 1;
     /// Result cache tiers (capacity + optional spill file).
     ResultCache::Options cache;
-    /// Also cache individual grid points / campaign entries, so new jobs
-    /// that overlap old ones skip the overlap.
+    /// Also cache individual work items, so new jobs that overlap old ones
+    /// skip the overlap and a restarted daemon resumes a killed job.
     bool point_cache = true;
   };
 
@@ -159,7 +136,12 @@ class Service {
   void handle_submit(const std::shared_ptr<Connection>& conn,
                      const io::JsonValue& message);
   void handle_worker(const std::shared_ptr<Connection>& conn);
-  bool deliver_result(const io::JsonValue& message);
+  /// Receive and act on one worker message; false when the worker is done
+  /// (connection closed or told to stop).  Throws sramlp::Error on a
+  /// malformed message.
+  bool serve_worker_message(const std::shared_ptr<Connection>& conn,
+                            std::uint64_t worker_id);
+  void deliver_result(const io::JsonValue& message);
   /// Refresh the pending-shard gauge from the live queues (mutex_ held).
   void update_queue_depth_locked();
   void finalize_job_locked(std::unique_lock<std::mutex>& lock,
@@ -194,15 +176,14 @@ class Service {
 };
 
 /// Worker half of the steal protocol: connect, steal shards, compute them
-/// through the exact single-process entry points, stream results.  Run it
-/// on a thread (tests, benches) or in a process (`sramlp_dist work`).
+/// with dist::execute (the single-process entry points), stream results.
+/// Run it on a thread (tests, benches) or in a process (`sramlp_dist work`).
 class ServiceWorker {
  public:
   struct Options {
     /// Threads for one shard's own points; service scale comes from
     /// worker count, so the default is serial.
     unsigned threads = 1;
-    bool batched_campaigns = true;
     /// Artificial per-point delay — models a slow host (benches, the
     /// steal-vs-static soak comparison).
     std::uint64_t slow_point_us = 0;

@@ -1,18 +1,18 @@
 // StealQueue — dynamic shard ownership for the sweep service.
 //
-// The static ShardPlan fixes which worker computes which indices before
-// anything runs; one slow host then stretches the whole job to its own
-// pace.  The steal queue inverts ownership: the job is chopped into MANY
-// small shards (each just a list of flat indices), and idle workers pull
+// A static plan fixes which worker computes which indices before anything
+// runs; one slow host then stretches the whole job to its own pace.  The
+// steal queue inverts ownership: the job is chopped into MANY small
+// shards (each just a list of flat indices), and idle workers pull
 // ("steal") the next one the moment they finish their last — a slow
 // worker simply ends up holding fewer shards, and heterogeneous workers
 // stay saturated without anyone planning for them.
 //
 // Determinism is preserved because ownership never touches arithmetic:
-// every index is computed by the same SweepRunner::run_indices /
-// CampaignRunner::run_subset entry points whichever worker steals it, and
-// results carry their flat indices, so the merged document is
-// bit-identical to a single-process run whatever the interleaving.
+// every index is computed by the same dist::execute entry point whichever
+// worker steals it, and results carry their flat indices, so the merged
+// document is bit-identical to a single-process run whatever the
+// interleaving.
 //
 // Fault tolerance is requeue-based: a shard leased to a worker that dies
 // (socket drop, crash) is abandoned back onto the queue; a shard a worker

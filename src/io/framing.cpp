@@ -267,6 +267,14 @@ std::optional<JsonValue> LineChannel::receive() {
     // Bytes before scanned_ hold no newline, so a frame arriving in many
     // recv() pieces is scanned once in total, not once per piece.
     const std::size_t newline = read_buffer_.find('\n', scanned_);
+    const std::size_t frame_bytes =
+        newline != std::string::npos ? newline : read_buffer_.size();
+    if (frame_bytes > kMaxFrameBytes) {
+      peer_dead_ = true;
+      std::string().swap(read_buffer_);  // free the oversize buffer
+      scanned_ = 0;
+      return std::nullopt;
+    }
     if (newline != std::string::npos) {
       // Parsed in place; nullopt (a garbled frame) reads as a dead peer.
       const std::optional<JsonValue> frame =

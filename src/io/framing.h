@@ -83,9 +83,15 @@ class LineChannel {
   /// a broken/closed peer; never raises SIGPIPE.
   bool send(const JsonValue& value);
 
+  /// Largest frame receive() accepts, newline excluded: far above the
+  /// ~15 MB job_complete frame of a 10^4-point job, far below what a peer
+  /// that never sends a newline could otherwise make the reader buffer.
+  static constexpr std::size_t kMaxFrameBytes = std::size_t{64} << 20;
+
   /// Receive the next framed document.  Returns nullopt on EOF, a dead
-  /// peer, or an unparseable frame (a truncated write from a killed
-  /// worker reads as end-of-stream, exactly like the shard-file rule).
+  /// peer, an unparseable frame (a truncated write from a killed peer
+  /// reads as end-of-stream), or a frame longer than kMaxFrameBytes — the
+  /// peer is then treated as dead and its buffered bytes are freed.
   std::optional<JsonValue> receive();
 
   /// Unblock a reader parked in receive() from another thread.

@@ -1,7 +1,7 @@
 // Minimal self-contained JSON document model: emit + parse, no external
 // dependencies.  Built for the distributed-execution subsystem, whose
 // correctness contract is bit-identical merges: a sweep result serialized
-// by a worker process and parsed back by the coordinator must reproduce
+// by a worker process and parsed back by the service must reproduce
 // every double to the bit.  Hence the two non-negotiable number rules:
 //
 //   * doubles are emitted with 17 significant digits (%.17g), the shortest

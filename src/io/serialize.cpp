@@ -643,27 +643,4 @@ core::CampaignEntry campaign_entry_from_json(const JsonValue& json) {
   return entry;
 }
 
-JsonValue to_json(const core::CampaignReport& report) {
-  JsonValue v = JsonValue::object();
-  v.set("algorithm", JsonValue::string(report.algorithm));
-  JsonValue entries = JsonValue::array();
-  for (const core::CampaignEntry& e : report.entries)
-    entries.push_back(to_json(e));
-  v.set("entries", std::move(entries));
-  v.set("session_pairs", JsonValue::integer(report.session_pairs));
-  v.set("batch_sessions", JsonValue::integer(report.batch_sessions));
-  return v;
-}
-
-core::CampaignReport campaign_report_from_json(const JsonValue& json) {
-  core::CampaignReport report;
-  report.algorithm = json.at("algorithm").as_string();
-  const JsonValue& entries = json.at("entries");
-  for (std::size_t i = 0; i < entries.size(); ++i)
-    report.entries.push_back(campaign_entry_from_json(entries.at(i)));
-  report.session_pairs = json.at("session_pairs").as_size();
-  report.batch_sessions = json.at("batch_sessions").as_size();
-  return report;
-}
-
 }  // namespace sramlp::io

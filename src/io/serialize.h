@@ -3,7 +3,7 @@
 // Every pair here is round-trip exact: `X_from_json(to_json(x))` rebuilds a
 // value whose execution behaviour — and, for results, whose every double —
 // is bit-identical to the original.  That is the contract the distributed
-// subsystem (src/dist/) stands on: a coordinator merging worker-emitted
+// subsystem (src/dist/) stands on: a service merging worker-emitted
 // JSONL must reproduce a single-process run to the bit.
 //
 // Conventions:
@@ -73,9 +73,6 @@ core::SweepPointResult sweep_point_from_json(const JsonValue& json);
 
 JsonValue to_json(const core::CampaignEntry& entry);
 core::CampaignEntry campaign_entry_from_json(const JsonValue& json);
-
-JsonValue to_json(const core::CampaignReport& report);
-core::CampaignReport campaign_report_from_json(const JsonValue& json);
 
 // --- enum slugs (shared with dist/ and the CLI) ------------------------------
 std::string to_slug(sram::Mode mode);

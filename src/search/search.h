@@ -99,7 +99,7 @@ SearchOutcome run_search(const SearchSpec& spec, unsigned threads = 0);
 /// Deterministic global Pareto front over per-restart fronts: restart-order
 /// scan, (peak_power_w, cycles) dominance, exact-duplicate dedup, sorted by
 /// (peak asc, cycles asc, energy asc).  This is the reduction the dist/
-/// coordinator, the service and run_search all share — the merged front
+/// job-kind merge (dist/job.h) and run_search share — the merged front
 /// depends only on the per-restart results, never on who merged them.
 std::vector<ScheduleResult> merge_front(
     const std::vector<RestartResult>& restarts);

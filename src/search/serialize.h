@@ -3,7 +3,7 @@
 // Lives in namespace sramlp::io next to io/serialize.h's pairs (dist/
 // includes this; io/ itself must not depend on search/).  Same contract
 // as every io serializer: round-trip exact — a RestartResult crossing the
-// worker wire and merged by the coordinator reproduces every double to
+// worker wire and merged by the service reproduces every double to
 // the bit, which is what keeps sharded search merges byte-identical to
 // single-process runs.
 #pragma once

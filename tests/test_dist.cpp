@@ -1,421 +1,303 @@
-// The distributed-execution subsystem: shard-plan ownership invariants,
-// the worker JSONL protocol, and the acceptance anchor — a sharded run
-// (any shard count, any worker count, including crash-retry and a resume
-// over a killed worker's partial file) merges to results bit-identical to
-// a single-process SweepRunner::run / CampaignRunner::run.
+// The job-kind table (dist/job.h) that every distributed path stands on,
+// and its acceptance anchor: items computed by execute() over any
+// partition of the index space — random disjoint subsets, run in shuffled
+// order, each item through the JSON wire form — merge() to a document
+// byte-identical to single_document(), which itself matches a document
+// built straight from the core runners (SweepRunner::run,
+// CampaignRunner::run, search::run_search).  Covers generated sweep jobs
+// (non-square, word width 1/4/8, traced), campaign and search jobs, plus
+// the point-cache payload round trip.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <array>
+#include <numeric>
 #include <string>
+#include <vector>
 
 #include "core/fault_campaign.h"
 #include "core/sweep.h"
-#include "dist/coordinator.h"
 #include "dist/job.h"
-#include "dist/shard.h"
-#include "dist/worker.h"
 #include "io/serialize.h"
 #include "march/algorithms.h"
+#include "search/serialize.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace {
 
-namespace fs = std::filesystem;
 using namespace sramlp;
 using dist::JobSpec;
-using dist::ShardPlan;
-using dist::ShardStrategy;
 
-/// Fresh per-test scratch directory under the system temp dir.
-class TempDir {
- public:
-  explicit TempDir(const std::string& tag)
-      : path_(fs::temp_directory_path() /
-              ("sramlp_dist_test_" + tag + "_" +
-               std::to_string(::getpid()))) {
-    fs::remove_all(path_);
-    fs::create_directories(path_);
-  }
-  ~TempDir() { fs::remove_all(path_); }
-  std::string str() const { return path_.string(); }
-
- private:
-  fs::path path_;
-};
-
-JobSpec small_sweep_job() {
+/// A seeded sweep job: 1-3 non-square geometries of word width 1, 4 or 8,
+/// every background, 1-4 library algorithms, a perturbed session base, and
+/// (when @p traced) a windowed power trace on every run.
+JobSpec generated_sweep_job(std::uint64_t seed, bool traced) {
+  util::Rng rng(seed);
+  const std::vector<march::MarchTest> library = march::algorithms::all();
+  constexpr std::array<std::size_t, 3> kWidths = {1, 4, 8};
   JobSpec job;
   job.kind = JobSpec::Kind::kSweep;
-  job.grid.geometries = {{8, 16, 1}, {4, 32, 1}, {6, 24, 2}};
-  job.grid.backgrounds = {sram::DataBackground::solid0(),
-                          sram::DataBackground::checkerboard()};
-  job.grid.algorithms = {march::algorithms::mats_plus(),
-                         march::algorithms::march_c_minus()};
-  return job;  // 12 points
+  for (std::uint64_t g = 0, n = 1 + rng.next_below(3); g < n; ++g) {
+    const std::size_t width = kWidths[rng.next_below(kWidths.size())];
+    job.grid.geometries.push_back(
+        {1 + rng.next_below(24), width * (2 + rng.next_below(7)), width});
+  }
+  job.grid.backgrounds.clear();
+  for (const sram::BackgroundKind kind : sram::DataBackground::kinds())
+    job.grid.backgrounds.push_back(sram::DataBackground(kind));
+  for (std::uint64_t a = 0, n = 1 + rng.next_below(4); a < n; ++a)
+    job.grid.algorithms.push_back(library[rng.next_below(library.size())]);
+  job.grid.base.wordline_duty = 0.25 + 0.5 * rng.next_double();
+  job.grid.base.row_transition_restore = rng.next_bool();
+  if (traced)
+    job.grid.base.trace = power::TraceConfig{
+        .window_cycles = 8 + rng.next_below(32), .keep_windows = true};
+  return job;
 }
 
-JobSpec small_campaign_job() {
+JobSpec campaign_job(std::uint64_t seed) {
   JobSpec job;
   job.kind = JobSpec::Kind::kCampaign;
   job.config.geometry = {8, 8, 1};
   job.test = march::algorithms::march_c_minus();
-  job.faults = faults::standard_fault_library(job.config.geometry, 11);
+  job.faults = faults::standard_fault_library(job.config.geometry, seed);
   return job;
 }
 
-void expect_points_identical(const core::SweepPointResult& a,
-                             const core::SweepPointResult& b,
-                             const std::string& where) {
-  EXPECT_EQ(a.index, b.index) << where;
-  EXPECT_EQ(a.geometry, b.geometry) << where;
-  EXPECT_EQ(a.background, b.background) << where;
-  EXPECT_EQ(a.algorithm, b.algorithm) << where;
-  EXPECT_EQ(a.backend, b.backend) << where;
-  EXPECT_EQ(a.prr.prr, b.prr.prr) << where;
-  const auto expect_sessions_identical = [&](const core::SessionResult& x,
-                                             const core::SessionResult& y) {
-    EXPECT_EQ(x.algorithm, y.algorithm) << where;
-    EXPECT_EQ(x.mode, y.mode) << where;
-    EXPECT_EQ(x.fell_back_to_functional, y.fell_back_to_functional) << where;
-    EXPECT_EQ(x.cycles, y.cycles) << where;
-    EXPECT_EQ(x.supply_energy_j, y.supply_energy_j) << where;
-    EXPECT_EQ(x.energy_per_cycle_j, y.energy_per_cycle_j) << where;
-    EXPECT_EQ(x.mismatches, y.mismatches) << where;
-    EXPECT_EQ(x.meter.cycles(), y.meter.cycles()) << where;
-    for (std::size_t s = 0; s < power::kEnergySourceCount; ++s) {
-      const auto source = static_cast<power::EnergySource>(s);
-      EXPECT_EQ(x.meter.total(source), y.meter.total(source))
-          << where << " source " << power::to_string(source);
-    }
-    EXPECT_EQ(x.stats.reads, y.stats.reads) << where;
-    EXPECT_EQ(x.stats.writes, y.stats.writes) << where;
-    EXPECT_EQ(x.stats.restore_cycles, y.stats.restore_cycles) << where;
-    ASSERT_EQ(x.first_detections.size(), y.first_detections.size()) << where;
-    for (std::size_t d = 0; d < x.first_detections.size(); ++d) {
-      EXPECT_EQ(x.first_detections[d].row, y.first_detections[d].row);
-      EXPECT_EQ(x.first_detections[d].col, y.first_detections[d].col);
-    }
-  };
-  expect_sessions_identical(a.prr.functional, b.prr.functional);
-  expect_sessions_identical(a.prr.low_power, b.prr.low_power);
+JobSpec search_job(std::uint64_t seed) {
+  JobSpec job;
+  job.kind = JobSpec::Kind::kSearch;
+  search::SearchSpec spec;
+  spec.config.geometry = {8, 16, 1};
+  spec.base = march::algorithms::march_c_minus();
+  spec.window_cycles = 512;
+  spec.seed = seed;
+  spec.restarts = 5;
+  spec.steps = 12;
+  spec.beam_width = 4;
+  spec.neighbors = 8;
+  spec.idle_quantum = 128;
+  spec.max_idle_quanta = 8;
+  spec.max_front = 4;
+  job.search = std::move(spec);
+  return job;
 }
 
-void expect_entries_identical(const core::CampaignEntry& a,
-                              const core::CampaignEntry& b,
-                              const std::string& where) {
-  EXPECT_EQ(a.spec.kind, b.spec.kind) << where;
-  EXPECT_TRUE(a.spec.victim == b.spec.victim) << where;
-  EXPECT_EQ(a.detected_functional, b.detected_functional) << where;
-  EXPECT_EQ(a.detected_low_power, b.detected_low_power) << where;
-  EXPECT_EQ(a.mismatches_functional, b.mismatches_functional) << where;
-  EXPECT_EQ(a.mismatches_low_power, b.mismatches_low_power) << where;
+// --- independent references: documents built from the core runners ---------
+
+std::string document_of(io::JsonValue doc) { return doc.dump(2) + "\n"; }
+
+std::string sweep_reference(const JobSpec& job) {
+  io::JsonValue doc = io::JsonValue::object();
+  doc.set("kind", io::JsonValue::string("sweep"));
+  io::JsonValue points = io::JsonValue::array();
+  for (const core::SweepPointResult& p : core::SweepRunner().run(job.grid))
+    points.push_back(io::to_json(p));
+  doc.set("points", std::move(points));
+  return document_of(std::move(doc));
 }
 
-// --- ShardPlan ---------------------------------------------------------------
+std::string campaign_reference(const JobSpec& job) {
+  core::CampaignRunner::Options options;
+  options.batched = true;
+  const core::CampaignReport report =
+      core::CampaignRunner(options).run(job.config, *job.test, job.faults);
+  io::JsonValue doc = io::JsonValue::object();
+  doc.set("kind", io::JsonValue::string("campaign"));
+  doc.set("algorithm", io::JsonValue::string(report.algorithm));
+  io::JsonValue entries = io::JsonValue::array();
+  for (const core::CampaignEntry& e : report.entries)
+    entries.push_back(io::to_json(e));
+  doc.set("entries", std::move(entries));
+  return document_of(std::move(doc));
+}
 
-TEST(ShardPlan, EveryIndexOwnedExactlyOnce) {
-  for (const auto strategy :
-       {ShardStrategy::kContiguous, ShardStrategy::kStrided}) {
-    for (const std::size_t total : {1u, 7u, 12u, 100u}) {
-      for (const std::size_t shards : {1u, 3u, 5u, 12u, 17u}) {
-        const ShardPlan plan = ShardPlan::make(total, shards, strategy);
-        std::vector<int> seen(total, 0);
-        std::size_t sizes = 0;
-        for (std::size_t s = 0; s < shards; ++s) {
-          const auto indices = plan.indices_of(s);
-          EXPECT_EQ(indices.size(), plan.size_of(s));
-          sizes += indices.size();
-          for (const std::size_t i : indices) {
-            ASSERT_LT(i, total);
-            ++seen[i];
-            EXPECT_EQ(plan.owner_of(i), s)
-                << dist::to_slug(strategy) << " total " << total << " shard "
-                << s << " index " << i;
-          }
-        }
-        EXPECT_EQ(sizes, total);
-        for (std::size_t i = 0; i < total; ++i) EXPECT_EQ(seen[i], 1);
-      }
+std::string search_reference(const JobSpec& job) {
+  const search::SearchOutcome outcome = search::run_search(*job.search, 2);
+  io::JsonValue doc = io::JsonValue::object();
+  doc.set("kind", io::JsonValue::string("search"));
+  io::JsonValue restarts = io::JsonValue::array();
+  for (const search::RestartResult& r : outcome.restarts)
+    restarts.push_back(io::to_json(r));
+  doc.set("restarts", std::move(restarts));
+  io::JsonValue front = io::JsonValue::array();
+  for (const search::ScheduleResult& point : outcome.front)
+    front.push_back(io::to_json(point));
+  doc.set("front", std::move(front));
+  return document_of(std::move(doc));
+}
+
+// --- the partition property --------------------------------------------------
+
+/// Execute @p job over random disjoint index subsets in shuffled order,
+/// each item through its wire form (dump + parse, as a worker line
+/// travels), and merge.  Every index must be emitted exactly once.
+std::string partitioned_document(const JobSpec& job, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<std::size_t> order(job.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  util::shuffle(order, rng);
+  std::vector<io::JsonValue> payloads(job.size());
+  for (std::size_t start = 0; start < order.size();) {
+    const std::size_t count = std::min<std::size_t>(
+        1 + rng.next_below(5), order.size() - start);
+    const std::vector<std::size_t> subset(
+        order.begin() + static_cast<std::ptrdiff_t>(start),
+        order.begin() + static_cast<std::ptrdiff_t>(start + count));
+    start += count;
+    std::size_t emitted = 0;
+    const bool finished = dist::execute(
+        job, subset, static_cast<unsigned>(1 + rng.next_below(2)),
+        [&](std::size_t index, io::JsonValue data) {
+          EXPECT_EQ(index, subset[emitted]) << "items emit in subset order";
+          EXPECT_TRUE(payloads[index].is_null()) << "index " << index;
+          payloads[index] = io::JsonValue::parse(data.dump());
+          ++emitted;
+          return true;
+        });
+    EXPECT_TRUE(finished);
+    EXPECT_EQ(emitted, subset.size());
+  }
+  return dist::merge(job, std::move(payloads));
+}
+
+TEST(JobKindTable, GeneratedSweepJobsMergeByteIdenticalToSingle) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    for (const bool traced : {false, true}) {
+      const JobSpec job = generated_sweep_job(seed, traced);
+      const std::string single = dist::single_document(job);
+      EXPECT_EQ(single, sweep_reference(job))
+          << "seed " << seed << (traced ? " traced" : "");
+      EXPECT_EQ(partitioned_document(job, seed), single)
+          << "seed " << seed << (traced ? " traced" : "");
     }
   }
 }
 
-TEST(ShardPlan, ContiguousRunsAreConsecutiveAndBalanced) {
-  const ShardPlan plan = ShardPlan::contiguous(10, 4);  // 3+3+2+2
-  EXPECT_EQ(plan.indices_of(0), (std::vector<std::size_t>{0, 1, 2}));
-  EXPECT_EQ(plan.indices_of(1), (std::vector<std::size_t>{3, 4, 5}));
-  EXPECT_EQ(plan.indices_of(2), (std::vector<std::size_t>{6, 7}));
-  EXPECT_EQ(plan.indices_of(3), (std::vector<std::size_t>{8, 9}));
+TEST(JobKindTable, TracedSweepDocumentCarriesTheTrace) {
+  const JobSpec job = generated_sweep_job(3, /*traced=*/true);
+  const io::JsonValue doc =
+      io::JsonValue::parse(dist::single_document(job, 1));
+  const core::SweepPointResult point =
+      io::sweep_point_from_json(doc.at("points").at(std::size_t{0}));
+  ASSERT_TRUE(point.prr.low_power.trace.has_value());
+  EXPECT_GT(point.prr.low_power.trace->peak_window_energy_j, 0.0);
 }
 
-TEST(ShardPlan, StridedInterleaves) {
-  const ShardPlan plan = ShardPlan::strided(7, 3);
-  EXPECT_EQ(plan.indices_of(0), (std::vector<std::size_t>{0, 3, 6}));
-  EXPECT_EQ(plan.indices_of(1), (std::vector<std::size_t>{1, 4}));
-  EXPECT_EQ(plan.indices_of(2), (std::vector<std::size_t>{2, 5}));
+TEST(JobKindTable, CampaignJobsMergeByteIdenticalToSingle) {
+  for (const std::uint64_t seed : {7u, 11u}) {
+    const JobSpec job = campaign_job(seed);
+    const std::string single = dist::single_document(job);
+    EXPECT_EQ(single, campaign_reference(job)) << "seed " << seed;
+    EXPECT_EQ(partitioned_document(job, seed), single) << "seed " << seed;
+  }
 }
 
-TEST(ShardPlan, JsonRoundTripAndValidation) {
-  const ShardPlan plan = ShardPlan::strided(99, 7);
-  const ShardPlan back = dist::shard_plan_from_json(
-      io::JsonValue::parse(dist::to_json(plan).dump()));
-  EXPECT_EQ(back, plan);
-  EXPECT_THROW(ShardPlan::make(5, 0, ShardStrategy::kContiguous), Error);
-  EXPECT_THROW(plan.owner_of(99), Error);
-  EXPECT_THROW(plan.indices_of(7), Error);
+TEST(JobKindTable, SearchJobsMergeByteIdenticalToSingle) {
+  for (const std::uint64_t seed : {7u, 8u}) {
+    const JobSpec job = search_job(seed);
+    const std::string single = dist::single_document(job, 1);
+    EXPECT_EQ(single, search_reference(job)) << "seed " << seed;
+    EXPECT_EQ(partitioned_document(job, seed), single) << "seed " << seed;
+  }
 }
 
-// --- job / shard spec round trips --------------------------------------------
-
-TEST(JobSpec, SweepJobRoundTripPreservesFingerprint) {
-  const JobSpec job = small_sweep_job();
-  const JobSpec back =
-      dist::job_from_json(io::JsonValue::parse(dist::to_json(job).dump(2)));
-  EXPECT_EQ(back.kind, JobSpec::Kind::kSweep);
-  EXPECT_EQ(back.size(), job.size());
-  EXPECT_EQ(back.fingerprint(), job.fingerprint());
+TEST(JobKindTable, EmitReturningFalseStopsExecution) {
+  const JobSpec job = generated_sweep_job(1, false);
+  std::vector<std::size_t> all(job.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  std::size_t seen = 0;
+  EXPECT_FALSE(dist::execute(job, all, 1, [&](std::size_t, io::JsonValue) {
+    return ++seen < 2;
+  }));
+  EXPECT_EQ(seen, 2u);
 }
 
-TEST(JobSpec, CampaignJobRoundTripPreservesFingerprint) {
-  const JobSpec job = small_campaign_job();
-  const JobSpec back =
-      dist::job_from_json(io::JsonValue::parse(dist::to_json(job).dump()));
-  EXPECT_EQ(back.kind, JobSpec::Kind::kCampaign);
-  EXPECT_EQ(back.size(), job.size());
-  EXPECT_EQ(back.fingerprint(), job.fingerprint());
+TEST(JobKindTable, MergeRefusesAMissingItem) {
+  const JobSpec job = campaign_job(7);
+  EXPECT_THROW(dist::merge(job, std::vector<io::JsonValue>(job.size() - 1)),
+               Error);
+}
+
+// --- the point-cache payload -------------------------------------------------
+
+TEST(JobKindTable, SweepCachePayloadIsGridNeutralAndRebinds) {
+  const JobSpec big = generated_sweep_job(4, false);
+  // The last grid point of `big`, alone in a one-point grid.
+  std::size_t geometry = 0, background = 0, algorithm = 0;
+  const std::size_t last = big.size() - 1;
+  big.grid.split(last, &geometry, &background, &algorithm);
+  JobSpec small = big;
+  small.grid.geometries = {big.grid.geometries[geometry]};
+  small.grid.backgrounds = {big.grid.backgrounds[background]};
+  small.grid.algorithms = {big.grid.algorithms[algorithm]};
+  ASSERT_EQ(dist::point_fingerprint(big, last),
+            dist::point_fingerprint(small, 0));
+
+  io::JsonValue data;
+  dist::execute(big, {last}, 1, [&](std::size_t, io::JsonValue d) {
+    data = std::move(d);
+    return true;
+  });
+  const std::string payload = dist::cache_payload(big, data);
+  const io::JsonValue neutral = io::JsonValue::parse(payload);
+  for (const char* member : {"index", "geometry", "background", "algorithm"})
+    EXPECT_EQ(neutral.at(member).as_uint(), 0u) << member;
+  // Rebound into either grid, the payload is that grid's point, exactly.
+  EXPECT_EQ(dist::from_cache(big, last, payload).dump(), data.dump());
+  std::string small_point;
+  dist::execute(small, {0}, 1, [&](std::size_t, io::JsonValue d) {
+    small_point = d.dump();
+    return true;
+  });
+  EXPECT_EQ(dist::from_cache(small, 0, payload).dump(), small_point);
+}
+
+TEST(JobKindTable, CampaignAndSearchCachePayloadsPassThrough) {
+  for (const JobSpec& job : {campaign_job(7), search_job(7)}) {
+    io::JsonValue data;
+    dist::execute(job, {1}, 1, [&](std::size_t, io::JsonValue d) {
+      data = std::move(d);
+      return true;
+    });
+    const std::string payload = dist::cache_payload(job, data);
+    EXPECT_EQ(payload, data.dump());
+    EXPECT_EQ(dist::from_cache(job, 1, payload).dump(), payload);
+  }
+  EXPECT_THROW(dist::from_cache(campaign_job(7), 0, "[1,2]"), Error);
+  EXPECT_THROW(dist::from_cache(campaign_job(7), 0, "{\"torn\":"), Error);
+}
+
+// --- job specs ---------------------------------------------------------------
+
+TEST(JobSpec, RoundTripPreservesKindSizeAndFingerprint) {
+  for (const JobSpec& job :
+       {generated_sweep_job(2, true), campaign_job(11), search_job(7)}) {
+    const JobSpec back =
+        dist::job_from_json(io::JsonValue::parse(dist::to_json(job).dump(2)));
+    EXPECT_EQ(back.kind, job.kind);
+    EXPECT_EQ(back.size(), job.size());
+    EXPECT_EQ(back.fingerprint(), job.fingerprint());
+    EXPECT_STREQ(dist::item_type(back), dist::item_type(job));
+    EXPECT_TRUE(dist::is_item_type(dist::item_type(job)));
+  }
+  EXPECT_FALSE(dist::is_item_type("shard_done"));
   // Different jobs get different fingerprints.
-  JobSpec other = job;
+  JobSpec other = campaign_job(11);
   other.faults.pop_back();
-  EXPECT_NE(other.fingerprint(), job.fingerprint());
+  EXPECT_NE(other.fingerprint(), campaign_job(11).fingerprint());
 }
 
-TEST(ShardSpec, ValidatesShardAgainstPlan) {
-  const JobSpec job = small_sweep_job();
-  dist::ShardSpec spec{job, ShardPlan::contiguous(job.size(), 3), 3};
-  EXPECT_THROW(spec.validate(), Error);  // shard index == shard_count
-  spec.shard = 2;
-  spec.plan.total = 5;  // stale plan for a different job size
-  EXPECT_THROW(spec.validate(), Error);
-}
-
-// --- worker protocol ---------------------------------------------------------
-
-TEST(Worker, ShardStreamsParseBackAndMatchDirectExecution) {
-  const JobSpec job = small_sweep_job();
-  const ShardPlan plan = ShardPlan::strided(job.size(), 4);
-  const auto reference = core::SweepRunner().run(job.grid);
-  for (std::size_t s = 0; s < plan.shard_count; ++s) {
-    std::ostringstream out;
-    dist::Worker().run(dist::ShardSpec{job, plan, s}, out);
-    std::istringstream in(out.str());
-    const dist::ShardResult result =
-        dist::parse_shard_results(in, job, plan, s);
-    EXPECT_TRUE(result.complete) << "shard " << s;
-    ASSERT_EQ(result.sweep.size(), plan.size_of(s));
-    for (const auto& point : result.sweep)
-      expect_points_identical(point, reference[point.index],
-                              "shard " + std::to_string(s));
-  }
-}
-
-TEST(Worker, TruncatedStreamReportsIncomplete) {
-  const JobSpec job = small_sweep_job();
-  const ShardPlan plan = ShardPlan::contiguous(job.size(), 2);
-  std::ostringstream out;
-  dist::Worker().run(dist::ShardSpec{job, plan, 0}, out);
-  const std::string full = out.str();
-  // Chop the trailer (and half a point line) off: a killed worker's file.
-  const std::string truncated = full.substr(0, full.size() * 2 / 3);
-  std::istringstream in(truncated);
-  const dist::ShardResult result =
-      dist::parse_shard_results(in, job, plan, 0);
-  EXPECT_FALSE(result.complete);
-}
-
-TEST(Worker, StreamOfDifferentJobReportsIncomplete) {
-  const JobSpec job = small_sweep_job();
-  const ShardPlan plan = ShardPlan::contiguous(job.size(), 2);
-  std::ostringstream out;
-  dist::Worker().run(dist::ShardSpec{job, plan, 0}, out);
-  JobSpec other = job;
-  other.grid.base.wordline_duty = 0.25;  // same size, different job
-  std::istringstream in(out.str());
-  EXPECT_FALSE(dist::parse_shard_results(in, other, plan, 0).complete);
-}
-
-// --- the acceptance anchor: sharded == single-process ------------------------
-
-TEST(Coordinator, SweepMergeBitIdenticalToSingleProcess) {
-  const JobSpec job = small_sweep_job();
-  const auto reference = core::SweepRunner().run(job.grid);
-  for (const auto strategy :
-       {ShardStrategy::kContiguous, ShardStrategy::kStrided}) {
-    // Shard counts around and past the point count; workers beyond shards.
-    for (const std::size_t shards : {1u, 5u, 16u}) {
-      TempDir dir("sweep_" + dist::to_slug(strategy) + "_" +
-                  std::to_string(shards));
-      dist::Coordinator::Options options;
-      options.shards = shards;
-      options.max_workers = 3;
-      options.strategy = strategy;
-      options.work_dir = dir.str();
-      const dist::MergedResult merged =
-          dist::Coordinator(options).run(job);
-      ASSERT_EQ(merged.sweep.size(), reference.size());
-      for (std::size_t i = 0; i < reference.size(); ++i)
-        expect_points_identical(merged.sweep[i], reference[i],
-                                dist::to_slug(strategy) + "/" +
-                                    std::to_string(shards) + " point " +
-                                    std::to_string(i));
-    }
-  }
-}
-
-TEST(Coordinator, CampaignMergeBitIdenticalToSingleProcess) {
-  const JobSpec job = small_campaign_job();
-  const auto reference = core::CampaignRunner().run(
-      job.config, *job.test, job.faults);
-  TempDir dir("campaign");
-  dist::Coordinator::Options options;
-  options.shards = 4;
-  options.max_workers = 4;
-  options.work_dir = dir.str();
-  const dist::MergedResult merged = dist::Coordinator(options).run(job);
-  ASSERT_EQ(merged.campaign.entries.size(), reference.entries.size());
-  EXPECT_EQ(merged.campaign.algorithm, reference.algorithm);
-  for (std::size_t i = 0; i < reference.entries.size(); ++i)
-    expect_entries_identical(merged.campaign.entries[i],
-                             reference.entries[i],
-                             "entry " + std::to_string(i));
-  EXPECT_EQ(merged.campaign.modes_agree(), reference.modes_agree());
-  EXPECT_EQ(merged.campaign.detected_functional(),
-            reference.detected_functional());
-}
-
-TEST(Coordinator, RetriesACrashedWorkerOnce) {
-  const JobSpec job = small_sweep_job();
-  const auto reference = core::SweepRunner().run(job.grid);
-  TempDir dir("retry");
-  dist::Coordinator::Options options;
-  options.shards = 3;
-  options.max_workers = 2;
-  options.work_dir = dir.str();
-  options.crash_first_attempt_of_shard = 1;  // first attempt dies silently
-  const dist::MergedResult merged = dist::Coordinator(options).run(job);
-  ASSERT_EQ(merged.sweep.size(), reference.size());
-  for (std::size_t i = 0; i < reference.size(); ++i)
-    expect_points_identical(merged.sweep[i], reference[i],
-                            "point " + std::to_string(i));
-  // With retries exhausted the same crash is a hard error.
-  TempDir dir2("retry_exhausted");
-  options.work_dir = dir2.str();
-  options.retries = 0;
-  EXPECT_THROW(dist::Coordinator(options).run(job), Error);
-}
-
-TEST(Coordinator, ResumesOverAKilledWorkersPartialFile) {
-  const JobSpec job = small_sweep_job();
-  const auto reference = core::SweepRunner().run(job.grid);
-  const ShardPlan plan = ShardPlan::contiguous(job.size(), 4);
-  TempDir dir("resume");
-
-  // Simulate a run killed mid-flight: shards 0 and 2 completed, shard 1's
-  // worker died mid-write (truncated file), shard 3 never started.
-  for (const std::size_t s : {std::size_t{0}, std::size_t{2}}) {
-    std::ofstream out(dist::shard_result_path(dir.str(), s));
-    dist::Worker().run(dist::ShardSpec{job, plan, s}, out);
-  }
-  {
-    std::ostringstream full;
-    dist::Worker().run(dist::ShardSpec{job, plan, 1}, full);
-    std::ofstream out(dist::shard_result_path(dir.str(), 1));
-    out << full.str().substr(0, full.str().size() / 2);
-  }
-
-  dist::Coordinator::Options options;
-  options.shards = 4;
-  options.max_workers = 2;
-  options.work_dir = dir.str();
-  const dist::MergedResult merged = dist::Coordinator(options).run(job);
-  for (std::size_t i = 0; i < reference.size(); ++i)
-    expect_points_identical(merged.sweep[i], reference[i],
-                            "point " + std::to_string(i));
-}
-
-TEST(Coordinator, ResumeSkipsCompleteShardsEntirely) {
-  const JobSpec job = small_sweep_job();
-  TempDir dir("resume_skip");
-  dist::Coordinator::Options options;
-  options.shards = 4;
-  options.max_workers = 2;
-  options.work_dir = dir.str();
-  const dist::MergedResult first = dist::Coordinator(options).run(job);
-
-  // Second run: every shard's file is already complete, so no subprocess
-  // may launch — force the point by making any launch fail outright.
-  options.worker_command = {"/nonexistent/worker/binary"};
-  const dist::MergedResult second = dist::Coordinator(options).run(job);
-  for (std::size_t i = 0; i < first.sweep.size(); ++i)
-    expect_points_identical(second.sweep[i], first.sweep[i],
-                            "point " + std::to_string(i));
-
-  // With resume off the same options must actually try (and fail).
-  options.resume = false;
-  EXPECT_THROW(dist::Coordinator(options).run(job), Error);
-}
-
-// Traced jobs cross the process boundary too: the TraceSummary must
-// survive the JSONL protocol bit-exactly, so a sharded traced run merges
-// identical to the single-process reference (the CI byte-diff covers the
-// full CLI path on top of this).
-TEST(Coordinator, TracedSweepMergeBitIdenticalToSingleProcess) {
-  JobSpec job = small_sweep_job();
-  job.grid.base.trace =
-      power::TraceConfig{.window_cycles = 16, .keep_windows = true};
-  const auto reference = core::SweepRunner().run(job.grid);
-  TempDir dir("traced_sweep");
-  dist::Coordinator::Options options;
-  options.shards = 5;
-  options.max_workers = 3;
-  options.work_dir = dir.str();
-  const dist::MergedResult merged = dist::Coordinator(options).run(job);
-  ASSERT_EQ(merged.sweep.size(), reference.size());
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    const std::string where = "traced point " + std::to_string(i);
-    expect_points_identical(merged.sweep[i], reference[i], where);
-    // The serialized documents — traces included — must match byte for
-    // byte, which subsumes every double of the summary.
-    EXPECT_EQ(io::to_json(merged.sweep[i]).dump(),
-              io::to_json(reference[i]).dump())
-        << where;
-    ASSERT_TRUE(merged.sweep[i].prr.low_power.trace.has_value()) << where;
-    EXPECT_GT(merged.sweep[i].prr.low_power.trace->peak_window_energy_j, 0.0)
-        << where;
-  }
-}
-
-TEST(MergeShardFiles, RefusesIncompleteAndForeignFiles) {
-  const JobSpec job = small_sweep_job();
-  const ShardPlan plan = ShardPlan::contiguous(job.size(), 2);
-  TempDir dir("merge_refuse");
-  {
-    std::ofstream out(dist::shard_result_path(dir.str(), 0));
-    dist::Worker().run(dist::ShardSpec{job, plan, 0}, out);
-  }
-  // Shard 1 missing entirely.
-  EXPECT_THROW(dist::merge_shard_files(job, plan, dir.str()), Error);
-  // Shard 1 present but written by a different job.
-  JobSpec other = job;
-  other.grid.base.wordline_duty = 0.25;
-  {
-    std::ofstream out(dist::shard_result_path(dir.str(), 1));
-    dist::Worker().run(dist::ShardSpec{other, plan, 1}, out);
-  }
-  EXPECT_THROW(dist::merge_shard_files(job, plan, dir.str()), Error);
+TEST(JobSpec, RejectsUnknownKindsAndEmptyJobs) {
+  io::JsonValue json = dist::to_json(campaign_job(7));
+  json.set("kind", io::JsonValue::string("scan"));
+  EXPECT_THROW(dist::job_from_json(json), Error);
+  JobSpec empty;
+  EXPECT_THROW(empty.validate(), Error);
+  empty.kind = JobSpec::Kind::kCampaign;
+  EXPECT_THROW(empty.validate(), Error);
+  empty.kind = JobSpec::Kind::kSearch;
+  EXPECT_THROW(empty.validate(), Error);
 }
 
 }  // namespace

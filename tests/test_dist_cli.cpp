@@ -79,14 +79,14 @@ class DistCli : public ::testing::Test {
 
 TEST_F(DistCli, MalformedJobJsonFailsWithParseDiagnostic) {
   write_file("bad.json", "{ \"kind\": \"sweep\", ");
-  const CliResult r =
-      run_cli("plan --job " + path("bad.json") + " --shards 2 --dir " +
-              path("work"));
+  const CliResult r = run_cli("run --job " + path("bad.json") +
+                              " --workers 2 --out " + path("out.json"));
   EXPECT_EQ(r.exit_code, 1) << r.output;
-  EXPECT_NE(r.output.find("sramlp_dist plan failed"), std::string::npos)
+  EXPECT_NE(r.output.find("sramlp_dist run failed"), std::string::npos)
       << r.output;
   // The diagnostic names the JSON problem, not just "failed".
   EXPECT_NE(r.output.find("JSON"), std::string::npos) << r.output;
+  EXPECT_FALSE(fs::exists(dir_ / "out.json"));
 }
 
 TEST_F(DistCli, UnreadableJobFileFailsCleanly) {
@@ -96,42 +96,49 @@ TEST_F(DistCli, UnreadableJobFileFailsCleanly) {
   EXPECT_NE(r.output.find("cannot open"), std::string::npos) << r.output;
 }
 
-TEST_F(DistCli, MergeWithMissingResultFileNamesTheFile) {
-  emit_example_job("job.json");
-  fs::create_directories(dir_ / "empty_work");
-  const CliResult r =
-      run_cli("merge --job " + path("job.json") + " --shards 3 --dir " +
-              path("empty_work") + " --out " + path("merged.json"));
-  EXPECT_EQ(r.exit_code, 1) << r.output;
-  EXPECT_NE(r.output.find("cannot open shard result file"),
-            std::string::npos)
-      << r.output;
-  EXPECT_NE(r.output.find("shard_0000.jsonl"), std::string::npos) << r.output;
-}
-
-TEST_F(DistCli, MergeRefusesForeignFingerprintResults) {
-  // Produce complete result files for the SWEEP job...
-  emit_example_job("sweep.json");
-  const CliResult run = run_cli(
-      "run --job " + path("sweep.json") + " --shards 3 --workers 2 --dir " +
-      path("work") + " --out " + path("merged.json"));
-  ASSERT_EQ(run.exit_code, 0) << run.output;
-  // ...then try to merge them as the CAMPAIGN job: the fingerprint in
-  // every result header belongs to a different job and must be refused.
+TEST_F(DistCli, RunMatchesSingleByteForByte) {
   emit_example_job("campaign.json", "--campaign");
-  const CliResult r = run_cli("merge --job " + path("campaign.json") +
-                              " --shards 3 --dir " + path("work") +
-                              " --out " + path("bad_merge.json"));
-  EXPECT_EQ(r.exit_code, 1) << r.output;
-  EXPECT_NE(r.output.find("belongs to a different job"), std::string::npos)
-      << r.output;
-  EXPECT_FALSE(fs::exists(dir_ / "bad_merge.json"));
+  const CliResult run = run_cli("run --job " + path("campaign.json") +
+                                " --workers 2 --out " + path("run.json"));
+  ASSERT_EQ(run.exit_code, 0) << run.output;
+  const CliResult single = run_cli("single --job " + path("campaign.json") +
+                                   " --out " + path("single.json"));
+  ASSERT_EQ(single.exit_code, 0) << single.output;
+  const auto read = [&](const std::string& name) {
+    std::ifstream in(dir_ / name);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
+  };
+  EXPECT_FALSE(read("run.json").empty());
+  EXPECT_EQ(read("run.json"), read("single.json"));
 }
 
 TEST_F(DistCli, MissingRequiredOptionIsNamed) {
-  const CliResult r = run_cli("plan --shards 2 --dir " + path("work"));
+  const CliResult r = run_cli("run --workers 2 --out " + path("out.json"));
   EXPECT_EQ(r.exit_code, 1) << r.output;
   EXPECT_NE(r.output.find("missing required option --job"),
+            std::string::npos)
+      << r.output;
+}
+
+TEST_F(DistCli, RemovedSubcommandsPrintUsage) {
+  // No shard-file subcommands: each prints usage and exits 2.
+  emit_example_job("job.json");
+  for (const std::string subcommand : {"plan", "worker", "merge"}) {
+    const CliResult r = run_cli(subcommand + " --job " + path("job.json"));
+    EXPECT_EQ(r.exit_code, 2) << subcommand << ": " << r.output;
+    EXPECT_NE(r.output.find("usage:"), std::string::npos) << r.output;
+  }
+}
+
+TEST_F(DistCli, RunRejectsRemovedFlags) {
+  emit_example_job("job.json");
+  const CliResult r =
+      run_cli("run --job " + path("job.json") + " --workers 2 --shards 3 " +
+              "--out " + path("out.json"));
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("unrecognized argument '--shards'"),
             std::string::npos)
       << r.output;
 }

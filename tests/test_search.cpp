@@ -1,7 +1,7 @@
 // The peak-constrained schedule search (src/search/): the memoized batch
 // evaluator against the traced analytic engine, the validity-preserving
 // move set, SIMD bit-identity of the scoring kernel, end-to-end
-// determinism (threads / shards / service), cycle-accurate winner
+// determinism (threads / service), cycle-accurate winner
 // verification, and the acceptance anchor — a budget the base March C-
 // violates, met by the search at no more test time than naive uniform
 // idle padding.
@@ -10,17 +10,13 @@
 #include <cmath>
 #include <cstdint>
 #include <set>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/session.h"
-#include "dist/coordinator.h"
 #include "dist/job.h"
 #include "dist/service.h"
-#include "dist/shard.h"
-#include "dist/worker.h"
 #include "engine/analytic_backend.h"
 #include "march/algorithms.h"
 #include "search/evaluator.h"
@@ -82,20 +78,28 @@ struct LevelGuard {
   ~LevelGuard() { sram::simd::reset_level_for_testing(); }
 };
 
-/// The canonical merged document of a single-process run — every
-/// distributed path's byte-diff target.
-std::string single_document(const SearchSpec& spec, unsigned threads = 1) {
-  dist::MergedResult merged;
-  merged.kind = dist::JobSpec::Kind::kSearch;
-  merged.search = search::run_search(spec, threads).restarts;
-  return dist::merged_document(merged);
-}
-
 dist::JobSpec search_job(const SearchSpec& spec) {
   dist::JobSpec job;
   job.kind = dist::JobSpec::Kind::kSearch;
   job.search = spec;
   return job;
+}
+
+/// The canonical merged document of a single-process run — every
+/// distributed path's byte-diff target.
+std::string single_document(const SearchSpec& spec, unsigned threads = 1) {
+  return dist::single_document(search_job(spec), threads);
+}
+
+/// run_search's outcome, serialized.
+std::string outcome_json(const SearchSpec& spec, unsigned threads) {
+  const search::SearchOutcome outcome = search::run_search(spec, threads);
+  io::JsonValue json = io::JsonValue::array();
+  for (const search::RestartResult& r : outcome.restarts)
+    json.push_back(io::to_json(r));
+  for (const search::ScheduleResult& point : outcome.front)
+    json.push_back(io::to_json(point));
+  return json.dump();
 }
 
 // --- evaluator vs the traced analytic engine ---------------------------------
@@ -316,6 +320,7 @@ TEST(SearchDeterminism, RestartIsPureFunctionOfSpecAndIndex) {
 TEST(SearchDeterminism, ByteIdenticalAcrossThreadCounts) {
   const SearchSpec spec = small_spec();
   EXPECT_EQ(single_document(spec, 1), single_document(spec, 4));
+  EXPECT_EQ(outcome_json(spec, 1), outcome_json(spec, 4));
 }
 
 TEST(SearchDeterminism, SeedChangesTheTrajectory) {
@@ -378,26 +383,7 @@ TEST(SearchBudget, BeatsNaiveIdlePaddingAtTheSameBudget) {
   EXPECT_LE(best->cycles, static_cast<std::uint64_t>(naive.score.cycles));
 }
 
-// --- dist: shards and the service --------------------------------------------
-
-TEST(SearchDist, ShardedWorkersMergeByteIdenticalToSingleProcess) {
-  const SearchSpec spec = small_spec();
-  const dist::JobSpec job = search_job(spec);
-  const std::string reference = single_document(spec);
-
-  const dist::ShardPlan plan =
-      dist::ShardPlan::make(job.size(), 2, dist::ShardStrategy::kStrided);
-  std::vector<dist::ShardResult> results;
-  for (std::size_t s = 0; s < plan.shard_count; ++s) {
-    std::stringstream stream;
-    dist::Worker().run(dist::ShardSpec{job, plan, s}, stream);
-    results.push_back(dist::parse_shard_results(stream, job, plan, s));
-    ASSERT_TRUE(results.back().complete);
-  }
-  const dist::MergedResult merged =
-      dist::merge_shard_results(job, plan, results);
-  EXPECT_EQ(dist::merged_document(merged), reference);
-}
+// --- dist: job spec and the service ------------------------------------------
 
 TEST(SearchDist, JobSpecRoundTripsAndFingerprintCoversSearchKnobs) {
   const SearchSpec spec = small_spec();

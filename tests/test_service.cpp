@@ -1,7 +1,8 @@
 // The sweep service (dist/service.h) and its parts: steal-queue ownership
 // and fault-tolerance invariants, the two-tier result cache (LRU + spill,
-// including torn-tail recovery), the framed socket transport, canonical
-// per-point fingerprints, and the acceptance anchor — a service-computed
+// including torn-tail recovery), the framed socket transport and its
+// frame-size cap, canonical per-point fingerprints, hostile peers, the
+// spill-file checkpoint, and the acceptance anchor — a service-computed
 // job is byte-identical to `sramlp_dist single` on the same job, and a
 // resubmitted job is answered from the cache without executing a shard,
 // byte-identical again.
@@ -11,6 +12,7 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -18,9 +20,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/fault_campaign.h"
-#include "core/sweep.h"
-#include "dist/coordinator.h"
 #include "dist/job.h"
 #include "dist/result_cache.h"
 #include "dist/service.h"
@@ -74,23 +73,6 @@ JobSpec small_campaign_job() {
   job.test = march::algorithms::march_c_minus();
   job.faults = faults::standard_fault_library(job.config.geometry, 11);
   return job;
-}
-
-/// The byte-level ground truth: the single-process merged document.
-std::string single_document(const JobSpec& job) {
-  dist::MergedResult merged;
-  merged.kind = job.kind;
-  if (job.kind == JobSpec::Kind::kSweep) {
-    merged.sweep = core::SweepRunner().run(job.grid);
-  } else {
-    core::CampaignRunner::Options options;
-    options.batched = true;
-    core::CampaignReport report =
-        core::CampaignRunner(options).run(job.config, *job.test, job.faults);
-    merged.campaign.algorithm = report.algorithm;
-    merged.campaign.entries = std::move(report.entries);
-  }
-  return dist::merged_document(merged);
 }
 
 std::string read_file(const std::string& path) {
@@ -348,7 +330,7 @@ TEST(Framing, GarbledFrameReadsAsEndOfStream) {
     (void)::send(conn.fd(), raw, sizeof raw - 1, 0);
   });
   io::LineChannel client(io::connect_socket(address, 2000));
-  EXPECT_FALSE(client.receive().has_value());  // shard-file rule: EOF
+  EXPECT_FALSE(client.receive().has_value());  // a garbled frame reads as EOF
   server.join();
   listener.shutdown();
 }
@@ -510,7 +492,7 @@ class ServiceHarness {
 
 TEST(Service, SweepJobByteIdenticalToSingleAndCachedOnResubmit) {
   const JobSpec job = small_sweep_job();
-  const std::string reference = single_document(job);
+  const std::string reference = dist::single_document(job);
   dist::Service::Options options;
   options.points_per_shard = 2;
   ServiceHarness harness(options, /*workers=*/3);
@@ -536,7 +518,7 @@ TEST(Service, SweepJobByteIdenticalToSingleAndCachedOnResubmit) {
 
 TEST(Service, CampaignJobByteIdenticalToSingle) {
   const JobSpec job = small_campaign_job();
-  const std::string reference = single_document(job);
+  const std::string reference = dist::single_document(job);
   dist::Service::Options options;
   options.points_per_shard = 3;
   ServiceHarness harness(options, /*workers=*/2);
@@ -556,7 +538,7 @@ TEST(Service, PointCacheAnswersOverlapOfANewJob) {
   subset.grid.geometries = {big.grid.geometries[0], big.grid.geometries[1]};
   subset.grid.backgrounds = {big.grid.backgrounds[0]};
   subset.grid.algorithms = big.grid.algorithms;  // 4 points, all inside big
-  const std::string reference = single_document(subset);
+  const std::string reference = dist::single_document(subset);
 
   dist::Service::Options options;
   options.points_per_shard = 2;
@@ -572,7 +554,7 @@ TEST(Service, PointCacheAnswersOverlapOfANewJob) {
 
 TEST(Service, InFlightDuplicateSubmitsAttachInsteadOfRecomputing) {
   const JobSpec job = small_sweep_job();
-  const std::string reference = single_document(job);
+  const std::string reference = dist::single_document(job);
   dist::Service::Options options;
   options.points_per_shard = 1;  // many small shards: a wide in-flight window
   dist::ServiceWorker::Options slow;
@@ -612,7 +594,7 @@ TEST(Service, SpillFileAnswersAcrossDaemonRestartsWithNoWorkers) {
       dist::submit_job(harness.address(), job, 5000);
   EXPECT_TRUE(result.cache_hit);
   EXPECT_EQ(result.document, reference);
-  EXPECT_EQ(result.document, single_document(job));
+  EXPECT_EQ(result.document, dist::single_document(job));
 }
 
 TEST(Service, StatsQueryAndShutdownOverTheWire) {
@@ -634,7 +616,7 @@ TEST(Service, TelemetryOnOffDocumentsAreByteIdentical) {
   // this is not answered by cache replay.
   TempDir dir("telemetry");
   const JobSpec job = small_sweep_job();
-  const std::string reference = single_document(job);
+  const std::string reference = dist::single_document(job);
 
   obs::Logger::global().configure(obs::LogLevel::kDebug,
                                   obs::Logger::Format::kJsonl,
@@ -706,7 +688,7 @@ TEST(Service, RejectsMalformedJobWithoutDying) {
   // The service survives and still answers real jobs.
   const dist::SubmitResult result =
       dist::submit_job(harness.address(), small_sweep_job(), 5000);
-  EXPECT_EQ(result.document, single_document(small_sweep_job()));
+  EXPECT_EQ(result.document, dist::single_document(small_sweep_job()));
 }
 
 /// The job a daemon that still built every point key as a JSON object
@@ -744,7 +726,7 @@ TEST(Service, SpillFromTheJsonObjectKeyBuilderStillAnswersEveryPoint) {
       dist::submit_job(harness.address(), reshaped, 5000);
   EXPECT_FALSE(result.cache_hit);
   EXPECT_EQ(result.cached_points, reshaped.size());
-  EXPECT_EQ(result.document, single_document(reshaped));
+  EXPECT_EQ(result.document, dist::single_document(reshaped));
   const dist::ServiceStats stats = harness.service().stats();
   EXPECT_EQ(stats.shards_executed, 0u);
   EXPECT_EQ(stats.points_executed, 0u);
@@ -753,7 +735,124 @@ TEST(Service, SpillFromTheJsonObjectKeyBuilderStillAnswersEveryPoint) {
   const dist::SubmitResult original =
       dist::submit_job(harness.address(), spill_fixture_job(), 5000);
   EXPECT_TRUE(original.cache_hit);
-  EXPECT_EQ(original.document, single_document(spill_fixture_job()));
+  EXPECT_EQ(original.document, dist::single_document(spill_fixture_job()));
+}
+
+/// A protocol message from its JSON text.
+io::JsonValue frame(const char* text) { return io::JsonValue::parse(text); }
+
+TEST(Service, MalformedPeerMessagesDropThePeerNotTheDaemon) {
+  dist::Service::Options options;
+  ServiceHarness harness(options, /*workers=*/0);
+  const JobSpec job = small_sweep_job();
+  std::string document;
+  std::thread submitter([&] {
+    document = dist::submit_job(harness.address(), job, 5000).document;
+  });
+
+  // Each malformed worker message drops that worker: its connection reads
+  // end-of-stream.  The first hostile worker holds a lease when it
+  // misbehaves, which must go back on the queue as for a lost worker.
+  const char* const hostile[] = {
+      R"({"type":"shard_done"})",
+      R"({"type":"sweep_point","data":{}})",
+      R"({"type":"lease","known":5})",
+      R"({"type":"shard_failed","fingerprint":"x"})",
+  };
+  for (const char* const line : hostile) {
+    io::LineChannel peer(io::connect_socket(harness.address(), 5000));
+    ASSERT_TRUE(peer.send(frame(R"({"type":"hello","role":"worker"})")));
+    if (line == hostile[0]) {
+      ASSERT_TRUE(peer.send(frame(R"({"type":"lease"})")));
+      const std::optional<io::JsonValue> shard = peer.receive();
+      ASSERT_TRUE(shard.has_value());
+      EXPECT_EQ(shard->at("type").as_string(), "shard");
+    }
+    ASSERT_TRUE(peer.send(frame(line)));
+    EXPECT_FALSE(peer.receive().has_value()) << line;
+  }
+  // A valid job whose submitter label is not a string: job_failed.
+  {
+    io::LineChannel client(io::connect_socket(harness.address(), 5000));
+    io::JsonValue submit = frame(R"({"type":"submit","submitter":7})");
+    submit.set("job", dist::to_json(job));
+    ASSERT_TRUE(client.send(submit));
+    const std::optional<io::JsonValue> reply = client.receive();
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(reply->at("type").as_string(), "job_failed");
+  }
+
+  // The daemon is alive: a healthy worker finishes the job, exactly.
+  harness.add_worker({});
+  submitter.join();
+  EXPECT_EQ(document, dist::single_document(job));
+  const dist::ServiceStats stats = harness.service().stats();
+  EXPECT_GE(stats.workers_lost, 1u);
+  EXPECT_GE(stats.shard_requeues, 1u);
+  EXPECT_EQ(stats.jobs_completed, 1u);
+}
+
+TEST(Service, OversizeFrameDropsThePeerAndTheDaemonServesOn) {
+  dist::Service::Options options;
+  ServiceHarness harness(options, /*workers=*/1);
+  {
+    // One byte past the cap and no newline: the daemon must hang up
+    // instead of buffering on.
+    io::Socket raw = io::connect_socket(harness.address(), 5000);
+    const std::string blob(io::LineChannel::kMaxFrameBytes + 1, 'x');
+    std::size_t sent = 0;
+    while (sent < blob.size()) {
+      const ssize_t n = ::send(raw.fd(), blob.data() + sent,
+                               blob.size() - sent, MSG_NOSIGNAL);
+      if (n <= 0) break;
+      sent += static_cast<std::size_t>(n);
+    }
+    EXPECT_EQ(sent, blob.size());
+    io::LineChannel channel(std::move(raw));
+    EXPECT_FALSE(channel.receive().has_value());
+  }
+  const JobSpec job = small_sweep_job();
+  EXPECT_EQ(dist::submit_job(harness.address(), job, 5000).document,
+            dist::single_document(job));
+}
+
+TEST(Service, SpillCheckpointResumesAKilledJob) {
+  TempDir dir("checkpoint");
+  const std::string spill = dir.str() + "/spill.jsonl";
+  const JobSpec job = small_sweep_job();  // 12 points
+  constexpr std::size_t kDelivered = 5;
+  {
+    // The only worker dies mid-shard after kDelivered items; the daemon is
+    // then stopped with the job unfinished.
+    dist::Service::Options options;
+    options.points_per_shard = 2;
+    options.cache.spill_path = spill;
+    dist::ServiceWorker::Options dying;
+    dying.die_after_points = kDelivered;
+    ServiceHarness harness(options, /*workers=*/1, dying);
+    std::thread submitter([&] {
+      EXPECT_THROW(dist::submit_job(harness.address(), job, 5000), Error);
+    });
+    for (int waited_ms = 0; harness.service().stats().workers_lost == 0;
+         ++waited_ms) {
+      ASSERT_LT(waited_ms, 10000) << "the worker never died";
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(harness.service().stats().points_executed, kDelivered);
+    harness.service().request_stop();
+    submitter.join();
+  }
+  // A new daemon on the same spill computes only the undelivered items.
+  dist::Service::Options options;
+  options.cache.spill_path = spill;
+  ServiceHarness harness(options, /*workers=*/1);
+  const dist::SubmitResult result =
+      dist::submit_job(harness.address(), job, 5000);
+  EXPECT_FALSE(result.cache_hit);
+  EXPECT_EQ(result.cached_points, kDelivered);
+  EXPECT_EQ(result.document, dist::single_document(job));
+  EXPECT_EQ(harness.service().stats().points_executed,
+            job.size() - kDelivered);
 }
 
 }  // namespace

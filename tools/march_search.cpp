@@ -17,7 +17,7 @@
 // The emitted document is exactly `sramlp_dist single` on the equivalent
 // search job: {"kind":"search","restarts":[...],"front":[...]} with
 // exact-round-trip doubles, so fronts can be diffed byte for byte across
-// hosts, thread counts and shard splits.
+// hosts, thread counts and worker splits.
 //
 // The human summary compares the searched front against the naive
 // alternative at the same budget — keeping the base order and padding
@@ -26,13 +26,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "dist/coordinator.h"
+#include "cli.h"
 #include "dist/job.h"
 #include "dist/service.h"
 #include "io/serialize.h"
@@ -47,6 +45,9 @@
 namespace {
 
 using namespace sramlp;
+using cli::Args;
+using cli::read_file;
+using cli::write_file;
 
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(
@@ -85,105 +86,6 @@ using namespace sramlp;
   std::exit(2);
 }
 
-/// Tiny flag scanner (same contract as sramlp_dist's): --name value pairs
-/// plus boolean switches, consumed as they are read.
-class Args {
- public:
-  Args(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) args_.emplace_back(argv[i]);
-  }
-
-  bool flag(const std::string& name) {
-    for (std::size_t i = 0; i < args_.size(); ++i) {
-      if (args_[i] == name) {
-        args_.erase(args_.begin() + static_cast<std::ptrdiff_t>(i));
-        return true;
-      }
-    }
-    return false;
-  }
-
-  std::optional<std::string> value(const std::string& name) {
-    for (std::size_t i = 0; i + 1 < args_.size(); ++i) {
-      if (args_[i] == name) {
-        std::string v = args_[i + 1];
-        args_.erase(args_.begin() + static_cast<std::ptrdiff_t>(i),
-                    args_.begin() + static_cast<std::ptrdiff_t>(i) + 2);
-        return v;
-      }
-    }
-    return std::nullopt;
-  }
-
-  std::size_t number(const std::string& name, std::size_t fallback) {
-    auto v = value(name);
-    if (!v) return fallback;
-    if (v->empty() || v->find_first_not_of("0123456789") != std::string::npos)
-      throw Error("option " + name + " needs a non-negative integer, got '" +
-                  *v + "'");
-    return static_cast<std::size_t>(std::stoull(*v));
-  }
-
-  double real(const std::string& name, double fallback) {
-    auto v = value(name);
-    if (!v) return fallback;
-    try {
-      std::size_t used = 0;
-      const double parsed = std::stod(*v, &used);
-      if (used != v->size()) throw std::invalid_argument(*v);
-      return parsed;
-    } catch (const std::exception&) {
-      throw Error("option " + name + " needs a number, got '" + *v + "'");
-    }
-  }
-
-  void reject_leftovers() const {
-    if (!args_.empty()) throw Error("unrecognized argument '" + args_[0] + "'");
-  }
-
- private:
-  std::vector<std::string> args_;
-};
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good()) throw Error("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-void write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::out | std::ios::trunc);
-  if (!out.good()) throw Error("cannot write " + path);
-  out << content;
-  if (!out.good()) throw Error("short write on " + path);
-}
-
-void apply_logging_flags(Args& args) {
-  const std::optional<std::string> level_text = args.value("--log-level");
-  const std::optional<std::string> format_text = args.value("--log-format");
-  const std::optional<std::string> file = args.value("--log-file");
-  const std::size_t max_bytes = args.number("--log-max-bytes", 0);
-  if (max_bytes > 0 && !file)
-    throw Error("--log-max-bytes needs --log-file (stderr never rotates)");
-  if (!level_text && !format_text && !file) return;
-  const obs::LogLevel level = level_text
-                                  ? obs::log_level_from_string(*level_text)
-                                  : obs::Logger::global().level();
-  obs::Logger::Format format = obs::Logger::Format::kHuman;
-  if (format_text) {
-    if (*format_text == "jsonl") {
-      format = obs::Logger::Format::kJsonl;
-    } else if (*format_text != "human") {
-      throw Error("--log-format must be human or jsonl, got '" +
-                  *format_text + "'");
-    }
-  }
-  obs::Logger::global().configure(level, format,
-                                  file ? *file : std::string(), max_bytes);
-}
-
 search::SearchSpec spec_from_args(Args& args) {
   if (const auto spec_path = args.value("--spec"))
     return io::search_spec_from_json(
@@ -191,8 +93,7 @@ search::SearchSpec spec_from_args(Args& args) {
   if (const auto job_path = args.value("--job")) {
     const dist::JobSpec job =
         dist::job_from_json(io::JsonValue::parse(read_file(*job_path)));
-    if (job.kind != dist::JobSpec::Kind::kSearch || !job.search)
-      throw Error("--job needs a job spec of kind 'search'");
+    if (!job.search) throw Error("--job needs a job spec of kind 'search'");
     return *job.search;
   }
   search::SearchSpec spec;
@@ -259,11 +160,11 @@ int run(Args& args) {
       evaluator.score_one(search::identity_candidate(evaluator.elements()));
   if (budget_scale > 0.0) spec.peak_budget_w = budget_scale * base.peak_power_w;
 
+  dist::JobSpec job;
+  job.kind = dist::JobSpec::Kind::kSearch;
+  job.search = spec;
   std::string document;
   if (connect) {
-    dist::JobSpec job;
-    job.kind = dist::JobSpec::Kind::kSearch;
-    job.search = spec;
     const dist::SubmitResult result =
         dist::submit_job(*connect, job, 5000, {}, submitter);
     document = result.document;
@@ -273,12 +174,7 @@ int run(Args& args) {
                   connect->c_str(), result.total_points, result.cached_points,
                   result.cache_hit ? "HIT" : "miss");
   } else {
-    const search::SearchOutcome outcome =
-        search::run_search(spec, static_cast<unsigned>(threads));
-    dist::MergedResult merged;
-    merged.kind = dist::JobSpec::Kind::kSearch;
-    merged.search = outcome.restarts;
-    document = dist::merged_document(merged);
+    document = dist::single_document(job, static_cast<unsigned>(threads));
   }
   if (out_path) write_file(*out_path, document);
 
@@ -342,10 +238,10 @@ int run(Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args(argc, argv);
+  Args args(argc, argv, 1);
   if (args.flag("--help") || args.flag("-h")) usage(argv[0]);
   try {
-    apply_logging_flags(args);
+    cli::apply_logging_flags(args);
     return run(args);
   } catch (const std::exception& e) {
     obs::log_error("cli", "march_search failed", {obs::kv("error", e.what())});

@@ -1,43 +1,34 @@
-// sramlp_dist — the distributed sweep/campaign CLI.
+// sramlp_dist — the distributed sweep/campaign/search CLI.
 //
-// One binary, four roles (plus helpers), so a multi-host run needs nothing
-// but this executable and scp:
+// Every distributed run goes through the sweep service (dist/service.h):
+// workers steal small shards of a job over a socket and stream results
+// back; the merged document is byte-identical to `single` whatever the
+// worker split.
 //
-//   example-job [--campaign]            emit a small demo job spec (stdout)
-//   plan   --job J --shards K --dir D   write per-shard spec files
-//   worker --spec S --out R             execute ONE shard, stream JSONL
-//   run    --job J --shards K --workers N --dir D --out M
-//                                       full local orchestration: spawns N
-//                                       `sramlp_dist worker` subprocesses of
-//                                       this very binary, retries crashes,
-//                                       resumes complete shards, merges
-//   merge  --job J --shards K --dir D --out M
-//                                       merge shard JSONL files (e.g. copied
-//                                       back from remote workers)
-//   single --job J --out M              single-process reference run emitting
-//                                       the identical merged document (CI
-//                                       diffs `run` against this, byte for
-//                                       byte)
-//
-// Multi-host recipe: `plan` here, scp one spec file per host, `worker`
-// there, scp the JSONL back, `merge` here.  The merged document is
-// bit-identical to `single` whatever the shard/worker/host split.
-//
-// Service mode (the long-running path — see dist/service.h):
-//
-//   serve    --listen A --workers N       coordinator daemon: accepts jobs
-//                                         over a Unix/TCP socket, workers
-//                                         steal small shards dynamically,
-//                                         results are cached by fingerprint
-//   work     --connect A                  one steal-protocol worker (extra
-//                                         capacity, local or remote)
-//   submit   --connect A --job J --out M  submit a job, stream the results,
-//                                         write the merged document (byte-
-//                                         identical to `single`)
-//   stats    --connect A                  service counters as JSON, or
-//            [--format prom]              Prometheus text exposition, or
-//            [--watch [--interval MS]]    a live dashboard with rates
-//   shutdown --connect A                  stop the daemon
+//   example-job [--campaign|--search] [--trace]
+//                                        emit a small demo job spec (stdout)
+//   single --job J --out M               single-process reference run (CI
+//                                        diffs every distributed path
+//                                        against it, byte for byte)
+//   run    --job J --workers N --out M   one job on an ephemeral local
+//          [--threads T]                 service: a private Unix socket and
+//                                        N `work` subprocesses of this
+//                                        binary, shut down when done
+//   serve  --listen A --workers N        long-running daemon: accepts jobs
+//                                        over a Unix/TCP socket, caches
+//                                        results by fingerprint; with
+//                                        --spill F a restarted daemon
+//                                        resumes a killed job from the
+//                                        items already delivered
+//   work   --connect A                   one steal-protocol worker (extra
+//                                        capacity, local or on another host
+//                                        via --connect tcp:host:port)
+//   submit --connect A --job J --out M   submit a job, stream the results,
+//                                        write the merged document
+//   stats  --connect A                   service counters as JSON, or
+//          [--format prom]               Prometheus text exposition, or
+//          [--watch [--interval MS]]     a live dashboard with rates
+//   shutdown --connect A                 stop the daemon
 //
 // Observability (every subcommand): --log-level trace|debug|info|warn|
 // error|off, --log-format human|jsonl, --log-file PATH (default stderr;
@@ -46,20 +37,19 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <fstream>
+#include <filesystem>
 #include <optional>
-#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "core/sweep.h"
-#include "dist/coordinator.h"
+#include "cli.h"
 #include "dist/job.h"
 #include "dist/service.h"
-#include "dist/worker.h"
 #include "io/serialize.h"
 #include "march/algorithms.h"
 #include "obs/clock.h"
@@ -71,6 +61,9 @@
 namespace {
 
 using namespace sramlp;
+using cli::Args;
+using cli::read_file;
+using cli::write_file;
 
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(
@@ -78,17 +71,12 @@ using namespace sramlp;
       "usage: %s <subcommand> [options]\n"
       "\n"
       "  example-job [--campaign|--search] [--trace]      demo job spec -> stdout\n"
-      "  plan   --job J --shards K --dir D [--strategy contiguous|strided]\n"
-      "  worker --spec S --out R [--threads N] [--per-fault]\n"
-      "  run    --job J --shards K --workers N --dir D --out M\n"
-      "         [--strategy ...] [--threads N] [--no-resume] [--fork]\n"
-      "         [--retries R]\n"
-      "  merge  --job J --shards K --dir D --out M [--strategy ...]\n"
       "  single --job J --out M\n"
+      "  run    --job J --workers N --out M [--threads N]\n"
       "  serve  [--listen unix:/path|tcp:port] [--workers N] [--threads N]\n"
       "         [--points-per-shard P] [--cache-capacity C] [--spill F]\n"
       "         [--no-point-cache] [--slow-us U] [--trace-out F]\n"
-      "  work   --connect A [--threads N] [--per-fault] [--slow-us U]\n"
+      "  work   --connect A [--threads N] [--slow-us U]\n"
       "         [--trace-out F]\n"
       "  submit --connect A --job J [--out M] [--expect-cache-hit]\n"
       "         [--submitter NAME]\n"
@@ -103,119 +91,11 @@ using namespace sramlp;
   std::exit(2);
 }
 
-/// Tiny flag scanner: --name value pairs plus boolean switches.
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) args_.emplace_back(argv[i]);
-  }
-
-  bool flag(const std::string& name) {
-    for (std::size_t i = 0; i < args_.size(); ++i) {
-      if (args_[i] == name) {
-        args_.erase(args_.begin() + static_cast<std::ptrdiff_t>(i));
-        return true;
-      }
-    }
-    return false;
-  }
-
-  std::optional<std::string> value(const std::string& name) {
-    for (std::size_t i = 0; i + 1 < args_.size(); ++i) {
-      if (args_[i] == name) {
-        std::string v = args_[i + 1];
-        args_.erase(args_.begin() + static_cast<std::ptrdiff_t>(i),
-                    args_.begin() + static_cast<std::ptrdiff_t>(i) + 2);
-        return v;
-      }
-    }
-    return std::nullopt;
-  }
-
-  std::string require(const std::string& name) {
-    auto v = value(name);
-    if (!v) throw Error("missing required option " + name);
-    return *v;
-  }
-
-  std::size_t number(const std::string& name, std::size_t fallback) {
-    auto v = value(name);
-    if (!v) return fallback;
-    // std::stoull accepts (and wraps) negative input; reject anything that
-    // is not a plain decimal count.
-    if (v->empty() ||
-        v->find_first_not_of("0123456789") != std::string::npos)
-      throw Error("option " + name + " needs a non-negative integer, got '" +
-                  *v + "'");
-    return static_cast<std::size_t>(std::stoull(*v));
-  }
-
-  void reject_leftovers() const {
-    if (!args_.empty()) throw Error("unrecognized argument '" + args_[0] + "'");
-  }
-
- private:
-  std::vector<std::string> args_;
-};
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good()) throw Error("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-void write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::out | std::ios::trunc);
-  if (!out.good()) throw Error("cannot write " + path);
-  out << content;
-  if (!out.good()) throw Error("short write on " + path);
-}
-
 dist::JobSpec load_job(const std::string& path) {
   return dist::job_from_json(io::JsonValue::parse(read_file(path)));
 }
 
-/// Observability flags shared by every subcommand.  Consumed before
-/// dispatch so reject_leftovers() never sees them.  A --log-level is also
-/// exported as SRAMLP_LOG, so subprocesses this command spawns (serve's
-/// local workers, run's shard workers) inherit the level.
-void apply_logging_flags(Args& args) {
-  const std::optional<std::string> level_text = args.value("--log-level");
-  const std::optional<std::string> format_text = args.value("--log-format");
-  const std::optional<std::string> file = args.value("--log-file");
-  // --log-max-bytes N: rotate the log file to PATH.1 once it reaches N
-  // bytes (obs::Logger keeps one rotated generation).  Only meaningful
-  // with --log-file; the cap is ignored for the stderr sink.
-  const std::size_t max_bytes = args.number("--log-max-bytes", 0);
-  if (max_bytes > 0 && !file)
-    throw Error("--log-max-bytes needs --log-file (stderr never rotates)");
-  if (!level_text && !format_text && !file) return;
-  const obs::LogLevel level = level_text
-                                  ? obs::log_level_from_string(*level_text)
-                                  : obs::Logger::global().level();
-  obs::Logger::Format format = obs::Logger::Format::kHuman;
-  if (format_text) {
-    if (*format_text == "jsonl") {
-      format = obs::Logger::Format::kJsonl;
-    } else if (*format_text != "human") {
-      throw Error("--log-format must be human or jsonl, got '" +
-                  *format_text + "'");
-    }
-  }
-  obs::Logger::global().configure(level, format,
-                                  file ? *file : std::string(), max_bytes);
-  if (level_text) ::setenv("SRAMLP_LOG", level_text->c_str(), 1);
-}
-
-dist::ShardStrategy strategy_arg(Args& args) {
-  auto v = args.value("--strategy");
-  return v ? dist::shard_strategy_from_slug(*v)
-           : dist::ShardStrategy::kContiguous;
-}
-
-/// Absolute path of this binary, for spawning `worker` subprocesses.
+/// Absolute path of this binary, for spawning `work` subprocesses.
 std::string self_path(const char* argv0) {
   char buf[4096];
   const ssize_t n = readlink("/proc/self/exe", buf, sizeof buf - 1);
@@ -230,8 +110,8 @@ int cmd_example_job(Args& args) {
   const bool campaign = args.flag("--campaign");
   const bool search_job = args.flag("--search");
   // --trace: time-resolved power accounting on every run of the sweep
-  // job; the sharded merge stays byte-identical to `single` (CI diffs
-  // it).  Campaign reports reduce to per-fault verdicts, which carry no
+  // job; the distributed merge stays byte-identical to `single` (CI
+  // diffs it).  Campaign reports reduce to per-fault verdicts, which carry no
   // trace — combining the flags would buy the traced-run cost for no
   // output, so it is an error rather than a silent no-op.
   const bool trace = args.flag("--trace");
@@ -282,92 +162,89 @@ int cmd_example_job(Args& args) {
   return 0;
 }
 
-int cmd_plan(Args& args) {
-  const dist::JobSpec job = load_job(args.require("--job"));
-  const std::string dir = args.require("--dir");
-  const std::size_t shards = args.number("--shards", 4);
-  const dist::ShardStrategy strategy = strategy_arg(args);
-  args.reject_leftovers();
-  const dist::ShardPlan plan = dist::ShardPlan::make(job.size(), shards,
-                                                     strategy);
-  for (std::size_t s = 0; s < plan.shard_count; ++s)
-    dist::write_shard_spec(dir, dist::ShardSpec{job, plan, s});
-  std::printf("%zu work items -> %zu %s shard spec files in %s\n",
-              plan.total, plan.shard_count, to_slug(strategy).c_str(),
-              dir.c_str());
-  std::printf("next: sramlp_dist worker --spec %s --out %s   (per shard,\n"
-              "any host), then merge the result files back here\n",
-              dist::shard_spec_path(dir, 0).c_str(),
-              dist::shard_result_path(dir, 0).c_str());
-  return 0;
+/// Start @p workers `work` subprocesses of this binary on @p address — the
+/// local capacity of both `serve` and `run`.  @p extra_args go on every
+/// worker's command line; with @p trace_out, worker w dumps its spans to
+/// @p trace_out + ".worker-w" (each process has its own tracer ring).
+std::vector<pid_t> spawn_workers(const std::string& self,
+                                 const std::string& address,
+                                 std::size_t workers,
+                                 const std::vector<std::string>& extra_args,
+                                 const std::optional<std::string>& trace_out) {
+  std::vector<pid_t> children;
+  for (std::size_t w = 0; w < workers; ++w) {
+    std::vector<std::string> command = {self, "work", "--connect", address};
+    command.insert(command.end(), extra_args.begin(), extra_args.end());
+    if (trace_out) {
+      command.push_back("--trace-out");
+      command.push_back(*trace_out + ".worker-" + std::to_string(w));
+    }
+    // argv is built before fork: the service's threads are already
+    // running, so the child does nothing but exec.
+    std::vector<char*> argv;
+    argv.reserve(command.size() + 1);
+    for (std::string& arg : command) argv.push_back(arg.data());
+    argv.push_back(nullptr);
+    const pid_t pid = fork();
+    SRAMLP_REQUIRE(pid >= 0, "fork failed");
+    if (pid == 0) {
+      execv(argv[0], argv.data());
+      _exit(127);
+    }
+    children.push_back(pid);
+  }
+  return children;
 }
 
-int cmd_worker(Args& args) {
-  const std::string spec_path = args.require("--spec");
-  const std::string out_path = args.require("--out");
-  dist::Worker::Options options;
-  options.threads =
-      static_cast<unsigned>(args.number("--threads", options.threads));
-  if (args.flag("--per-fault")) options.batched_campaigns = false;
-  args.reject_leftovers();
-  const dist::ShardSpec spec =
-      dist::shard_spec_from_json(io::JsonValue::parse(read_file(spec_path)));
-  std::ofstream out(out_path, std::ios::out | std::ios::trunc);
-  if (!out.good()) throw Error("cannot write " + out_path);
-  dist::Worker(options).run(spec, out);
-  out.close();
-  if (!out.good()) throw Error("short write on " + out_path);
-  return 0;
+void reap(const std::vector<pid_t>& children) {
+  for (const pid_t pid : children) {
+    int status = 0;
+    waitpid(pid, &status, 0);
+  }
 }
 
 int cmd_run(Args& args, const char* argv0) {
-  const std::string job_path = args.require("--job");
-  const dist::JobSpec job = load_job(job_path);
-  dist::Coordinator::Options options;
-  options.shards = args.number("--shards", 4);
-  options.max_workers =
-      static_cast<unsigned>(args.number("--workers", options.max_workers));
-  options.strategy = strategy_arg(args);
-  options.work_dir = args.require("--dir");
-  options.worker.threads =
-      static_cast<unsigned>(args.number("--threads", options.worker.threads));
-  options.retries = static_cast<unsigned>(args.number("--retries", 1));
-  if (args.flag("--no-resume")) options.resume = false;
-  const bool fork_mode = args.flag("--fork");
-  const std::string out_path = args.require("--out");
-  args.reject_leftovers();
-  if (!fork_mode) {
-    // The real protocol: subprocesses of this very binary via fork/exec.
-    // Per-shard options (threads) travel on the worker's own command line.
-    options.worker_command = {self_path(argv0),
-                              "worker",
-                              "--spec",
-                              "{spec}",
-                              "--out",
-                              "{out}",
-                              "--threads",
-                              std::to_string(options.worker.threads)};
-  }
-  const dist::MergedResult merged = dist::Coordinator(options).run(job);
-  write_file(out_path, merged_document(merged));
-  std::printf("%zu work items over %zu shards / %u workers -> %s\n",
-              job.size(), options.shards, options.max_workers,
-              out_path.c_str());
-  return 0;
-}
-
-int cmd_merge(Args& args) {
   const dist::JobSpec job = load_job(args.require("--job"));
-  const std::string dir = args.require("--dir");
-  const std::size_t shards = args.number("--shards", 4);
-  const dist::ShardStrategy strategy = strategy_arg(args);
+  const std::size_t workers = args.number("--workers", 2);
+  const std::size_t threads = args.number("--threads", 1);
   const std::string out_path = args.require("--out");
   args.reject_leftovers();
-  const dist::ShardPlan plan = dist::ShardPlan::make(job.size(), shards,
-                                                     strategy);
-  const dist::MergedResult merged = dist::merge_shard_files(job, plan, dir);
-  write_file(out_path, merged_document(merged));
-  std::printf("merged %zu shards -> %s\n", plan.shard_count,
+  if (workers == 0) throw Error("run needs at least one worker");
+
+  // An ephemeral service for this one job, on a private Unix socket.
+  const std::filesystem::path socket_path =
+      std::filesystem::temp_directory_path() /
+      ("sramlp_dist_run." + std::to_string(::getpid()) + ".sock");
+  dist::Service::Options options;
+  options.listen = "unix:" + socket_path.string();
+  // Small jobs (a few search restarts) still reach every worker.
+  options.points_per_shard = std::clamp<std::size_t>(
+      (job.size() + workers - 1) / workers, 1, options.points_per_shard);
+  dist::Service service(options);
+  service.start();
+  const std::vector<pid_t> children =
+      spawn_workers(self_path(argv0), service.address(), workers,
+                    {"--threads", std::to_string(threads)}, std::nullopt);
+  // Workers exit when the service stops; if they all exit first (crashed),
+  // stopping the service fails the submit instead of waiting forever.
+  std::thread monitor([&] {
+    reap(children);
+    service.request_stop();
+  });
+  std::optional<dist::SubmitResult> result;
+  std::string error;
+  try {
+    result = dist::submit_job(service.address(), job);
+  } catch (const std::exception& e) {
+    error = e.what();
+  }
+  service.request_stop();
+  monitor.join();
+  service.wait();
+  std::filesystem::remove(socket_path);
+  if (!result) throw Error(error);
+  write_file(out_path, result->document);
+  std::printf("%zu work items over %zu workers -> %s\n", job.size(), workers,
               out_path.c_str());
   return 0;
 }
@@ -376,24 +253,7 @@ int cmd_single(Args& args) {
   const dist::JobSpec job = load_job(args.require("--job"));
   const std::string out_path = args.require("--out");
   args.reject_leftovers();
-  dist::MergedResult merged;
-  merged.kind = job.kind;
-  if (job.kind == dist::JobSpec::Kind::kSweep) {
-    merged.sweep = core::SweepRunner().run(job.grid);
-  } else if (job.kind == dist::JobSpec::Kind::kSearch) {
-    // run_search is byte-identical at any thread count (one result slot
-    // per restart, restart-order reduction), so the hardware default is
-    // safe for a reference document.
-    merged.search = search::run_search(*job.search).restarts;
-  } else {
-    core::CampaignRunner::Options options;
-    options.batched = true;
-    core::CampaignReport report =
-        core::CampaignRunner(options).run(job.config, *job.test, job.faults);
-    merged.campaign.algorithm = report.algorithm;
-    merged.campaign.entries = std::move(report.entries);
-  }
-  write_file(out_path, merged_document(merged));
+  write_file(out_path, dist::single_document(job));
   std::printf("single-process reference -> %s\n", out_path.c_str());
   return 0;
 }
@@ -423,40 +283,18 @@ int cmd_serve(Args& args, const char* argv0) {
 
   // Local capacity: N `work` subprocesses of this very binary on the
   // resolved address.  Remote hosts add more with `sramlp_dist work`.
-  const std::string self = self_path(argv0);
-  std::vector<pid_t> children;
-  for (std::size_t w = 0; w < workers; ++w) {
-    std::vector<std::string> command = {self,        "work",
-                                        "--connect", address,
-                                        "--threads", std::to_string(threads)};
-    if (slow_us > 0) {
-      command.push_back("--slow-us");
-      command.push_back(std::to_string(slow_us));
-    }
-    if (trace_out) {
-      // Workers are separate processes with their own tracer rings; each
-      // dumps to a per-worker sibling of the service's trace file.
-      command.push_back("--trace-out");
-      command.push_back(*trace_out + ".worker-" + std::to_string(w));
-    }
-    const pid_t pid = fork();
-    SRAMLP_REQUIRE(pid >= 0, "fork failed");
-    if (pid == 0) {
-      std::vector<char*> argv_vec;
-      argv_vec.reserve(command.size() + 1);
-      for (std::string& arg : command) argv_vec.push_back(arg.data());
-      argv_vec.push_back(nullptr);
-      execv(argv_vec[0], argv_vec.data());
-      _exit(127);
-    }
-    children.push_back(pid);
+  std::vector<std::string> worker_args = {"--threads",
+                                          std::to_string(threads)};
+  if (slow_us > 0) {
+    worker_args.push_back("--slow-us");
+    worker_args.push_back(std::to_string(slow_us));
   }
+  const std::vector<pid_t> children =
+      spawn_workers(self_path(argv0), address, workers, worker_args,
+                    trace_out);
 
   service.wait();  // until a `shutdown` request arrives
-  for (const pid_t pid : children) {
-    int status = 0;
-    waitpid(pid, &status, 0);
-  }
+  reap(children);
   if (trace_out) {
     obs::Tracer::global().write_chrome_json(*trace_out);
     std::printf("trace written to %s (load in Perfetto or chrome://tracing)\n",
@@ -481,7 +319,6 @@ int cmd_work(Args& args) {
   dist::ServiceWorker::Options options;
   options.threads =
       static_cast<unsigned>(args.number("--threads", options.threads));
-  if (args.flag("--per-fault")) options.batched_campaigns = false;
   options.slow_point_us = args.number("--slow-us", 0);
   const std::optional<std::string> trace_out = args.value("--trace-out");
   args.reject_leftovers();
@@ -520,19 +357,8 @@ int cmd_submit(Args& args) {
 
 void print_stats_json(const dist::ServiceStats& stats) {
   io::JsonValue doc = io::JsonValue::object();
-  doc.set("jobs_submitted", io::JsonValue::integer(stats.jobs_submitted));
-  doc.set("jobs_completed", io::JsonValue::integer(stats.jobs_completed));
-  doc.set("jobs_failed", io::JsonValue::integer(stats.jobs_failed));
-  doc.set("jobs_deduplicated",
-          io::JsonValue::integer(stats.jobs_deduplicated));
-  doc.set("job_cache_hits", io::JsonValue::integer(stats.job_cache_hits));
-  doc.set("point_cache_hits", io::JsonValue::integer(stats.point_cache_hits));
-  doc.set("points_executed", io::JsonValue::integer(stats.points_executed));
-  doc.set("shards_executed", io::JsonValue::integer(stats.shards_executed));
-  doc.set("shard_requeues", io::JsonValue::integer(stats.shard_requeues));
-  doc.set("workers_connected",
-          io::JsonValue::integer(stats.workers_connected));
-  doc.set("workers_lost", io::JsonValue::integer(stats.workers_lost));
+  for (const auto& [name, counter] : dist::kServiceCounters)
+    doc.set(name, io::JsonValue::integer(stats.*counter));
   doc.set("cache_entries", io::JsonValue::integer(stats.cache.entries));
   doc.set("cache_hit_rate", io::JsonValue::number(stats.cache.hit_rate()));
   std::fputs((doc.dump(2) + "\n").c_str(), stdout);
@@ -544,32 +370,6 @@ void print_stats_json(const dist::ServiceStats& stats) {
 /// monotonic clock through the obs seam.
 void watch_stats(const std::string& address, std::size_t interval_ms,
                  std::size_t count) {
-  struct Row {
-    const char* label;
-    std::uint64_t (*pick)(const dist::ServiceStats&);
-  };
-  static const Row rows[] = {
-      {"jobs_submitted", [](const dist::ServiceStats& s) {
-         return s.jobs_submitted; }},
-      {"jobs_completed", [](const dist::ServiceStats& s) {
-         return s.jobs_completed; }},
-      {"jobs_failed", [](const dist::ServiceStats& s) {
-         return s.jobs_failed; }},
-      {"job_cache_hits", [](const dist::ServiceStats& s) {
-         return s.job_cache_hits; }},
-      {"point_cache_hits", [](const dist::ServiceStats& s) {
-         return s.point_cache_hits; }},
-      {"points_executed", [](const dist::ServiceStats& s) {
-         return s.points_executed; }},
-      {"shards_executed", [](const dist::ServiceStats& s) {
-         return s.shards_executed; }},
-      {"shard_requeues", [](const dist::ServiceStats& s) {
-         return s.shard_requeues; }},
-      {"workers_connected", [](const dist::ServiceStats& s) {
-         return s.workers_connected; }},
-      {"workers_lost", [](const dist::ServiceStats& s) {
-         return s.workers_lost; }},
-  };
   const bool tty = ::isatty(STDOUT_FILENO) != 0;
   std::optional<dist::ServiceStats> prev;
   std::uint64_t prev_us = 0;
@@ -586,17 +386,17 @@ void watch_stats(const std::string& address, std::size_t interval_ms,
                 sample + 1, interval_ms);
     std::printf("  %-20s %12s %10s %12s\n", "counter", "total", "delta",
                 "rate");
-    for (const Row& row : rows) {
-      const std::uint64_t value = row.pick(stats);
+    for (const auto& [name, counter] : dist::kServiceCounters) {
+      const std::uint64_t value = stats.*counter;
       if (prev && dt > 0.0) {
-        const std::uint64_t before = row.pick(*prev);
+        const std::uint64_t before = (*prev).*counter;
         const std::uint64_t delta = value >= before ? value - before : 0;
-        std::printf("  %-20s %12llu %10llu %10.1f/s\n", row.label,
+        std::printf("  %-20s %12llu %10llu %10.1f/s\n", name,
                     static_cast<unsigned long long>(value),
                     static_cast<unsigned long long>(delta),
                     static_cast<double>(delta) / dt);
       } else {
-        std::printf("  %-20s %12llu %10s %12s\n", row.label,
+        std::printf("  %-20s %12llu %10s %12s\n", name,
                     static_cast<unsigned long long>(value), "-", "-");
       }
     }
@@ -650,13 +450,10 @@ int main(int argc, char** argv) {
   const std::string subcommand = argv[1];
   Args args(argc, argv, 2);
   try {
-    apply_logging_flags(args);
+    cli::apply_logging_flags(args);
     if (subcommand == "example-job") return cmd_example_job(args);
-    if (subcommand == "plan") return cmd_plan(args);
-    if (subcommand == "worker") return cmd_worker(args);
-    if (subcommand == "run") return cmd_run(args, argv[0]);
-    if (subcommand == "merge") return cmd_merge(args);
     if (subcommand == "single") return cmd_single(args);
+    if (subcommand == "run") return cmd_run(args, argv[0]);
     if (subcommand == "serve") return cmd_serve(args, argv[0]);
     if (subcommand == "work") return cmd_work(args);
     if (subcommand == "submit") return cmd_submit(args);
