@@ -26,7 +26,6 @@
 #include "obs/trace.h"
 #include "search/evaluator.h"
 #include "search/schedule.h"
-#include "sram/simd.h"
 #include "util/rng.h"
 
 namespace {
@@ -187,77 +186,11 @@ void BM_SweepPoint256_Traced(benchmark::State& state) {
 }
 BENCHMARK(BM_SweepPoint256_Traced)->Unit(benchmark::kMillisecond);
 
-// The SIMD dispatch seam's cohort-evaluation kernel at each level the host
-// supports (arg = Level: 0 scalar, 1 NEON, 2 AVX2, 3 AVX-512).  Levels
-// beyond the host's capability are clamped by set_level_for_testing, and a
-// level the build carries no code for dispatches to scalar, so the label
-// records which kernel actually ran.
-void BM_CohortEvalSimd(benchmark::State& state) {
-  sram::simd::set_level_for_testing(
-      static_cast<sram::simd::Level>(state.range(0)));
-  constexpr std::size_t kBatch = 1024;
-  std::vector<double> factors(kBatch), v_low(kBatch), stress(kBatch),
-      dv(kBatch), equiv(kBatch), recharge(kBatch);
-  for (std::size_t i = 0; i < kBatch; ++i)
-    factors[i] = 1.0 / static_cast<double>(i + 1);
-  sram::simd::CohortEvalConstants k;
-  k.vdd = 1.0;
-  k.half_c = 0.5 * 250e-15;
-  k.c_vdd = 250e-15;
-  k.tau_over_duty = 1.0e4;
-  for (auto _ : state) {
-    sram::simd::cohort_eval_batch(factors.data(), kBatch, k, v_low.data(),
-                                  stress.data(), dv.data(), equiv.data(),
-                                  recharge.data());
-    benchmark::DoNotOptimize(v_low.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kBatch));
-  state.SetLabel(std::string("cohort evals/s (") +
-                 sram::simd::level_name(sram::simd::active_level()) + ")");
-  sram::simd::reset_level_for_testing();
-}
-BENCHMARK(BM_CohortEvalSimd)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
-
-// The schedule search's batch-scoring kernel at each dispatch level
-// (arg = Level, clamped like BM_CohortEvalSimd): 1024 candidate lanes of
-// 12 slots each — a March C- schedule with half its slots idle windows —
-// through the branchless energy/cycles/peak-window walk.
-void BM_SearchScoreBatch(benchmark::State& state) {
-  sram::simd::set_level_for_testing(
-      static_cast<sram::simd::Level>(state.range(0)));
-  constexpr std::size_t kLanes = 1024;
-  constexpr std::size_t kSlots = 12;
-  std::vector<double> rates(kSlots * kLanes), cycles(kSlots * kLanes),
-      energy(kLanes), total(kLanes), peak(kLanes);
-  for (std::size_t s = 0; s < kSlots; ++s)
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      rates[s * kLanes + l] =
-          (s % 2 == 0) ? 1e-12 * static_cast<double>(l + 1) : 1e-14;
-      cycles[s * kLanes + l] =
-          (s % 2 == 0) ? 1024.0 : static_cast<double>((l % 8) * 128);
-    }
-  for (auto _ : state) {
-    sram::simd::search_score_batch(rates.data(), cycles.data(), kLanes,
-                                   kSlots, 2048.0, energy.data(),
-                                   total.data(), peak.data());
-    benchmark::DoNotOptimize(peak.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kLanes));
-  state.SetLabel(std::string("candidate scores/s (") +
-                 sram::simd::level_name(sram::simd::active_level()) + ")");
-  sram::simd::reset_level_for_testing();
-}
-BENCHMARK(BM_SearchScoreBatch)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
-
 // The whole evaluator path the beam search pays per candidate at the
 // paper's full 512x512 scale: validity-preserved random candidates of
-// March C- (reorders + idle windows), SoA packing + SIMD scoring via
-// ScheduleEvaluator::score.  The ROADMAP target is >= 1M candidate
-// scores/s single-threaded; restarts fan out on top of this.
+// March C- (reorders + idle windows), scored via ScheduleEvaluator::score.
+// The ROADMAP target is >= 1M candidate scores/s single-threaded; restarts
+// fan out on top of this.
 void BM_SearchCandidatesPerSec(benchmark::State& state) {
   core::SessionConfig cfg;
   cfg.geometry = sram::Geometry::paper_512x512();

@@ -7,8 +7,6 @@
 //     fault injection and full per-source energy accounting;
 //   * AnalyticBackend — the paper's §5 closed-form model; fault-free only,
 //     O(1) per run, for geometry/background/algorithm sweeps.
-//
-// Future backends (batched, SIMD, distributed) plug in here.
 #pragma once
 
 #include <cstdint>

@@ -15,11 +15,11 @@
 //   * the per-cycle scan direction, so backends pre-charge the correct
 //     follower column for descending March elements.
 //
-// Backends (cycle-accurate array, closed-form analytic model, future
-// batched/SIMD implementations) consume the stream; none of them re-derive
-// scheduling.  The stream owns a copy of the March test but only borrows
-// the address order: the caller (TestSession, BistController, ...) must
-// keep the order alive for the stream's lifetime.
+// Backends (cycle-accurate array, closed-form analytic model) consume the
+// stream; none of them re-derive scheduling.  The stream owns a copy of
+// the March test but only borrows the address order: the caller
+// (TestSession, BistController, ...) must keep the order alive for the
+// stream's lifetime.
 #pragma once
 
 #include <cstdint>

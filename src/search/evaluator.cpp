@@ -1,7 +1,9 @@
 #include "search/evaluator.h"
 
+#include <algorithm>
+#include <cmath>
+
 #include "engine/analytic_backend.h"
-#include "sram/simd.h"
 #include "util/error.h"
 
 namespace sramlp::search {
@@ -35,51 +37,49 @@ ScheduleEvaluator::ScheduleEvaluator(const core::SessionConfig& config,
 }
 
 void ScheduleEvaluator::score(const std::vector<Candidate>& candidates,
-                              std::vector<Score>& out) {
-  const std::size_t lanes = candidates.size();
-  out.resize(lanes);
-  if (lanes == 0) return;
-  const std::size_t n = rates_.size();
-  // Two slots per schedule position: the element, then its trailing idle
-  // window (zero cycles when none — a zero-cycle slot is a no-op in the
-  // kernel, so every candidate shares one fixed slot count).
-  const std::size_t slots = 2 * n;
-  soa_rates_.resize(slots * lanes);
-  soa_cycles_.resize(slots * lanes);
-  out_energy_.resize(lanes);
-  out_cycles_.resize(lanes);
-  out_peak_.resize(lanes);
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    const Candidate& candidate = candidates[lane];
-    SRAMLP_REQUIRE(candidate.order.size() == n &&
-                       candidate.idle_after.size() == n,
-                   "candidate does not match the evaluator's base test");
-    for (std::size_t s = 0; s < n; ++s) {
-      const std::size_t element = candidate.order[s];
-      soa_rates_[(2 * s) * lanes + lane] = rates_[element];
-      soa_cycles_[(2 * s) * lanes + lane] = cycles_[element];
-      soa_rates_[(2 * s + 1) * lanes + lane] = idle_rate_;
-      soa_cycles_[(2 * s + 1) * lanes + lane] =
-          static_cast<double>(candidate.idle_after[s]);
-    }
-  }
-  sram::simd::search_score_batch(soa_rates_.data(), soa_cycles_.data(),
-                                 lanes, slots, window_cycles_,
-                                 out_energy_.data(), out_cycles_.data(),
-                                 out_peak_.data());
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    out[lane].energy_j = out_energy_[lane];
-    out[lane].cycles = out_cycles_[lane];
-    out[lane].peak_window_j = out_peak_[lane];
-    out[lane].peak_power_w = out_peak_[lane] / window_seconds_;
-  }
+                              std::vector<Score>& out) const {
+  out.resize(candidates.size());
+  for (std::size_t i = 0; i < candidates.size(); ++i)
+    out[i] = score_one(candidates[i]);
 }
 
-Score ScheduleEvaluator::score_one(const Candidate& candidate) {
-  const std::vector<Candidate> one{candidate};
-  std::vector<Score> scored;
-  score(one, scored);
-  return scored.front();
+Score ScheduleEvaluator::score_one(const Candidate& candidate) const {
+  const std::size_t n = rates_.size();
+  SRAMLP_REQUIRE(
+      candidate.order.size() == n && candidate.idle_after.size() == n,
+      "candidate does not match the evaluator's base test");
+  ScoreWalk walk{.window = window_cycles_};
+  for (std::size_t s = 0; s < n; ++s) {
+    const std::size_t element = candidate.order[s];
+    walk.add(rates_[element], cycles_[element]);
+    walk.add(idle_rate_, static_cast<double>(candidate.idle_after[s]));
+  }
+  Score score;
+  score.energy_j = walk.energy_j;
+  score.cycles = walk.cycles;
+  score.peak_window_j = walk.peak_window_j();
+  score.peak_power_w = score.peak_window_j / window_seconds_;
+  return score;
 }
+
+void ScoreWalk::add(double rate, double span) {
+  energy_j += rate * span;
+  cycles += span;
+  const double avail = window - fill;
+  const bool crosses = span >= avail;
+  const double head = crosses ? avail : span;
+  const double acc_head = acc + rate * head;
+  const double rem = crosses ? span - avail : 0.0;
+  const double m = std::floor(rem / window);
+  const double closed = crosses ? acc_head : 0.0;
+  peak = std::max(peak, closed);
+  const double mid = m >= 1.0 ? rate * window : 0.0;
+  peak = std::max(peak, mid);
+  const double tail = rem - m * window;
+  acc = crosses ? rate * tail : acc_head;
+  fill = crosses ? tail : fill + span;
+}
+
+double ScoreWalk::peak_window_j() const { return std::max(peak, acc); }
 
 }  // namespace sramlp::search

@@ -13,10 +13,7 @@
 // A candidate score is then an O(elements) composition of the cached
 // segments: total energy, total cycles and the fixed-window peak profile
 // (power::PowerTrace window semantics, including the partial trailing
-// window).  Batches of candidates are laid out candidate-per-lane in a
-// slot-major SoA and scored by the SIMD search_score_batch kernel
-// (sram/simd.h) — bit-identical to its scalar spec at every dispatch
-// level, so scores never depend on the machine evaluating them.
+// window), walked segment by segment with ScoreWalk.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +33,31 @@ struct Score {
   double peak_power_w = 0.0;  ///< peak_window_j over one full window
 };
 
+/// Running score of a schedule fed one constant-rate segment at a time:
+/// total energy, total cycles and the max energy of any fixed window of
+/// `window` cycles aligned at cycle 0 — exactly power::PowerTrace's
+/// fixed-window peak, a trailing partial window included.  All cycle
+/// counts are integer-valued doubles < 2^53, for which floor(rem / window)
+/// is exact: the correctly-rounded quotient of integers below 2^53 can
+/// never round across the next integer.
+struct ScoreWalk {
+  double window = 1.0;
+  double energy_j = 0.0;
+  double cycles = 0.0;
+  double fill = 0.0;  ///< cycles in the current partial window
+  double acc = 0.0;   ///< joules in the current partial window
+  double peak = 0.0;  ///< max closed-window energy so far
+
+  /// Fold @p span cycles at @p rate J/cycle: a head that closes the
+  /// current window if it crosses, m full windows of rate * window each,
+  /// and a tail that reopens the partial window.  A zero-cycle segment is a
+  /// no-op.
+  void add(double rate, double span);
+  /// The trailing partial window is rated against the full window width by
+  /// PowerTrace, so its energy competes for the peak as-is.
+  double peak_window_j() const;
+};
+
 class ScheduleEvaluator {
  public:
   /// @p window_cycles is the peak-window width (>= 1); pick a thermal-scale
@@ -50,12 +72,13 @@ class ScheduleEvaluator {
   double idle_rate() const { return idle_rate_; }
   double window_seconds() const { return window_seconds_; }
 
-  /// Score a batch; @p out is resized to match.  Not thread-safe (scratch
-  /// buffers) — use one evaluator per thread; construction is cheap.
+  /// Score a batch; @p out is resized to match.  Const and thread-safe.
   void score(const std::vector<Candidate>& candidates,
-             std::vector<Score>& out);
+             std::vector<Score>& out) const;
 
-  Score score_one(const Candidate& candidate);
+  /// Walks the schedule's slots in order: each element, then its trailing
+  /// idle window (a no-op when it has zero cycles).
+  Score score_one(const Candidate& candidate) const;
 
  private:
   std::vector<double> rates_;   ///< per base element [J/cycle]
@@ -64,12 +87,6 @@ class ScheduleEvaluator {
   double idle_rate_ = 0.0;
   double window_cycles_ = 0.0;
   double window_seconds_ = 0.0;
-  // Batch scratch, reused across score() calls.
-  std::vector<double> soa_rates_;
-  std::vector<double> soa_cycles_;
-  std::vector<double> out_energy_;
-  std::vector<double> out_cycles_;
-  std::vector<double> out_peak_;
 };
 
 }  // namespace sramlp::search

@@ -11,8 +11,8 @@
 //
 // Determinism contract: run_restart(spec, r) is a pure function of
 // (spec, r) — its RNG is util::Rng keyed by spec.seed and r, its scores
-// come from the SIMD batch kernel (bit-identical at every dispatch
-// level), and its winner verification runs the parity-locked
+// come from the evaluator's fixed-order double arithmetic (no FMA
+// contraction), and its winner verification runs the parity-locked
 // cycle-accurate engine.  run_search fans restarts out over
 // engine::parallel_for with one result slot per restart and reduces in
 // restart order, so the same spec produces byte-identical serialized
@@ -20,7 +20,7 @@
 // 'search' job kind rides on exactly this.
 //
 // Each restart walks a seeded beam search: neighbours of every beam
-// member are scored as one SIMD batch, the beam keeps the best
+// member are scored as one batch, the beam keeps the best
 // scalarised costs (restart-dependent peak-vs-time weight, hard budget
 // penalty), and every scored candidate feeds a Pareto archive over
 // (peak power, test cycles).  The restart's surviving front is verified

@@ -74,8 +74,8 @@ SramArray::SramArray(const SramConfig& config)
   e_.write_restore = t.e_write_restore();
 
   // Hoisted cohort closed-form constants: each is the exact left-to-right
-  // subtree eval_cohort's scalar expressions compute from the config, so
-  // table entries built from them carry identical bits.
+  // subtree of eval_factor's expressions, so every evaluation built from
+  // them carries identical bits.
   eval_k_.vdd = vdd;
   eval_k_.half_c = 0.5 * t.c_bitline;
   eval_k_.c_vdd = t.c_bitline * vdd;
@@ -86,6 +86,7 @@ SramArray::SramArray(const SramConfig& config)
     cohort_of_.assign(g.cols, kColPrecharged);
     always_materialized_.assign(g.cols, false);
     decay_memo_.reserve(256);
+    eval_table_.reserve(kDecayMemoCap);
   } else {
     precharge_active_.assign(g.cols, config_.mode == Mode::kFunctional);
   }
@@ -163,8 +164,7 @@ void SramArray::reset_measurements() {
 }
 
 double SramArray::decay_factor_slow(std::uint64_t elapsed) const {
-  constexpr std::uint64_t kMemoCap = 4096;
-  if (elapsed >= kMemoCap) {
+  if (elapsed >= kDecayMemoCap) {
     const double t = static_cast<double>(elapsed) * config_.wordline_duty;
     return std::exp(-t / config_.tech.decay_tau_cycles);
   }
@@ -573,42 +573,26 @@ SramArray::CohortEval SramArray::eval_cohort(const Cohort& cohort) const {
 }
 
 SramArray::CohortEval SramArray::eval_elapsed(std::uint64_t elapsed) const {
-  constexpr std::uint64_t kTableCap = 4096;  // matches the decay-memo cap
-  CohortEval e;
-  if (elapsed >= kTableCap) {
-    // Past the memo horizon: evaluate the closed form directly (the batch
-    // kernel with n = 1 is the scalar expression tree).
-    const double factor = decay_factor(elapsed);
-    simd::cohort_eval_batch(&factor, 1, eval_k_, &e.v_low, &e.stress_j,
-                            &e.dv, &e.equiv, &e.recharge_e);
-    return e;
-  }
+  if (elapsed >= kDecayMemoCap) return eval_factor(decay_factor(elapsed));
   if (elapsed >= eval_table_.size()) grow_eval_table(elapsed);
-  e.v_low = eval_table_.v_low[elapsed];
-  e.stress_j = eval_table_.stress_j[elapsed];
-  e.dv = eval_table_.dv[elapsed];
-  e.equiv = eval_table_.equiv[elapsed];
-  e.recharge_e = eval_table_.recharge_e[elapsed];
-  return e;
+  return eval_table_[elapsed];
 }
 
 void SramArray::grow_eval_table(std::uint64_t elapsed) const {
-  const std::size_t old = eval_table_.size();
-  std::size_t next = std::max<std::size_t>(
-      {static_cast<std::size_t>(elapsed) + 1, 2 * old, 64});
-  next = std::min<std::size_t>(next, 4096);
-  decay_factor_slow(next - 1);  // the factor memo now covers [0, next)
-  eval_table_.v_low.resize(next);
-  eval_table_.stress_j.resize(next);
-  eval_table_.dv.resize(next);
-  eval_table_.equiv.resize(next);
-  eval_table_.recharge_e.resize(next);
-  simd::cohort_eval_batch(decay_memo_.data() + old, next - old, eval_k_,
-                          eval_table_.v_low.data() + old,
-                          eval_table_.stress_j.data() + old,
-                          eval_table_.dv.data() + old,
-                          eval_table_.equiv.data() + old,
-                          eval_table_.recharge_e.data() + old);
+  decay_factor_slow(elapsed);  // the factor memo now covers [0, elapsed]
+  for (std::size_t i = eval_table_.size(); i <= elapsed; ++i)
+    eval_table_.push_back(eval_factor(decay_memo_[i]));
+}
+
+SramArray::CohortEval SramArray::eval_factor(double factor) const {
+  const CohortEvalConstants& k = eval_k_;
+  CohortEval e;
+  e.v_low = k.vdd * factor;
+  e.dv = k.vdd - e.v_low;
+  e.stress_j = k.half_c * (k.vdd * k.vdd - e.v_low * e.v_low);
+  e.equiv = k.tau_over_duty * e.dv / k.vdd;
+  e.recharge_e = k.c_vdd * e.dv;
+  return e;
 }
 
 void SramArray::cohort_settle_bulk(const CohortEval& eval, bool pre_op,

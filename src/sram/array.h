@@ -64,7 +64,6 @@
 #include "sram/command.h"
 #include "sram/fault_hooks.h"
 #include "sram/geometry.h"
-#include "sram/simd.h"
 
 namespace sramlp::sram {
 
@@ -243,6 +242,15 @@ class SramArray {
     double dv = 0.0;         ///< voltage deficit folded by a settle
     double recharge_e = 0.0; ///< supply energy to restore one pair to VDD
   };
+  /// Loop-invariant constants of the cohort closed form: each is the exact
+  /// left-to-right subtree eval_factor's expressions compute from the
+  /// configuration, hoisted once.
+  struct CohortEvalConstants {
+    double vdd = 0.0;
+    double half_c = 0.0;         ///< 0.5 * c_bitline
+    double c_vdd = 0.0;          ///< c_bitline * vdd
+    double tau_over_duty = 0.0;  ///< decay_tau_cycles / wordline_duty
+  };
 
   CycleResult fast_cycle(const CycleCommand& command);
   void fast_idle(std::uint64_t cycles);
@@ -267,9 +275,14 @@ class SramArray {
   RunResult fast_run_impl(const RunCommand& run);
   CohortEval eval_cohort(const Cohort& cohort) const;
   /// eval_cohort keyed by elapsed decay cycles, served from the grow-only
-  /// SIMD-filled table below (scalar closed form past the table cap).
+  /// memo below (evaluated directly past the memo cap).
   CohortEval eval_elapsed(std::uint64_t elapsed) const;
   void grow_eval_table(std::uint64_t elapsed) const;
+  /// The cohort closed form for one decay factor f = exp(-t/tau):
+  ///   v_low = vdd * f,  dv = vdd - v_low,
+  ///   stress_j = half_c * (vdd * vdd - v_low * v_low),
+  ///   equiv = tau_over_duty * dv / vdd,  recharge_e = c_vdd * dv.
+  CohortEval eval_factor(double factor) const;
   /// Meter the settle of @p count cohort members (stress + α bookkeeping).
   void cohort_settle_bulk(const CohortEval& eval, bool pre_op,
                           std::uint64_t count);
@@ -356,24 +369,17 @@ class SramArray {
     std::size_t follower_first = 0;
   };
   PrechargeSnapshot snap_;
+  /// Both memos below cover elapsed cycles [0, kDecayMemoCap).
+  static constexpr std::size_t kDecayMemoCap = 4096;
   mutable std::vector<double> decay_memo_;  ///< exp factor per elapsed cycle
-  /// Grow-only structure-of-arrays memo of eval_cohort by elapsed cycle:
-  /// cohort evaluations depend only on (elapsed, fixed config), so one
-  /// table serves every cohort of every run.  Filled in SIMD batches
-  /// (simd::cohort_eval_batch) from the decay-factor memo; each entry is
-  /// bit-identical to the scalar closed form.  Capped like decay_memo_.
-  struct CohortEvalTable {
-    std::vector<double> v_low;
-    std::vector<double> stress_j;
-    std::vector<double> dv;
-    std::vector<double> equiv;
-    std::vector<double> recharge_e;
-    std::size_t size() const { return v_low.size(); }
-  };
-  mutable CohortEvalTable eval_table_;
-  /// Hoisted constants of the cohort closed form (exact subtrees of the
-  /// scalar expressions; see simd::CohortEvalConstants).
-  simd::CohortEvalConstants eval_k_;
+  /// Grow-only memo of eval_cohort by elapsed cycle: cohort evaluations
+  /// depend only on (elapsed, fixed config), so one table serves every
+  /// cohort of every run.  Filled from the decay-factor memo into storage
+  /// reserved up front: only the touched pages count toward RSS, and no
+  /// reallocation keeps an old and a new copy alive together.
+  mutable std::vector<CohortEval> eval_table_;
+  /// Hoisted constants of the cohort closed form.
+  CohortEvalConstants eval_k_;
 };
 
 }  // namespace sramlp::sram

@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "sram/bits.h"
-#include "sram/simd.h"
 
 namespace sramlp::sram {
 
@@ -91,14 +90,9 @@ std::uint32_t CellArray::copy_row_range(std::size_t dst_row,
     ++sw;
     ++dw;
   }
-  const std::size_t full = left >> 6;
-  if (full != 0) {
-    flips += simd::xor_popcount_words(words_.data() + sw, words_.data() + dw,
-                                      full);
-    std::copy_n(words_.begin() + static_cast<std::ptrdiff_t>(sw), full,
-                words_.begin() + static_cast<std::ptrdiff_t>(dw));
-    sw += full;
-    dw += full;
+  for (std::size_t full = left >> 6; full != 0; --full, ++sw, ++dw) {
+    flips += static_cast<std::uint64_t>(std::popcount(words_[sw] ^ words_[dw]));
+    words_[dw] = words_[sw];
   }
   left &= 63;
   if (left != 0) {
@@ -130,11 +124,8 @@ bool CellArray::row_matches_pattern(std::size_t row, std::size_t col,
     left -= n;
     ++word;
   }
-  const std::size_t full = left >> 6;
-  if (full != 0 &&
-      !simd::all_words_equal(words_.data() + word, full, expect))
-    return false;
-  word += full;
+  for (std::size_t full = left >> 6; full != 0; --full, ++word)
+    if (words_[word] != expect) return false;
   left &= 63;
   if (left != 0 && ((words_[word] ^ expect) & low_bit_mask(left)) != 0)
     return false;
@@ -180,8 +171,10 @@ void CellArray::fill(bool value) {
 }
 
 std::size_t CellArray::popcount() const {
-  return static_cast<std::size_t>(
-      simd::popcount_words(words_.data(), words_.size()));
+  std::size_t ones = 0;
+  for (const std::uint64_t w : words_)
+    ones += static_cast<std::size_t>(std::popcount(w));
+  return ones;
 }
 
 bool CellArray::uniform(bool value) const {

@@ -69,7 +69,7 @@ class CellArray {
 
   /// copy_row_bits over an arbitrarily wide slice (any @p count): when the
   /// two rows' word alignment matches, the interior runs word-at-a-time
-  /// with a SIMD xor-popcount; otherwise it falls back to 64-bit chunks.
+  /// with an xor-popcount; otherwise it falls back to 64-bit chunks.
   /// Cell results are identical to chunked copy_row_bits either way.
   std::uint32_t copy_row_range(std::size_t dst_row, std::size_t src_row,
                                std::size_t col, std::size_t count);
@@ -79,7 +79,7 @@ class CellArray {
   /// (pattern >> (s & 63)) & 1.  All March data backgrounds have column
   /// period 1 or 2, so a whole word group's expected physical data is one
   /// such stream; this is the word-parallel read-compare of the bitsliced
-  /// engine's unhooked data path (SIMD over the interior words).
+  /// engine's unhooked data path (one compare per interior word).
   bool row_matches_pattern(std::size_t row, std::size_t col,
                            std::size_t count, std::uint64_t pattern) const;
 

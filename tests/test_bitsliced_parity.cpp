@@ -450,6 +450,30 @@ TEST(BitslicedParity, TracingKeepsTotalsBitIdenticalAndTracesEngineEqual) {
   }
 }
 
+// Rows of 4,096 columns keep a pre-op cohort floating for more than 4,096
+// cycles, past the cohort-evaluation memo, so the bitsliced engine
+// evaluates the closed form directly; untraced and traced it must still
+// match the reference engine bit for bit.  A slow decay keeps the factor
+// that far out well above zero (the default tau underflows it to 0.0,
+// where every evaluation looks alike).
+TEST(BitslicedParity, RowsPastTheCohortMemoCap) {
+  const auto test = march::algorithms::march_c_minus();
+  SessionConfig cfg = grid_config(Mode::kLowPowerTest, 2, 4096);
+  cfg.tech.decay_tau_cycles = 2000.0;
+  expect_session_parity(cfg, test, nullptr, "2x4096 LP");
+  cfg.trace = power::TraceConfig{.window_cycles = 1024, .keep_windows = true};
+  SessionResult traced[2];
+  for (int m = 0; m < 2; ++m) {
+    cfg.column_model = m == 0 ? ColumnModel::kPerColumnReference
+                              : ColumnModel::kBitslicedCohort;
+    traced[m] = TestSession(cfg).run(test);
+    ASSERT_TRUE(traced[m].trace.has_value());
+  }
+  expect_results_identical(traced[0], traced[1], "2x4096 LP traced");
+  expect_traces_identical(*traced[0].trace, *traced[1].trace,
+                          "2x4096 LP trace");
+}
+
 // Same invariants with a fault model attached: the hooked per-cell data
 // path and the RES-sensitive materialized columns must meter identically
 // through the probe.

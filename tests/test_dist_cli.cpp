@@ -122,6 +122,16 @@ TEST_F(DistCli, MissingRequiredOptionIsNamed) {
       << r.output;
 }
 
+TEST_F(DistCli, OutOfRangeCountIsNamed) {
+  // Past 2^64: std::stoull's out_of_range must not escape unnamed.
+  const CliResult r = run_cli("serve --listen unix:" + path("s.sock") +
+                              " --workers 99999999999999999999999");
+  EXPECT_NE(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("option --workers needs a non-negative integer"),
+            std::string::npos)
+      << r.output;
+}
+
 TEST_F(DistCli, RemovedSubcommandsPrintUsage) {
   // No shard-file subcommands: each prints usage and exits 2.
   emit_example_job("job.json");

@@ -1,6 +1,6 @@
 // The peak-constrained schedule search (src/search/): the memoized batch
 // evaluator against the traced analytic engine, the validity-preserving
-// move set, SIMD bit-identity of the scoring kernel, end-to-end
+// move set, the hand-checked peak-window walk, end-to-end
 // determinism (threads / service), cycle-accurate winner
 // verification, and the acceptance anchor — a budget the base March C-
 // violates, met by the search at no more test time than naive uniform
@@ -23,7 +23,6 @@
 #include "search/schedule.h"
 #include "search/search.h"
 #include "search/serialize.h"
-#include "sram/simd.h"
 #include "util/error.h"
 
 namespace {
@@ -34,7 +33,6 @@ using search::MoveLimits;
 using search::ScheduleEvaluator;
 using search::SearchSpec;
 using search::StateCond;
-using sram::simd::Level;
 
 core::SessionConfig small_config() {
   core::SessionConfig config;
@@ -66,17 +64,6 @@ std::vector<StateCond> conds_of(const march::MarchTest& test) {
     conds.push_back(search::element_state(element));
   return conds;
 }
-
-std::vector<Level> available_levels() {
-  std::vector<Level> out{Level::kScalar};
-  for (const Level l : {Level::kNeon, Level::kAvx2, Level::kAvx512})
-    if (sram::simd::detected_level() >= l) out.push_back(l);
-  return out;
-}
-
-struct LevelGuard {
-  ~LevelGuard() { sram::simd::reset_level_for_testing(); }
-};
 
 dist::JobSpec search_job(const SearchSpec& spec) {
   dist::JobSpec job;
@@ -251,60 +238,19 @@ TEST(ScheduleMoves, RandomWalkPreservesValidityAndLimits) {
   EXPECT_GT(applied, 500u);  // the move set actually moves
 }
 
-// --- SIMD kernel bit-identity ------------------------------------------------
+// --- the peak-window walk -----------------------------------------------------
 
-TEST(SearchScoreBatch, BitIdenticalAcrossLevelsAndBatchSizes) {
-  LevelGuard guard;
-  util::Rng rng(99);
-  for (const std::size_t lanes : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 16u, 17u}) {
-    const std::size_t slots = 12;
-    std::vector<double> rates(slots * lanes);
-    std::vector<double> cycles(slots * lanes);
-    for (std::size_t i = 0; i < slots * lanes; ++i) {
-      rates[i] = 1e-12 * static_cast<double>(1 + rng.next_below(1000));
-      // Mix zero-cycle no-op slots in: the evaluator's idle slots.
-      cycles[i] = static_cast<double>(rng.next_below(5) == 0
-                                          ? 0
-                                          : 64 * (1 + rng.next_below(40)));
-    }
-    sram::simd::set_level_for_testing(Level::kScalar);
-    std::vector<double> energy_ref(lanes), cycles_ref(lanes), peak_ref(lanes);
-    sram::simd::search_score_batch(rates.data(), cycles.data(), lanes, slots,
-                                   512.0, energy_ref.data(),
-                                   cycles_ref.data(), peak_ref.data());
-    for (const Level level : available_levels()) {
-      sram::simd::set_level_for_testing(level);
-      std::vector<double> energy(lanes), total(lanes), peak(lanes);
-      sram::simd::search_score_batch(rates.data(), cycles.data(), lanes,
-                                     slots, 512.0, energy.data(),
-                                     total.data(), peak.data());
-      for (std::size_t l = 0; l < lanes; ++l) {
-        EXPECT_EQ(energy[l], energy_ref[l])
-            << sram::simd::level_name(level) << " lane " << l;
-        EXPECT_EQ(total[l], cycles_ref[l])
-            << sram::simd::level_name(level) << " lane " << l;
-        EXPECT_EQ(peak[l], peak_ref[l])
-            << sram::simd::level_name(level) << " lane " << l;
-      }
-    }
-  }
-}
-
-TEST(SearchScoreBatch, PeakWindowSemanticsMatchPowerTrace) {
-  // One lane, hand-checkable: two slots of 100 cycles at rates 2 and 4
-  // (J/cycle), window 64.  Windows: [0,64) all r=2 -> 128; [64,128) 36*2 +
-  // 28*4 = 184; [128,192) 64*4 = 256; [192,200) partial, 8*4 = 32 (rated
-  // against the full window by PowerTrace rules -> still 32 J energy).
-  const double rates[] = {2.0, 4.0};
-  const double cycles[] = {100.0, 100.0};
-  double energy = 0.0, total = 0.0, peak = 0.0;
-  sram::simd::set_level_for_testing(Level::kScalar);
-  LevelGuard guard;
-  sram::simd::search_score_batch(rates, cycles, 1, 2, 64.0, &energy, &total,
-                                 &peak);
-  EXPECT_EQ(total, 200.0);
-  EXPECT_EQ(energy, 600.0);
-  EXPECT_EQ(peak, 256.0);
+TEST(SearchEvaluator, PeakWindowSemanticsMatchPowerTrace) {
+  // Hand-checkable: two segments of 100 cycles at rates 2 and 4 (J/cycle),
+  // window 64.  Windows: [0,64) all r=2 -> 128; [64,128) 36*2 + 28*4 =
+  // 184; [128,192) 64*4 = 256; [192,200) partial, 8*4 = 32 (rated against
+  // the full window by PowerTrace rules -> still 32 J energy).
+  search::ScoreWalk walk{.window = 64.0};
+  walk.add(2.0, 100.0);
+  walk.add(4.0, 100.0);
+  EXPECT_EQ(walk.cycles, 200.0);
+  EXPECT_EQ(walk.energy_j, 600.0);
+  EXPECT_EQ(walk.peak_window_j(), 256.0);
 }
 
 // --- determinism -------------------------------------------------------------

@@ -3,7 +3,10 @@
 // and the row-transition restore, RES bookkeeping and the alpha metric.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "core/paper_reference.h"
 #include "power/analytic.h"
@@ -72,6 +75,88 @@ TEST(CellArray, BoundsChecked) {
   sram::CellArray cells({4, 4, 1});
   EXPECT_THROW(cells.get(4, 0), Error);
   EXPECT_THROW(cells.set(0, 4, true), Error);
+}
+
+/// splitmix64: a deterministic cell stream for the slice tests.
+bool next_bit(std::uint64_t& state) {
+  state += 0x9e3779b97f4a7c15ull;
+  std::uint64_t z = state;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return ((z ^ (z >> 31)) & 1u) != 0;
+}
+
+void fill_random(sram::CellArray& cells, std::uint64_t seed) {
+  for (std::size_t r = 0; r < cells.geometry().rows; ++r)
+    for (std::size_t c = 0; c < cells.geometry().cols; ++c)
+      cells.set(r, c, next_bit(seed));
+}
+
+std::size_t count_ones(const sram::CellArray& cells) {
+  std::size_t ones = 0;
+  for (std::size_t r = 0; r < cells.geometry().rows; ++r)
+    for (std::size_t c = 0; c < cells.geometry().cols; ++c)
+      ones += cells.get(r, c) ? 1 : 0;
+  return ones;
+}
+
+// The word-parallel slice primitives against per-cell references.  Each
+// slice covers 0, 1, 2, 9 or 17 full storage words, starts word-aligned
+// (bit offset 0) or with a 27-cell head (bit offset 37), and ends in a
+// 5-cell tail; one mismatch lands in the last full word.
+TEST(CellArray, SliceKernelsMatchPerCellReference) {
+  const std::uint64_t pattern = 0x0123456789abcdefull;  // aperiodic in 64
+  for (const std::size_t full : {0u, 1u, 2u, 9u, 17u}) {
+    for (const std::size_t off : {0u, 37u}) {
+      const std::string where =
+          std::to_string(full) + " full words at offset " +
+          std::to_string(off);
+      const std::size_t cols = 64 * (full + 2);  // rows start word-aligned
+      const std::size_t head = off == 0 ? 0 : 64 - off;
+      const std::size_t count = head + 64 * full + 5;
+      // A cell inside the slice's last full word.
+      const std::size_t last_full_col = off + head + 64 * full - 51;
+
+      sram::CellArray cells({2, cols, 1});
+      fill_random(cells, full * 100 + off);
+      cells.fill_row_pattern(1, off, count, pattern);
+      for (std::size_t s = 0; s < count; ++s)
+        ASSERT_EQ(cells.get(1, off + s), ((pattern >> (s & 63)) & 1u) != 0)
+            << where << " cell " << s;
+      EXPECT_TRUE(cells.row_matches_pattern(1, off, count, pattern)) << where;
+      // Cells outside the slice never count.
+      cells.set(1, off + count, !cells.get(1, off + count));
+      if (off != 0) cells.set(1, off - 1, !cells.get(1, off - 1));
+      EXPECT_TRUE(cells.row_matches_pattern(1, off, count, pattern)) << where;
+      if (full != 0) {
+        cells.set(1, last_full_col, !cells.get(1, last_full_col));
+        EXPECT_FALSE(cells.row_matches_pattern(1, off, count, pattern))
+            << where;
+      }
+
+      // copy_row_range: flip count and contents against a per-cell copy.
+      fill_random(cells, full * 100 + off + 1);
+      sram::CellArray expect = cells;
+      std::uint32_t flips = 0;
+      for (std::size_t c = off; c < off + count; ++c) {
+        flips += cells.get(0, c) != cells.get(1, c) ? 1 : 0;
+        expect.set(1, c, cells.get(0, c));
+      }
+      EXPECT_EQ(cells.copy_row_range(1, 0, off, count), flips) << where;
+      for (std::size_t c = 0; c < cols; ++c)
+        ASSERT_EQ(cells.get(1, c), expect.get(1, c)) << where << " col " << c;
+      if (full != 0)
+        cells.set(1, last_full_col, !cells.get(1, last_full_col));
+      EXPECT_EQ(cells.copy_row_range(1, 0, off, count), full != 0 ? 1u : 0u)
+          << where;
+      EXPECT_EQ(cells.popcount(), count_ones(cells)) << where;
+
+      // popcount() over exactly `full` words plus an `off`-cell partial one.
+      sram::CellArray row({1, std::max<std::size_t>(2, 64 * full + off), 1});
+      fill_random(row, full * 100 + off + 2);
+      EXPECT_EQ(row.popcount(), count_ones(row)) << where;
+    }
+  }
 }
 
 // --- functional data path ----------------------------------------------------

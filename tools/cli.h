@@ -54,13 +54,18 @@ class Args {
   std::size_t number(const std::string& name, std::size_t fallback) {
     auto v = value(name);
     if (!v) return fallback;
-    // std::stoull accepts (and wraps) negative input; reject anything that
-    // is not a plain decimal count.
-    if (v->empty() ||
-        v->find_first_not_of("0123456789") != std::string::npos)
-      throw Error("option " + name + " needs a non-negative integer, got '" +
-                  *v + "'");
-    return static_cast<std::size_t>(std::stoull(*v));
+    // std::stoull accepts (and wraps) negative input and throws
+    // std::out_of_range past 2^64; reject anything that is not a plain
+    // decimal count that fits.
+    const Error bad("option " + name + " needs a non-negative integer, got '" +
+                    *v + "'");
+    if (v->empty() || v->find_first_not_of("0123456789") != std::string::npos)
+      throw bad;
+    try {
+      return static_cast<std::size_t>(std::stoull(*v));
+    } catch (const std::out_of_range&) {
+      throw bad;
+    }
   }
 
   double real(const std::string& name, double fallback) {

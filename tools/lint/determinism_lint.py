@@ -2,7 +2,7 @@
 """Determinism lint: machine-check the repo's exactness invariants.
 
 The whole dist/ + service stack rests on one promise: the same work item
-produces the same BYTES whichever process, shard, worker or SIMD level
+produces the same BYTES whichever process, shard, worker or host
 computes it.  That promise is easy to break with one innocent line — a
 "%g" in a serializer, a clock read feeding a result, a float where the
 parity-locked engines expect a double.  This lint scans src/ and tools/
