@@ -429,6 +429,42 @@ void BM_ServiceSubmitCachedTraced(benchmark::State& state) {
 }
 BENCHMARK(BM_ServiceSubmitCachedTraced)->Unit(benchmark::kMillisecond);
 
+// BM_Campaign256_Batched's library served end to end: 3 worker threads
+// steal the job over real sockets, nothing cached (no whole-job LRU, no
+// point cache), so every iteration computes every fault.  The service
+// leases one plan_batches batch per unit, so a served campaign costs
+// about the in-process batched run plus the protocol; a cut across
+// batches multiplies the session pairs.  ci/compare_bench.py gates the
+// same-run ratio to BM_Campaign256_Batched.
+void BM_ServiceSubmitCampaign256(benchmark::State& state) {
+  dist::Service::Options options;
+  options.cache.capacity = 0;
+  options.point_cache = false;
+  dist::Service service(options);
+  service.start();
+  const std::string address = service.address();
+  std::vector<std::thread> workers;
+  for (int w = 0; w < 3; ++w)
+    workers.emplace_back(
+        [address] { dist::ServiceWorker().run(address); });
+  dist::JobSpec job;
+  job.kind = dist::JobSpec::Kind::kCampaign;
+  job.config.geometry = {256, 256, 1};
+  job.test = march::algorithms::march_c_minus();
+  job.faults = faults::standard_fault_library(job.config.geometry, 7, 8);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dist::submit_job(address, job).document);
+  }
+  state.counters["faults"] = static_cast<double>(job.size());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(job.size()));
+  state.SetLabel("256x256 March C- campaign served by 3 workers");
+  service.request_stop();
+  service.wait();
+  for (std::thread& t : workers) t.join();
+}
+BENCHMARK(BM_ServiceSubmitCampaign256)->Unit(benchmark::kMillisecond);
+
 // The per-event price of the instruments themselves, at a call site that
 // cached its references the way the service does (function-local static):
 // one relaxed counter inc plus one histogram observe per iteration.
@@ -449,15 +485,15 @@ void BM_MetricsOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_MetricsOverhead);
 
-// Bare steal-queue coordination: chop 4096 indices into 4-point shards,
+// Bare steal-queue coordination: queue 4096 indices as 4-point shards,
 // then lease/complete the lot — the lock-and-bookkeeping cost every shard
 // pays on top of its compute, with no sockets or arithmetic attached.
 void BM_ShardSteal(benchmark::State& state) {
-  std::vector<std::size_t> indices(4096);
-  for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
+  std::vector<std::vector<std::size_t>> units(1024);
+  for (std::size_t i = 0; i < 4096; ++i) units[i / 4].push_back(i);
   std::size_t shards = 0;
   for (auto _ : state) {
-    dist::StealQueue queue(indices, 4);
+    dist::StealQueue queue(units);
     shards = queue.stats().shard_count;
     while (auto shard = queue.lease(1)) queue.complete(shard->id);
     benchmark::DoNotOptimize(queue.done());

@@ -33,6 +33,11 @@ RATIO_GATES = [
     ("BM_ServiceSubmitCached", "BM_ServiceSubmitCold", 0.6,
      "a whole-job cache hit must stay well below a computed submit "
      "(~0.34 measured)"),
+    ("BM_ServiceSubmitCampaign256", "BM_Campaign256_Batched", 2.0,
+     "a served campaign must lease whole plan_batches batches, one "
+     "session pair per shard (0.94-1.12 measured on a shared 4-core "
+     "host; 3.2-3.9 on the same host when the service cut campaigns "
+     "into 4-fault shards across batches)"),
 ]
 
 UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}

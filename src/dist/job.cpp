@@ -1,9 +1,11 @@
 #include "dist/job.h"
 
+#include <algorithm>
 #include <numeric>
 #include <utility>
 
 #include "engine/parallel.h"
+#include "faults/batch.h"
 #include "search/serialize.h"
 #include "util/error.h"
 
@@ -12,6 +14,7 @@ namespace sramlp::dist {
 namespace {
 
 using KeyFn = std::function<std::uint64_t(std::size_t)>;
+using Units = std::vector<std::vector<std::size_t>>;
 
 /// One job kind: every place the distributed layer treats sweeps,
 /// campaigns and searches differently.
@@ -27,6 +30,10 @@ struct JobKind {
   KeyFn (*point_keys)(const JobSpec&);
   bool (*execute)(const JobSpec&, const std::vector<std::size_t>&, unsigned,
                   const EmitItem&);
+  /// Cost-aware cut of the uncached indices into steal units (nullptr:
+  /// consecutive runs of the unit size).
+  Units (*lease_units)(const JobSpec&, const std::vector<std::size_t>&,
+                       std::size_t, LeaseCut&);
   /// Kind-specific rewrite of a payload on its way into / out of the
   /// point cache (nullptr: stored unchanged).
   void (*neutralize)(io::JsonValue&);
@@ -39,6 +46,17 @@ io::JsonValue array_of(std::vector<io::JsonValue> items) {
   io::JsonValue array = io::JsonValue::array();
   for (io::JsonValue& item : items) array.push_back(std::move(item));
   return array;
+}
+
+/// Append @p indices to @p units in consecutive runs of @p unit (0 = 1).
+void append_runs(const std::vector<std::size_t>& indices, std::size_t unit,
+                 Units& units) {
+  const std::size_t run = std::max<std::size_t>(unit, 1);
+  for (std::size_t start = 0; start < indices.size(); start += run)
+    units.emplace_back(
+        indices.begin() + static_cast<std::ptrdiff_t>(start),
+        indices.begin() + static_cast<std::ptrdiff_t>(
+                              std::min(start + run, indices.size())));
 }
 
 /// Emit @p results (parallel to @p indices) through @p emit.
@@ -181,6 +199,38 @@ bool campaign_execute(const JobSpec& job,
                   emit);
 }
 
+Units campaign_lease_units(const JobSpec& job,
+                           const std::vector<std::size_t>& uncached,
+                           std::size_t unit, LeaseCut& cut) {
+  Units units;
+  // CampaignRunner::run batches only under the Fig. 7 restore; without it
+  // every fault is its own session pair and plain runs are the right cut.
+  if (!job.config.row_transition_restore) {
+    cut.fallback = uncached.size();
+    append_runs(uncached, unit, units);
+    return units;
+  }
+  std::vector<faults::FaultSpec> specs;
+  specs.reserve(uncached.size());
+  for (const std::size_t i : uncached) specs.push_back(job.faults.at(i));
+  // The worker's run_subset re-plans a batch's members (pairwise victim
+  // disjoint, one history class, no aggressor on another member's victim)
+  // into that same single batch: one session pair per unit.
+  const faults::BatchPlan plan = faults::plan_batches(specs);
+  for (const std::vector<std::size_t>& batch : plan.batches) {
+    std::vector<std::size_t>& members = units.emplace_back();
+    members.reserve(batch.size());
+    for (const std::size_t m : batch) members.push_back(uncached[m]);
+  }
+  std::vector<std::size_t> fallback;
+  fallback.reserve(plan.fallback.size());
+  for (const std::size_t m : plan.fallback) fallback.push_back(uncached[m]);
+  append_runs(fallback, unit, units);
+  cut.batches = plan.batches.size();
+  cut.fallback = fallback.size();
+  return units;
+}
+
 void campaign_merge(const JobSpec& job, std::vector<io::JsonValue> payloads,
                     io::JsonValue& doc) {
   doc.set("algorithm", io::JsonValue::string(job.test->name()));
@@ -251,13 +301,14 @@ void search_merge(const JobSpec&, std::vector<io::JsonValue> payloads,
 const JobKind kJobKinds[] = {
     {JobSpec::Kind::kSweep, "sweep", "sweep_point", sweep_size,
      sweep_validate, sweep_write, sweep_read, sweep_keys, sweep_execute,
-     sweep_neutralize, sweep_rebind, sweep_merge},
+     nullptr, sweep_neutralize, sweep_rebind, sweep_merge},
     {JobSpec::Kind::kCampaign, "campaign", "campaign_entry", campaign_size,
      campaign_validate, campaign_write, campaign_read, campaign_keys,
-     campaign_execute, nullptr, nullptr, campaign_merge},
+     campaign_execute, campaign_lease_units, nullptr, nullptr,
+     campaign_merge},
     {JobSpec::Kind::kSearch, "search", "search_restart", search_size,
      search_validate, search_write, search_read, search_keys, search_execute,
-     nullptr, nullptr, search_merge},
+     nullptr, nullptr, nullptr, search_merge},
 };
 
 const JobKind& kind_of(JobSpec::Kind kind) {
@@ -329,6 +380,34 @@ bool is_item_type(std::string_view type) {
 bool execute(const JobSpec& job, const std::vector<std::size_t>& indices,
              unsigned threads, const EmitItem& emit) {
   return kind_of(job.kind).execute(job, indices, threads, emit);
+}
+
+std::vector<std::vector<std::size_t>> lease_units(
+    const JobSpec& job, const std::vector<std::size_t>& uncached,
+    std::size_t unit, LeaseCut* cut) {
+  const JobKind& kind = kind_of(job.kind);
+  LeaseCut facts;
+  Units units;
+  if (kind.lease_units) {
+    facts.planned = true;
+    units = kind.lease_units(job, uncached, unit, facts);
+  } else {
+    append_runs(uncached, unit, units);
+  }
+  if (cut) *cut = facts;
+  if (units.size() <= kMaxLeaseUnits) return units;
+  // Too many units: merge each k neighbours into one, k the smallest
+  // factor that fits the cap.
+  const std::size_t k = (units.size() + kMaxLeaseUnits - 1) / kMaxLeaseUnits;
+  Units merged;
+  merged.reserve((units.size() + k - 1) / k);
+  for (std::size_t start = 0; start < units.size(); start += k) {
+    std::vector<std::size_t>& group = merged.emplace_back();
+    for (std::size_t u = start; u < std::min(start + k, units.size()); ++u)
+      group.insert(group.end(), units[u].begin(), units[u].end());
+    std::sort(group.begin(), group.end());
+  }
+  return merged;
 }
 
 std::string cache_payload(const JobSpec& job, const io::JsonValue& data) {

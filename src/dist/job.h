@@ -12,8 +12,11 @@
 // caches (cache_payload / from_cache) and finally merges those documents
 // without decoding them.  merge() of every item — whatever process, shard
 // or cache produced each one — is byte-identical to single_document(), the
-// single-process reference.  job.cpp's table is the only code that
-// branches on JobSpec::Kind.
+// single-process reference.  How a job is cut into steal units is a table
+// entry too (lease_units): a fault campaign is cut along its plan_batches
+// batches, so each leased unit is one multi-fault session pair instead of
+// a slice across several.  job.cpp's table is the only code that branches
+// on JobSpec::Kind.
 #pragma once
 
 #include <cstdint>
@@ -133,6 +136,33 @@ io::JsonValue from_cache(const JobSpec& job, std::size_t index,
 /// (payloads[i] is item i) — what `sramlp_dist single`, `run` and the
 /// service all write, every distributed path's byte-level diff target.
 std::string merge(const JobSpec& job, std::vector<io::JsonValue> payloads);
+
+/// Most steal units one job is cut into (see lease_units).
+inline constexpr std::size_t kMaxLeaseUnits = 512;
+
+/// What lease_units reports about a cut, for the service's log line.
+struct LeaseCut {
+  /// True when the kind planned a cost-aware cut (campaigns); false for
+  /// plain runs of `unit`.
+  bool planned = false;
+  std::size_t batches = 0;   ///< plan_batches batches, one unit each
+  std::size_t fallback = 0;  ///< faults outside every batch
+};
+
+/// Cut @p uncached (ascending flat indices of @p job) into steal units:
+/// every index in exactly one unit, each unit ascending.
+///   * campaign: faults::plan_batches over the uncached faults; each batch
+///     is one unit, so a worker's CampaignRunner::run_subset re-plans it
+///     into that same single session pair.  Fallback faults — and every
+///     fault when row_transition_restore is off, where CampaignRunner does
+///     not batch — go out in consecutive runs of @p unit.
+///   * sweep, search: consecutive runs of @p unit (0 reads as 1).
+/// Past kMaxLeaseUnits units, neighbouring units are merged (k at a time)
+/// until the count fits.  Execution shape never changes an item, so the
+/// cut only moves wall time.  @p cut (optional) says how the job was cut.
+std::vector<std::vector<std::size_t>> lease_units(
+    const JobSpec& job, const std::vector<std::size_t>& uncached,
+    std::size_t unit, LeaseCut* cut = nullptr);
 
 /// merge(job, execute(job, every index, threads)): the single-process
 /// reference document.

@@ -16,15 +16,14 @@ namespace sramlp::dist {
 namespace {
 
 /// The latency ladder shared by every duration histogram here: 100 us
-/// (an analytic point is ~200 us) through ~26 s in 4x steps.
+/// (about one lease round trip; an analytic point computes in ~8 us)
+/// through ~26 s in 4x steps.
 const std::vector<double>& latency_bounds() {
   static const std::vector<double> bounds =
       obs::Histogram::exponential_bounds(1e-4, 4.0, 10);
   return bounds;
 }
 
-/// Cap on shards per job: a huge job grows its shard size instead.
-constexpr std::size_t kMaxShardsPerJob = 512;
 /// Re-runs granted to a failed shard before its job is failed.
 constexpr unsigned kShardRetries = 1;
 
@@ -513,18 +512,28 @@ void Service::handle_submit(const std::shared_ptr<Connection>& conn,
     metrics.point_cache_hits.inc();
   }
 
-  active->queue = std::make_unique<StealQueue>(
-      std::move(uncached), options_.points_per_shard, kMaxShardsPerJob);
+  LeaseCut cut;
+  active->queue = std::make_unique<StealQueue>(lease_units(
+      active->job, uncached, options_.points_per_shard, &cut));
   active->listeners.push_back(conn->channel);
   active_jobs_[fingerprint] = active;
   job_order_.push_back(fingerprint);
   metrics.jobs_in_flight.add(1);
   update_queue_depth_locked();
-  obs::log_info("service", "job enqueued",
-                {obs::kv("conn", conn->id), obs::kv_hex("job", fingerprint),
-                 obs::kv("points", total),
-                 obs::kv("cached_points", active->cached_points),
-                 obs::kv("shards", active->queue->stats().shard_count)});
+  const std::size_t units = active->queue->stats().shard_count;
+  if (cut.planned)
+    obs::log_info("service", "job enqueued",
+                  {obs::kv("conn", conn->id), obs::kv_hex("job", fingerprint),
+                   obs::kv("points", total),
+                   obs::kv("cached_points", active->cached_points),
+                   obs::kv("units", units), obs::kv("batches", cut.batches),
+                   obs::kv("fallback", cut.fallback)});
+  else
+    obs::log_info("service", "job enqueued",
+                  {obs::kv("conn", conn->id), obs::kv_hex("job", fingerprint),
+                   obs::kv("points", total),
+                   obs::kv("cached_points", active->cached_points),
+                   obs::kv("units", units)});
 
   conn->channel->send(
       accepted_message(fingerprint, total, active->cached_points, false));
@@ -648,6 +657,14 @@ bool Service::serve_worker_message(const std::shared_ptr<Connection>& conn,
     const auto it = active_jobs_.find(fingerprint);
     if (it == active_jobs_.end()) return true;  // stale: job already closed
     const std::shared_ptr<ActiveJob> job = it->second;
+    // A worker streams every item of a shard before its shard_done, and
+    // this connection's messages are handled in order — so a completion
+    // with an unfilled index claims items that never arrived.  Accepting
+    // it would leave the job waiting forever for those items.
+    for (const std::size_t index : job->queue->indices(shard_id))
+      if (job->items[index].is_null())
+        throw Error("shard_done for shard " + std::to_string(shard_id) +
+                    " before its item " + std::to_string(index));
     job->queue->complete(shard_id);
     ++stats_.shards_executed;
     metrics.shards_executed.inc();

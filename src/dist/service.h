@@ -7,13 +7,16 @@
 //     socket (io::LineChannel frames the exact wire format) and each
 //     work item's result line goes back to the submitter LIVE as workers
 //     finish it;
-//   * dynamic shard stealing — each job is chopped into many small
-//     StealQueue shards that idle workers pull; a deliberately slow
-//     worker just steals fewer shards (see tests/test_service_soak.cpp for
-//     the one-shard-per-worker comparison).  A worker that dies mid-shard,
-//     or sends a malformed message, is dropped and its leases requeued;
-//     partially streamed items are idempotent because results are
-//     deterministic and carry their flat indices;
+//   * dynamic shard stealing — each job is cut into StealQueue shards
+//     (dist::lease_units: small runs of a sweep or search, one
+//     plan_batches batch per shard of a fault campaign) that idle workers
+//     pull; a deliberately slow worker just steals fewer shards (see
+//     tests/test_service_soak.cpp for the one-shard-per-worker
+//     comparison).  A worker that dies mid-shard, or sends a malformed
+//     message (including a shard_done before all of that shard's items),
+//     is dropped and its leases requeued; partially streamed items are
+//     idempotent because results are deterministic and carry their flat
+//     indices;
 //   * result cache — completed jobs are cached as their exact merged
 //     document bytes keyed by JobSpec::fingerprint() (memory LRU +
 //     on-disk JSONL spill, ResultCache), so a resubmitted job is a
@@ -93,9 +96,11 @@ class Service {
     /// Listen address: "unix:/path" or "tcp:port" / "tcp:host:port"
     /// ("tcp:0" picks an ephemeral port — read it back from address()).
     std::string listen = "tcp:0";
-    /// Steal-queue granularity: flat indices per shard.  Small shards are
-    /// the point — they are what lets idle workers steal around a slow
-    /// one.
+    /// Steal-unit size for job kinds without a cost-aware cut (sweeps,
+    /// searches, and a campaign's fallback faults): flat indices per
+    /// shard.  Small shards are what lets idle workers steal around a slow
+    /// one.  A campaign's batched faults ignore it: each plan_batches
+    /// batch is one shard (dist::lease_units).
     std::size_t points_per_shard = 4;
     /// Result cache tiers (capacity + optional spill file).
     ResultCache::Options cache;

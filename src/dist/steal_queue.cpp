@@ -1,5 +1,7 @@
 #include "dist/steal_queue.h"
 
+#include <utility>
+
 #include "obs/metrics.h"
 #include "util/error.h"
 
@@ -22,22 +24,17 @@ obs::Counter& abandons_counter() {
 
 }  // namespace
 
-StealQueue::StealQueue(std::vector<std::size_t> indices,
-                       std::size_t points_per_shard, std::size_t max_shards) {
-  std::size_t per_shard = points_per_shard == 0 ? 1 : points_per_shard;
-  if (max_shards != 0 && !indices.empty()) {
-    // Grow the shard size until the count fits the cap (ceiling division).
-    const std::size_t min_size = (indices.size() + max_shards - 1) / max_shards;
-    if (per_shard < min_size) per_shard = min_size;
-  }
-  for (std::size_t start = 0; start < indices.size(); start += per_shard) {
-    const std::size_t end = std::min(start + per_shard, indices.size());
-    shards_.emplace_back(indices.begin() + static_cast<std::ptrdiff_t>(start),
-                         indices.begin() + static_cast<std::ptrdiff_t>(end));
-  }
-  attempts_.assign(shards_.size(), 0);
-  completed_flags_.assign(shards_.size(), false);
+StealQueue::StealQueue(std::vector<std::vector<std::size_t>> units)
+    : shards_(std::move(units)),
+      attempts_(shards_.size(), 0),
+      completed_flags_(shards_.size(), false) {
   for (std::size_t s = 0; s < shards_.size(); ++s) pending_.push_back(s);
+}
+
+const std::vector<std::size_t>& StealQueue::indices(
+    std::size_t shard_id) const {
+  SRAMLP_REQUIRE(shard_id < shards_.size(), "unknown steal shard id");
+  return shards_[shard_id];
 }
 
 std::optional<StealShard> StealQueue::lease(std::uint64_t worker_id) {

@@ -2,11 +2,14 @@
 //
 // A static plan fixes which worker computes which indices before anything
 // runs; one slow host then stretches the whole job to its own pace.  The
-// steal queue inverts ownership: the job is chopped into MANY small
-// shards (each just a list of flat indices), and idle workers pull
-// ("steal") the next one the moment they finish their last — a slow
-// worker simply ends up holding fewer shards, and heterogeneous workers
-// stay saturated without anyone planning for them.
+// steal queue inverts ownership: the job arrives cut into MANY shards
+// (each just a list of flat indices — dist::lease_units decides the cut:
+// small runs for sweeps and searches, one plan_batches batch per shard
+// for fault campaigns), and idle workers pull ("steal") the next one the
+// moment they finish their last — a slow worker simply ends up holding
+// fewer shards, and heterogeneous workers stay saturated without anyone
+// planning for them.  A shard is never split: the queue leases exactly
+// the lists it was given.
 //
 // Determinism is preserved because ownership never touches arithmetic:
 // every index is computed by the same dist::execute entry point whichever
@@ -33,10 +36,10 @@
 
 namespace sramlp::dist {
 
-/// One stealable unit: a small batch of flat work-item indices.
+/// One stealable unit: a list of flat work-item indices.
 struct StealShard {
   std::size_t id = 0;                 ///< dense shard ordinal within the job
-  std::vector<std::size_t> indices;   ///< flat indices, ascending
+  std::vector<std::size_t> indices;   ///< flat indices, as given
 };
 
 class StealQueue {
@@ -51,11 +54,14 @@ class StealQueue {
 
   StealQueue() = default;
 
-  /// Chop @p indices into shards of @p points_per_shard (the last shard
-  /// takes the remainder; 0 is clamped to 1).  @p max_shards caps the
-  /// shard count for huge jobs by growing the shard size (0 = no cap).
-  StealQueue(std::vector<std::size_t> indices, std::size_t points_per_shard,
-             std::size_t max_shards = 0);
+  /// One shard per entry of @p units, leased in this order; shard id i
+  /// is units[i].
+  explicit StealQueue(std::vector<std::vector<std::size_t>> units);
+
+  /// The indices of shard @p shard_id.  Shards never change after
+  /// construction, so the reference stays valid for the queue's life.
+  /// Throws sramlp::Error on an unknown id.
+  const std::vector<std::size_t>& indices(std::size_t shard_id) const;
 
   /// Steal the next pending shard for @p worker_id; nullopt when nothing
   /// is pending (the job may still be running on other workers).
@@ -82,7 +88,7 @@ class StealQueue {
 
  private:
   mutable std::mutex mutex_;
-  std::vector<std::vector<std::size_t>> shards_;  ///< by shard id
+  const std::vector<std::vector<std::size_t>> shards_;  ///< by shard id
   std::deque<std::size_t> pending_;
   std::unordered_map<std::size_t, std::uint64_t> leased_;  ///< shard -> worker
   std::vector<unsigned> attempts_;                ///< by shard id

@@ -12,6 +12,7 @@
 
 #include "core/fault_campaign.h"
 #include "core/session.h"
+#include "dist/job.h"
 #include "faults/batch.h"
 #include "march/algorithms.h"
 #include "util/error.h"
@@ -269,6 +270,47 @@ TEST(BatchedCampaign, RestoreDisabledFallsBackToPerFault) {
   const auto a = CampaignRunner(CampaignRunner::Options{}).run(
       cfg, test, library);
   expect_reports_identical(a, b, "restore-off");
+}
+
+// The service's steal cut (dist::lease_units) leases each plan_batches
+// batch as one unit, and the worker runs a unit through run_subset, which
+// re-plans it.  Across generated libraries every batch unit must come back
+// as exactly one session pair with the whole run's verdicts — the 1:1
+// shard-to-session-pair mapping the batch cut is for.
+TEST(BatchedCampaign, LeasedBatchUnitRunsAsOneSessionPair) {
+  CampaignRunner::Options opts;
+  opts.batched = true;
+  const CampaignRunner runner(opts);
+  const auto test = march::algorithms::march_c_minus();
+  for (const sram::Geometry& geometry :
+       {sram::Geometry{8, 8, 1}, sram::Geometry{33, 17, 1},
+        sram::Geometry{32, 32, 1}})
+    for (const std::uint64_t seed : {5u, 13u}) {
+      dist::JobSpec job;
+      job.kind = dist::JobSpec::Kind::kCampaign;
+      job.config.geometry = geometry;
+      job.test = test;
+      job.faults = faults::standard_fault_library(geometry, seed, 8);
+      std::vector<std::size_t> all(job.faults.size());
+      for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
+      dist::LeaseCut cut;
+      const auto units = dist::lease_units(job, all, 4, &cut);
+      ASSERT_GT(cut.batches, 0u);
+      const CampaignReport whole = runner.run(job.config, test, job.faults);
+      for (std::size_t u = 0; u < cut.batches; ++u) {
+        std::vector<FaultSpec> members;
+        for (const std::size_t i : units[u]) members.push_back(job.faults[i]);
+        const CampaignReport alone = runner.run(job.config, test, members);
+        EXPECT_EQ(alone.session_pairs, 1u) << "unit " << u;
+        EXPECT_EQ(alone.batch_sessions, 1u) << "unit " << u;
+        CampaignReport slots;
+        for (const std::size_t i : units[u])
+          slots.entries.push_back(whole.entries[i]);
+        expect_reports_identical(slots, alone,
+                                 "unit " + std::to_string(u) + " seed " +
+                                     std::to_string(seed));
+      }
+    }
 }
 
 }  // namespace

@@ -6,9 +6,14 @@
 // built straight from the core runners (SweepRunner::run,
 // CampaignRunner::run, search::run_search).  Covers generated sweep jobs
 // (non-square, word width 1/4/8, traced), campaign and search jobs, plus
-// the point-cache payload round trip.
+// the point-cache payload round trip — and the steal cut (lease_units): on
+// generated libraries it partitions the uncached indices, every campaign
+// batch unit is one session pair, executing the units (partly cached, with
+// the Fig. 7 restore on and off) merges to single, and the 512-unit cap
+// holds on large jobs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <numeric>
 #include <string>
@@ -17,6 +22,7 @@
 #include "core/fault_campaign.h"
 #include "core/sweep.h"
 #include "dist/job.h"
+#include "faults/batch.h"
 #include "io/serialize.h"
 #include "march/algorithms.h"
 #include "search/serialize.h"
@@ -217,6 +223,211 @@ TEST(JobKindTable, MergeRefusesAMissingItem) {
   const JobSpec job = campaign_job(7);
   EXPECT_THROW(dist::merge(job, std::vector<io::JsonValue>(job.size() - 1)),
                Error);
+}
+
+// --- lease units -------------------------------------------------------------
+
+/// A campaign job over a generated library: @p geometry, library seed
+/// @p seed, @p instances per fault kind, restore on or off.
+JobSpec generated_campaign_job(const sram::Geometry& geometry,
+                               std::uint64_t seed, int instances,
+                               bool restore) {
+  JobSpec job;
+  job.kind = JobSpec::Kind::kCampaign;
+  job.config.geometry = geometry;
+  job.config.row_transition_restore = restore;
+  job.test = march::algorithms::march_c_minus();
+  job.faults = faults::standard_fault_library(geometry, seed, instances);
+  return job;
+}
+
+/// Roughly @p percent of the job's indices, ascending, drawn by @p rng.
+std::vector<std::size_t> random_subset(std::size_t size, unsigned percent,
+                                       util::Rng& rng) {
+  std::vector<std::size_t> subset;
+  for (std::size_t i = 0; i < size; ++i)
+    if (rng.next_below(100) < percent) subset.push_back(i);
+  return subset;
+}
+
+/// Every index of @p uncached in exactly one unit, each unit ascending,
+/// and nothing else.
+void expect_partition(const std::vector<std::vector<std::size_t>>& units,
+                      const std::vector<std::size_t>& uncached,
+                      const std::string& label) {
+  std::vector<std::size_t> seen;
+  for (const std::vector<std::size_t>& unit : units) {
+    EXPECT_FALSE(unit.empty()) << label;
+    EXPECT_TRUE(std::is_sorted(unit.begin(), unit.end())) << label;
+    seen.insert(seen.end(), unit.begin(), unit.end());
+  }
+  std::sort(seen.begin(), seen.end());
+  EXPECT_EQ(seen, uncached) << label;
+  EXPECT_LE(units.size(), dist::kMaxLeaseUnits) << label;
+}
+
+TEST(LeaseUnits, PartitionTheUncachedIndicesOfGeneratedJobs) {
+  util::Rng rng(2024);
+  const std::vector<sram::Geometry> geometries = {
+      {8, 8, 1}, {16, 16, 1}, {33, 17, 1}, {64, 64, 1}, {16, 32, 4}};
+  for (const sram::Geometry& geometry : geometries)
+    for (std::uint64_t seed = 1; seed <= 4; ++seed)
+      for (const int instances : {1, 3, 8})
+        for (const bool restore : {true, false}) {
+          const JobSpec job =
+              generated_campaign_job(geometry, seed, instances, restore);
+          for (const unsigned percent : {100u, 60u}) {
+            const std::vector<std::size_t> uncached =
+                random_subset(job.size(), percent, rng);
+            dist::LeaseCut cut;
+            const auto units = dist::lease_units(job, uncached, 4, &cut);
+            const std::string label =
+                std::to_string(geometry.rows) + "x" +
+                std::to_string(geometry.cols) + " seed " +
+                std::to_string(seed) + " x" + std::to_string(instances) +
+                (restore ? " restore" : " no-restore") + " " +
+                std::to_string(percent) + "%";
+            expect_partition(units, uncached, label);
+            EXPECT_TRUE(cut.planned) << label;
+            if (!restore) {
+              EXPECT_EQ(cut.batches, 0u) << label;
+              EXPECT_EQ(cut.fallback, uncached.size()) << label;
+            }
+            // Batches first, one unit each; fallbacks in runs of 4.
+            EXPECT_EQ(units.size(),
+                      cut.batches + (cut.fallback + 3) / 4)
+                << label;
+          }
+        }
+  for (std::uint64_t seed = 1; seed <= 3; ++seed)
+    for (const JobSpec& job :
+         {generated_sweep_job(seed, false), search_job(seed)}) {
+      const std::vector<std::size_t> uncached =
+          random_subset(job.size(), 70, rng);
+      dist::LeaseCut cut;
+      const auto units = dist::lease_units(job, uncached, 3, &cut);
+      expect_partition(units, uncached, dist::item_type(job));
+      EXPECT_FALSE(cut.planned);
+      // Exactly consecutive runs of 3: the steal cut sweeps always had.
+      for (std::size_t u = 0; u < units.size(); ++u) {
+        const std::size_t start = u * 3;
+        EXPECT_EQ(units[u],
+                  std::vector<std::size_t>(
+                      uncached.begin() + static_cast<std::ptrdiff_t>(start),
+                      uncached.begin() + static_cast<std::ptrdiff_t>(
+                                             std::min(start + 3,
+                                                      uncached.size()))));
+      }
+    }
+}
+
+TEST(LeaseUnits, CampaignBatchUnitsReplanToOneBatch) {
+  for (const sram::Geometry& geometry :
+       {sram::Geometry{8, 8, 1}, sram::Geometry{64, 64, 1},
+        sram::Geometry{256, 256, 1}})
+    for (std::uint64_t seed = 1; seed <= 4; ++seed)
+      for (const int instances : {3, 8}) {
+        const JobSpec job = generated_campaign_job(geometry, seed, instances,
+                                                   /*restore=*/true);
+        std::vector<std::size_t> all(job.size());
+        std::iota(all.begin(), all.end(), std::size_t{0});
+        dist::LeaseCut cut;
+        const auto units = dist::lease_units(job, all, 4, &cut);
+        ASSERT_LE(cut.batches, units.size());
+        for (std::size_t u = 0; u < cut.batches; ++u) {
+          std::vector<faults::FaultSpec> members;
+          for (const std::size_t i : units[u]) members.push_back(job.faults[i]);
+          const faults::BatchPlan plan = faults::plan_batches(members);
+          EXPECT_EQ(plan.batches.size(), 1u) << "unit " << u;
+          EXPECT_TRUE(plan.fallback.empty()) << "unit " << u;
+        }
+      }
+}
+
+/// The merged document of @p job when the indices outside @p uncached come
+/// from the point cache and the rest are executed unit by unit, in
+/// reverse unit order.
+std::string leased_document(const JobSpec& job,
+                            const std::vector<std::size_t>& uncached,
+                            std::size_t unit) {
+  std::vector<io::JsonValue> payloads(job.size());
+  std::vector<std::size_t> cached;
+  for (std::size_t i = 0, u = 0; i < job.size(); ++i) {
+    if (u < uncached.size() && uncached[u] == i)
+      ++u;
+    else
+      cached.push_back(i);
+  }
+  dist::execute(job, cached, 1, [&](std::size_t index, io::JsonValue data) {
+    payloads[index] =
+        dist::from_cache(job, index, dist::cache_payload(job, data));
+    return true;
+  });
+  const auto units = dist::lease_units(job, uncached, unit);
+  for (auto it = units.rbegin(); it != units.rend(); ++it)
+    dist::execute(job, *it, 1, [&](std::size_t index, io::JsonValue data) {
+      EXPECT_TRUE(payloads[index].is_null()) << "index " << index;
+      payloads[index] = io::JsonValue::parse(data.dump());
+      return true;
+    });
+  return dist::merge(job, std::move(payloads));
+}
+
+TEST(LeaseUnits, ExecutingTheUnitsMergesToSingle) {
+  util::Rng rng(77);
+  for (const bool restore : {true, false})
+    for (const std::uint64_t seed : {3u, 9u}) {
+      const JobSpec job =
+          generated_campaign_job({16, 16, 1}, seed, 3, restore);
+      const std::string single = dist::single_document(job);
+      std::vector<std::size_t> all(job.size());
+      std::iota(all.begin(), all.end(), std::size_t{0});
+      EXPECT_EQ(leased_document(job, all, 4), single)
+          << "seed " << seed << (restore ? " restore" : " no-restore");
+      EXPECT_EQ(leased_document(job, random_subset(job.size(), 50, rng), 3),
+                single)
+          << "partly cached, seed " << seed
+          << (restore ? " restore" : " no-restore");
+    }
+  const JobSpec sweep = generated_sweep_job(5, false);
+  EXPECT_EQ(leased_document(sweep, random_subset(sweep.size(), 50, rng), 2),
+            dist::single_document(sweep));
+}
+
+TEST(LeaseUnits, LargeJobsStayWithinTheUnitCap) {
+  // A >= 10^4-point sweep: 40 geometries x every background x 50
+  // algorithms (nothing is computed; only the cut is taken).
+  JobSpec sweep;
+  sweep.kind = JobSpec::Kind::kSweep;
+  for (std::size_t g = 0; g < 40; ++g)
+    sweep.grid.geometries.push_back({8 + g, 16, 1});
+  for (const sram::BackgroundKind kind : sram::DataBackground::kinds())
+    sweep.grid.backgrounds.push_back(sram::DataBackground(kind));
+  const std::vector<march::MarchTest> library = march::algorithms::all();
+  for (std::size_t a = 0; a < 50; ++a)
+    sweep.grid.algorithms.push_back(library[a % library.size()]);
+  ASSERT_GE(sweep.size(), 10000u);
+  std::vector<std::size_t> all(sweep.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  const auto sweep_units = dist::lease_units(sweep, all, 4);
+  expect_partition(sweep_units, all, "sweep");
+  EXPECT_GT(sweep_units.size(), dist::kMaxLeaseUnits / 2);
+
+  // A campaign of thousands of faults: restore off, so every fault is a
+  // fallback and one-fault runs overflow the cap; restore on, the same
+  // library still cuts into a handful of batches.
+  for (const bool restore : {false, true}) {
+    const JobSpec campaign =
+        generated_campaign_job({512, 512, 1}, 7, 200, restore);
+    ASSERT_GT(campaign.size(), 2 * dist::kMaxLeaseUnits);
+    std::vector<std::size_t> faults(campaign.size());
+    std::iota(faults.begin(), faults.end(), std::size_t{0});
+    const auto units = dist::lease_units(campaign, faults, 1);
+    expect_partition(units, faults, restore ? "restore" : "no-restore");
+    if (!restore) {
+      EXPECT_GT(units.size(), dist::kMaxLeaseUnits / 2);
+    }
+  }
 }
 
 // --- the point-cache payload -------------------------------------------------

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -24,6 +25,7 @@
 #include "dist/result_cache.h"
 #include "dist/service.h"
 #include "dist/steal_queue.h"
+#include "faults/batch.h"
 #include "io/framing.h"
 #include "march/algorithms.h"
 #include "obs/log.h"
@@ -88,26 +90,43 @@ std::vector<std::size_t> iota_indices(std::size_t n) {
   return out;
 }
 
+/// Indices 0..n-1 cut the way the service cuts a sweep: consecutive runs
+/// of @p per (the last one shorter).
+std::vector<std::vector<std::size_t>> unit_runs(std::size_t n,
+                                                std::size_t per) {
+  return dist::lease_units(small_sweep_job(), iota_indices(n), per);
+}
+
 // --- StealQueue --------------------------------------------------------------
 
-TEST(StealQueue, ChopsIntoSmallShardsAndPreservesEveryIndex) {
-  const dist::StealQueue queue(iota_indices(10), 3);
+TEST(StealQueue, LeasesExactlyTheGivenUnitsAndPreservesEveryIndex) {
+  dist::StealQueue queue(unit_runs(10, 3));
   const auto stats = queue.stats();
   EXPECT_EQ(stats.shard_count, 4u);  // 3+3+3+1
   EXPECT_EQ(stats.pending, 4u);
   EXPECT_FALSE(queue.done());
+  std::vector<std::size_t> seen;
+  while (auto shard = queue.lease(1)) {
+    EXPECT_EQ(shard->indices, queue.indices(shard->id));
+    seen.insert(seen.end(), shard->indices.begin(), shard->indices.end());
+    queue.complete(shard->id);
+  }
+  EXPECT_EQ(seen, iota_indices(10));
+  EXPECT_THROW(queue.indices(4), Error);
 }
 
-TEST(StealQueue, MaxShardsGrowsShardSize) {
-  const dist::StealQueue queue(iota_indices(100), 1, 8);
+TEST(StealQueue, LeaseUnitCapMergesNeighbouringUnits) {
+  // 1000 one-point units: merged pairwise to fit the 512-unit cap.
+  const dist::StealQueue queue(unit_runs(1000, 1));
   const auto stats = queue.stats();
-  EXPECT_LE(stats.shard_count, 8u);
-  // ceil(100/8) = 13 per shard -> 8 shards of <= 13.
-  EXPECT_EQ(stats.shard_count, 8u);
+  EXPECT_LE(stats.shard_count, dist::kMaxLeaseUnits);
+  // ceil(1000/512) = 2 units per shard -> 500 shards of 2.
+  EXPECT_EQ(stats.shard_count, 500u);
+  EXPECT_EQ(queue.indices(499), (std::vector<std::size_t>{998, 999}));
 }
 
 TEST(StealQueue, LeaseCompleteLifecycle) {
-  dist::StealQueue queue(iota_indices(4), 2);
+  dist::StealQueue queue(unit_runs(4, 2));
   std::size_t seen = 0;
   while (auto shard = queue.lease(/*worker_id=*/1)) {
     seen += shard->indices.size();
@@ -119,7 +138,7 @@ TEST(StealQueue, LeaseCompleteLifecycle) {
 }
 
 TEST(StealQueue, AbandonRequeuesOnlyThatWorkersLeases) {
-  dist::StealQueue queue(iota_indices(6), 2);  // 3 shards
+  dist::StealQueue queue(unit_runs(6, 2));  // 3 shards
   const auto a = queue.lease(1);
   const auto b = queue.lease(2);
   ASSERT_TRUE(a && b);
@@ -133,7 +152,7 @@ TEST(StealQueue, AbandonRequeuesOnlyThatWorkersLeases) {
 }
 
 TEST(StealQueue, LateCompletionOfRequeuedShardDropsStalePendingCopy) {
-  dist::StealQueue queue(iota_indices(2), 2);  // one shard
+  dist::StealQueue queue(unit_runs(2, 2));  // one shard
   const auto shard = queue.lease(1);
   ASSERT_TRUE(shard);
   EXPECT_EQ(queue.abandon(1), 1u);   // presumed dead...
@@ -143,7 +162,7 @@ TEST(StealQueue, LateCompletionOfRequeuedShardDropsStalePendingCopy) {
 }
 
 TEST(StealQueue, FailRetriesBoundedTimes) {
-  dist::StealQueue queue(iota_indices(2), 2);  // one shard
+  dist::StealQueue queue(unit_runs(2, 2));  // one shard
   const unsigned retries = 1;                  // 2 attempts total
   auto first = queue.lease(1);
   ASSERT_TRUE(first);
@@ -516,15 +535,34 @@ TEST(Service, SweepJobByteIdenticalToSingleAndCachedOnResubmit) {
   EXPECT_EQ(stats.points_executed, job.size());  // once, not twice
 }
 
+/// Submit @p job over a raw channel; its job_complete message (null when
+/// the connection ends first).
+io::JsonValue job_complete_of(const std::string& address, const JobSpec& job) {
+  io::LineChannel channel(io::connect_socket(address, 5000));
+  io::JsonValue submit = io::JsonValue::object();
+  submit.set("type", io::JsonValue::string("submit"));
+  submit.set("job", dist::to_json(job));
+  EXPECT_TRUE(channel.send(submit));
+  while (const std::optional<io::JsonValue> message = channel.receive())
+    if (message->at("type").as_string() == "job_complete") return *message;
+  return {};
+}
+
 TEST(Service, CampaignJobByteIdenticalToSingle) {
   const JobSpec job = small_campaign_job();
   const std::string reference = dist::single_document(job);
   dist::Service::Options options;
-  options.points_per_shard = 3;
+  // Fallback faults (this 8x8 library has a few) go out one per shard, so
+  // every shard is exactly one session pair.
+  options.points_per_shard = 1;
   ServiceHarness harness(options, /*workers=*/2);
-  const dist::SubmitResult result =
-      dist::submit_job(harness.address(), job, 5000);
-  EXPECT_EQ(result.document, reference);
+  const io::JsonValue complete = job_complete_of(harness.address(), job);
+  ASSERT_FALSE(complete.is_null());
+  EXPECT_EQ(complete.at("document").as_string(), reference);
+  // One shard per plan_batches session pair: the service leases whole
+  // batches, never a slice across them.
+  EXPECT_EQ(complete.at("shards_executed").as_uint(),
+            faults::plan_batches(job.faults).session_pairs());
   const dist::SubmitResult again =
       dist::submit_job(harness.address(), job, 5000);
   EXPECT_TRUE(again.cache_hit);
@@ -790,6 +828,57 @@ TEST(Service, MalformedPeerMessagesDropThePeerNotTheDaemon) {
   EXPECT_GE(stats.workers_lost, 1u);
   EXPECT_GE(stats.shard_requeues, 1u);
   EXPECT_EQ(stats.jobs_completed, 1u);
+}
+
+TEST(Service, ShardDoneWithoutItsItemsDropsTheWorker) {
+  dist::Service::Options options;
+  options.points_per_shard = 2;
+  ServiceHarness harness(options, /*workers=*/0);
+  JobSpec job = small_sweep_job();
+  job.grid.geometries.resize(2);
+  job.grid.backgrounds.resize(1);
+  ASSERT_EQ(job.size(), 4u);
+  std::atomic<bool> finished{false};
+  std::string document;
+  std::thread submitter([&] {
+    try {
+      document = dist::submit_job(harness.address(), job, 5000).document;
+    } catch (const Error&) {
+      // Left empty: the comparison below reports it.
+    }
+    finished = true;
+  });
+
+  // A worker that leases a shard and claims it done without streaming a
+  // single item: the daemon must treat that as malformed, drop the worker
+  // and requeue the shard, not wait for items that never come.
+  io::LineChannel peer(io::connect_socket(harness.address(), 5000));
+  ASSERT_TRUE(peer.send(frame(R"({"type":"hello","role":"worker"})")));
+  ASSERT_TRUE(peer.send(frame(R"({"type":"lease"})")));
+  const std::optional<io::JsonValue> shard = peer.receive();
+  ASSERT_TRUE(shard.has_value());
+  ASSERT_EQ(shard->at("type").as_string(), "shard");
+  io::JsonValue done = frame(R"({"type":"shard_done"})");
+  done.set("fingerprint", shard->at("fingerprint"));
+  done.set("shard", shard->at("shard"));
+  ASSERT_TRUE(peer.send(done));
+
+  harness.add_worker({});
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (!finished && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  EXPECT_TRUE(finished) << "the job never completed: "
+                        << harness.service().stats().points_executed
+                        << " of 4 points executed";
+  if (!finished) harness.service().request_stop();
+  submitter.join();
+  EXPECT_EQ(document, dist::single_document(job));
+  EXPECT_FALSE(peer.receive().has_value());  // the peer was dropped
+  const dist::ServiceStats stats = harness.service().stats();
+  EXPECT_GE(stats.workers_lost, 1u);
+  EXPECT_GE(stats.shard_requeues, 1u);
+  EXPECT_EQ(stats.points_executed, job.size());
 }
 
 TEST(Service, OversizeFrameDropsThePeerAndTheDaemonServesOn) {

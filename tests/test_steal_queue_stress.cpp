@@ -53,10 +53,15 @@ class TempDir {
   fs::path path_;
 };
 
-std::vector<std::size_t> iota_indices(std::size_t n) {
-  std::vector<std::size_t> out(n);
-  for (std::size_t i = 0; i < n; ++i) out[i] = i;
-  return out;
+/// Indices 0..n-1 as consecutive units of @p per (the last one shorter).
+std::vector<std::vector<std::size_t>> unit_runs(std::size_t n,
+                                                std::size_t per) {
+  std::vector<std::vector<std::size_t>> units;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i % per == 0) units.emplace_back();
+    units.back().push_back(i);
+  }
+  return units;
 }
 
 // --- StealQueue under contention ---------------------------------------------
@@ -72,7 +77,7 @@ TEST(StealQueueStress, ConcurrentLeaseCompleteAbandonFail) {
   constexpr std::size_t kThreads = 4;
   constexpr unsigned kRetries = 1u << 20;  // never exhaust a fail budget
 
-  dist::StealQueue queue(iota_indices(kIndices), /*points_per_shard=*/2);
+  dist::StealQueue queue(unit_runs(kIndices, /*per=*/2));
   const std::size_t shard_count = queue.stats().shard_count;
 
   std::atomic<std::size_t> observed_requeues{0};
