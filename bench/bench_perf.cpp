@@ -26,7 +26,7 @@
 #include "obs/trace.h"
 #include "search/evaluator.h"
 #include "search/schedule.h"
-#include "util/rng.h"
+#include "search/serialize.h"
 
 namespace {
 
@@ -186,35 +186,62 @@ void BM_SweepPoint256_Traced(benchmark::State& state) {
 }
 BENCHMARK(BM_SweepPoint256_Traced)->Unit(benchmark::kMillisecond);
 
-// The whole evaluator path the beam search pays per candidate at the
-// paper's full 512x512 scale: validity-preserved random candidates of
-// March C- (reorders + idle windows), scored via ScheduleEvaluator::score.
-// The ROADMAP target is >= 1M candidate scores/s single-threaded; restarts
-// fan out on top of this.
-void BM_SearchCandidatesPerSec(benchmark::State& state) {
-  core::SessionConfig cfg;
-  cfg.geometry = sram::Geometry::paper_512x512();
-  const auto test = march::algorithms::march_c_minus();
-  search::ScheduleEvaluator evaluator(cfg, test,
-                                      4 * cfg.geometry.words());
-  const search::MoveLimits limits{.idle_quantum = 65536,
-                                  .max_idle_quanta = 16};
-  util::Rng rng(17);
-  std::vector<search::Candidate> batch(
-      256, search::identity_candidate(evaluator.elements()));
-  for (search::Candidate& candidate : batch)
-    for (int move = 0; move < 4; ++move)
-      search::apply_random_move(candidate, evaluator.conds(), limits, rng);
-  std::vector<search::Score> scores;
-  for (auto _ : state) {
-    evaluator.score(batch, scores);
-    benchmark::DoNotOptimize(scores.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch.size()));
-  state.SetLabel("512x512 March C- candidate scores/s (single thread)");
+// One fixed schedule-search job: 128x128 March C- at 0.95x the base
+// peak, with the repository benchmark's schedule_search knobs (window
+// 8 x words, idle quantum words / 2, at most 256 quanta, 24 items capped
+// to the 4 valid orders, each verifying its lowest-peak winner).
+dist::JobSpec search_job_128() {
+  search::SearchSpec spec;
+  spec.config.geometry = {128, 128, 1};
+  spec.base = march::algorithms::march_c_minus();
+  spec.window_cycles = 8 * spec.config.geometry.words();
+  spec.idle_quantum = spec.config.geometry.words() / 2;
+  spec.max_idle_quanta = 256;
+  spec.restarts = 24;
+  spec.max_front = 1;
+  const search::ScheduleEvaluator evaluator(spec.config, *spec.base,
+                                            spec.window_cycles);
+  spec.peak_budget_w =
+      0.95 * evaluator
+                 .score_one(search::identity_candidate(evaluator.elements()))
+                 .peak_power_w;
+  dist::JobSpec job;
+  job.kind = dist::JobSpec::Kind::kSearch;
+  job.search = std::move(spec);
+  return job;
 }
-BENCHMARK(BM_SearchCandidatesPerSec);
+
+// The whole job, single-threaded: every order solved, every item's winner
+// verified, merged into the document.
+void BM_SearchJob128(benchmark::State& state) {
+  const dist::JobSpec job = search_job_128();
+  for (auto _ : state) benchmark::DoNotOptimize(dist::single_document(job, 1));
+  state.SetLabel("128x128 March C- search job at 0.95x (single thread)");
+}
+BENCHMARK(BM_SearchJob128)->Unit(benchmark::kMillisecond);
+
+// Only the traced cycle-accurate runs of that job's reported front: the
+// floor BM_SearchJob128 cannot go under.  Their ratio
+// (ci/compare_bench.py) fails if scoring ever dominates the job again.
+void BM_SearchVerify128(benchmark::State& state) {
+  const dist::JobSpec job = search_job_128();
+  const io::JsonValue front =
+      io::JsonValue::parse(dist::single_document(job, 1)).at("front");
+  std::vector<march::MarchTest> schedules;
+  for (std::size_t i = 0; i < front.size(); ++i)
+    schedules.push_back(io::schedule_result_from_json(front.at(i)).schedule);
+  core::SessionConfig config = job.search->config;
+  power::TraceConfig trace;
+  trace.window_cycles = job.search->window_cycles;
+  config.trace = trace;
+  for (auto _ : state)
+    for (const march::MarchTest& schedule : schedules) {
+      core::TestSession session(config);
+      benchmark::DoNotOptimize(session.run(schedule));
+    }
+  state.SetLabel(std::to_string(schedules.size()) + " front schedule(s)");
+}
+BENCHMARK(BM_SearchVerify128)->Unit(benchmark::kMillisecond);
 
 // The cohort engines' bulk meter accumulation: add(source, joules, count)
 // must stay a repeated-addition loop (bit-identity with the per-column

@@ -38,6 +38,11 @@ RATIO_GATES = [
      "session pair per shard (0.94-1.12 measured on a shared 4-core "
      "host; 3.2-3.9 on the same host when the service cut campaigns "
      "into 4-fault shards across batches)"),
+    ("BM_SearchJob128", "BM_SearchVerify128", 12.0,
+     "a schedule-search job must stay close to the cycle-accurate "
+     "verification of its front: the exact per-order solver reads 3.9-5.4 "
+     "on a shared 4-core host (4 verified order optima, 1 on the front); "
+     "the seeded beam search it replaced read 17-33 there"),
 ]
 
 UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}

@@ -31,7 +31,8 @@ struct JobKind {
   bool (*execute)(const JobSpec&, const std::vector<std::size_t>&, unsigned,
                   const EmitItem&);
   /// Cost-aware cut of the uncached indices into steal units (nullptr:
-  /// consecutive runs of the unit size).
+  /// consecutive runs of the unit size).  Sets LeaseCut::planned when it
+  /// cut along a plan.
   Units (*lease_units)(const JobSpec&, const std::vector<std::size_t>&,
                        std::size_t, LeaseCut&);
   /// Kind-specific rewrite of a payload on its way into / out of the
@@ -203,6 +204,7 @@ Units campaign_lease_units(const JobSpec& job,
                            const std::vector<std::size_t>& uncached,
                            std::size_t unit, LeaseCut& cut) {
   Units units;
+  cut.planned = true;
   // CampaignRunner::run batches only under the Fig. 7 restore; without it
   // every fault is its own session pair and plain runs are the right cut.
   if (!job.config.row_transition_restore) {
@@ -237,7 +239,7 @@ void campaign_merge(const JobSpec& job, std::vector<io::JsonValue> payloads,
   doc.set("entries", array_of(std::move(payloads)));
 }
 
-// --- search: one seeded restart per item -------------------------------------
+// --- search: one group of element orders per item ----------------------------
 
 std::size_t search_size(const JobSpec& job) {
   return job.search ? job.search->size() : 0;
@@ -258,9 +260,9 @@ void search_read(const io::JsonValue& json, JobSpec& job) {
 }
 
 KeyFn search_keys(const JobSpec& job) {
-  // A restart result is a pure function of (whole spec, restart index), so
-  // the key covers the entire SearchSpec — two jobs share a cached restart
-  // only when every search knob matches.
+  // An item is a pure function of (whole spec, item index), so the key
+  // covers the entire SearchSpec — two jobs share a cached item only when
+  // every search knob matches.
   SRAMLP_REQUIRE(job.search.has_value(), "search job needs a SearchSpec");
   std::uint64_t s = fnv1a64("{\"kind\":\"search_restart\",\"search\":");
   s = fnv1a64(io::to_json(*job.search).dump(), s);
@@ -272,8 +274,8 @@ KeyFn search_keys(const JobSpec& job) {
 
 bool search_execute(const JobSpec& job, const std::vector<std::size_t>& indices,
                     unsigned threads, const EmitItem& emit) {
-  // run_restart(spec, r) is pure, so each restart reproduces the exact
-  // bytes of its slot in a single-process run_search.
+  // run_restart(spec, r) is pure, so each item reproduces the exact bytes
+  // of its slot in a single-process run_search.
   std::vector<search::RestartResult> results(indices.size());
   engine::parallel_for(indices.size(), threads, [&](std::size_t j) {
     results[j] = search::run_restart(*job.search, indices[j]);
@@ -281,10 +283,20 @@ bool search_execute(const JobSpec& job, const std::vector<std::size_t>& indices,
   return emit_all(indices, results, emit);
 }
 
+Units search_lease_units(const JobSpec&,
+                         const std::vector<std::size_t>& uncached,
+                         std::size_t, LeaseCut&) {
+  // An item is one exact order solve plus its cycle-accurate verification:
+  // each is worth a steal on its own.
+  Units units;
+  append_runs(uncached, 1, units);
+  return units;
+}
+
 void search_merge(const JobSpec&, std::vector<io::JsonValue> payloads,
                   io::JsonValue& doc) {
-  // The global Pareto front depends only on the per-restart results, so
-  // this is byte-identical whoever computed the restarts.
+  // The global Pareto front depends only on the per-item results, so this
+  // is byte-identical whoever computed the items.
   std::vector<search::RestartResult> restarts;
   restarts.reserve(payloads.size());
   for (const io::JsonValue& payload : payloads)
@@ -308,7 +320,7 @@ const JobKind kJobKinds[] = {
      campaign_merge},
     {JobSpec::Kind::kSearch, "search", "search_restart", search_size,
      search_validate, search_write, search_read, search_keys, search_execute,
-     nullptr, nullptr, nullptr, search_merge},
+     search_lease_units, nullptr, nullptr, search_merge},
 };
 
 const JobKind& kind_of(JobSpec::Kind kind) {
@@ -389,7 +401,6 @@ std::vector<std::vector<std::size_t>> lease_units(
   LeaseCut facts;
   Units units;
   if (kind.lease_units) {
-    facts.planned = true;
     units = kind.lease_units(job, uncached, unit, facts);
   } else {
     append_runs(uncached, unit, units);

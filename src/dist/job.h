@@ -15,7 +15,8 @@
 // single-process reference.  How a job is cut into steal units is a table
 // entry too (lease_units): a fault campaign is cut along its plan_batches
 // batches, so each leased unit is one multi-fault session pair instead of
-// a slice across several.  job.cpp's table is the only code that branches
+// a slice across several, and a search is leased one item (one group of
+// element orders) per unit.  job.cpp's table is the only code that branches
 // on JobSpec::Kind.
 #pragma once
 
@@ -142,8 +143,8 @@ inline constexpr std::size_t kMaxLeaseUnits = 512;
 
 /// What lease_units reports about a cut, for the service's log line.
 struct LeaseCut {
-  /// True when the kind planned a cost-aware cut (campaigns); false for
-  /// plain runs of `unit`.
+  /// True when the kind cut along a batch plan (campaigns); false for
+  /// plain runs.
   bool planned = false;
   std::size_t batches = 0;   ///< plan_batches batches, one unit each
   std::size_t fallback = 0;  ///< faults outside every batch
@@ -156,7 +157,8 @@ struct LeaseCut {
 ///     into that same single session pair.  Fallback faults — and every
 ///     fault when row_transition_restore is off, where CampaignRunner does
 ///     not batch — go out in consecutive runs of @p unit.
-///   * sweep, search: consecutive runs of @p unit (0 reads as 1).
+///   * search: one item per unit, whatever @p unit says;
+///   * sweep: consecutive runs of @p unit (0 reads as 1).
 /// Past kMaxLeaseUnits units, neighbouring units are merged (k at a time)
 /// until the count fits.  Execution shape never changes an item, so the
 /// cut only moves wall time.  @p cut (optional) says how the job was cut.

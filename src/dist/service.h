@@ -8,8 +8,8 @@
 //     work item's result line goes back to the submitter LIVE as workers
 //     finish it;
 //   * dynamic shard stealing — each job is cut into StealQueue shards
-//     (dist::lease_units: small runs of a sweep or search, one
-//     plan_batches batch per shard of a fault campaign) that idle workers
+//     (dist::lease_units: small runs of a sweep, one item of a search,
+//     one plan_batches batch per shard of a fault campaign) that idle workers
 //     pull; a deliberately slow worker just steals fewer shards (see
 //     tests/test_service_soak.cpp for the one-shard-per-worker
 //     comparison).  A worker that dies mid-shard, or sends a malformed
@@ -96,11 +96,12 @@ class Service {
     /// Listen address: "unix:/path" or "tcp:port" / "tcp:host:port"
     /// ("tcp:0" picks an ephemeral port — read it back from address()).
     std::string listen = "tcp:0";
-    /// Steal-unit size for job kinds without a cost-aware cut (sweeps,
-    /// searches, and a campaign's fallback faults): flat indices per
-    /// shard.  Small shards are what lets idle workers steal around a slow
-    /// one.  A campaign's batched faults ignore it: each plan_batches
-    /// batch is one shard (dist::lease_units).
+    /// Steal-unit size for job kinds without a cost-aware cut (sweeps and
+    /// a campaign's fallback faults): flat indices per shard.  Small
+    /// shards are what lets idle workers steal around a slow one.  A
+    /// campaign's batched faults and a search's items ignore it: each
+    /// plan_batches batch, and each search item, is one shard
+    /// (dist::lease_units).
     std::size_t points_per_shard = 4;
     /// Result cache tiers (capacity + optional spill file).
     ResultCache::Options cache;

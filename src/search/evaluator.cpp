@@ -36,24 +36,20 @@ ScheduleEvaluator::ScheduleEvaluator(const core::SessionConfig& config,
   }
 }
 
-void ScheduleEvaluator::score(const std::vector<Candidate>& candidates,
-                              std::vector<Score>& out) const {
-  out.resize(candidates.size());
-  for (std::size_t i = 0; i < candidates.size(); ++i)
-    out[i] = score_one(candidates[i]);
-}
-
 Score ScheduleEvaluator::score_one(const Candidate& candidate) const {
   const std::size_t n = rates_.size();
   SRAMLP_REQUIRE(
       candidate.order.size() == n && candidate.idle_after.size() == n,
       "candidate does not match the evaluator's base test");
-  ScoreWalk walk{.window = window_cycles_};
+  ScoreWalk walk = start_walk();
   for (std::size_t s = 0; s < n; ++s) {
-    const std::size_t element = candidate.order[s];
-    walk.add(rates_[element], cycles_[element]);
-    walk.add(idle_rate_, static_cast<double>(candidate.idle_after[s]));
+    add_element(walk, candidate.order[s]);
+    add_idle(walk, candidate.idle_after[s]);
   }
+  return finish(walk);
+}
+
+Score ScheduleEvaluator::finish(const ScoreWalk& walk) const {
   Score score;
   score.energy_j = walk.energy_j;
   score.cycles = walk.cycles;

@@ -1,4 +1,4 @@
-// The memoized batch-analytic schedule evaluator — the search's hot loop.
+// The memoized analytic schedule evaluator — the search's scoring path.
 //
 // Scoring a candidate from scratch would re-run the closed-form analytic
 // model per candidate.  This evaluator instead precomputes, ONCE per
@@ -69,16 +69,22 @@ class ScheduleEvaluator {
 
   std::size_t elements() const { return rates_.size(); }
   const std::vector<StateCond>& conds() const { return conds_; }
-  double idle_rate() const { return idle_rate_; }
   double window_seconds() const { return window_seconds_; }
 
-  /// Score a batch; @p out is resized to match.  Const and thread-safe.
-  void score(const std::vector<Candidate>& candidates,
-             std::vector<Score>& out) const;
-
   /// Walks the schedule's slots in order: each element, then its trailing
-  /// idle window (a no-op when it has zero cycles).
+  /// idle window (a no-op when it has zero cycles).  Const and thread-safe.
   Score score_one(const Candidate& candidate) const;
+
+  /// score_one's steps, for the exact solver's slot-at-a-time walks: an
+  /// empty walk, one base element, idle cycles, the finished Score.
+  ScoreWalk start_walk() const { return ScoreWalk{.window = window_cycles_}; }
+  void add_element(ScoreWalk& walk, std::size_t element) const {
+    walk.add(rates_[element], cycles_[element]);
+  }
+  void add_idle(ScoreWalk& walk, std::uint64_t cycles) const {
+    walk.add(idle_rate_, static_cast<double>(cycles));
+  }
+  Score finish(const ScoreWalk& walk) const;
 
  private:
   std::vector<double> rates_;   ///< per base element [J/cycle]

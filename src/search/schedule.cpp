@@ -51,80 +51,16 @@ bool order_is_valid(const std::vector<StateCond>& conds,
   return true;
 }
 
-namespace {
-
-std::uint64_t total_quanta(const Candidate& candidate,
-                           const MoveLimits& limits) {
-  std::uint64_t total = 0;
-  for (const std::uint64_t idle : candidate.idle_after)
-    total += idle / limits.idle_quantum;
-  return total;
-}
-
-/// Slots eligible for idle: every slot but the last (trailing idle only
-/// lengthens the run).  Requires at least two slots.
-std::size_t random_idle_slot(const Candidate& candidate, util::Rng& rng) {
-  return static_cast<std::size_t>(
-      rng.next_below(candidate.order.size() - 1));
-}
-
-}  // namespace
-
-bool apply_random_move(Candidate& candidate,
-                       const std::vector<StateCond>& conds,
-                       const MoveLimits& limits, util::Rng& rng) {
-  const std::size_t n = candidate.order.size();
-  if (n < 2) return false;
-  const std::uint64_t kind = rng.next_below(5);
-  switch (kind) {
-    case 0: {  // swap two interior elements
-      if (n < 4) return false;
-      const std::size_t i = 1 + static_cast<std::size_t>(rng.next_below(n - 2));
-      const std::size_t j = 1 + static_cast<std::size_t>(rng.next_below(n - 2));
-      if (i == j) return false;
-      std::swap(candidate.order[i], candidate.order[j]);
-      if (order_is_valid(conds, candidate.order)) return true;
-      std::swap(candidate.order[i], candidate.order[j]);
-      return false;
-    }
-    case 1: {  // relocate one interior element to another interior slot
-      if (n < 4) return false;
-      const std::size_t i = 1 + static_cast<std::size_t>(rng.next_below(n - 2));
-      const std::size_t j = 1 + static_cast<std::size_t>(rng.next_below(n - 2));
-      if (i == j) return false;
-      std::vector<std::size_t> moved = candidate.order;
-      const std::size_t element = moved[i];
-      moved.erase(moved.begin() + static_cast<std::ptrdiff_t>(i));
-      moved.insert(moved.begin() + static_cast<std::ptrdiff_t>(j), element);
-      if (!order_is_valid(conds, moved)) return false;
-      candidate.order = std::move(moved);
-      // Idle windows stay attached to their slot, not the moved element:
-      // they schedule time, not content.
-      return true;
-    }
-    case 2: {  // add one idle quantum
-      if (total_quanta(candidate, limits) >= limits.max_idle_quanta)
-        return false;
-      candidate.idle_after[random_idle_slot(candidate, rng)] +=
-          limits.idle_quantum;
-      return true;
-    }
-    case 3: {  // remove one idle quantum
-      const std::size_t slot = random_idle_slot(candidate, rng);
-      if (candidate.idle_after[slot] < limits.idle_quantum) return false;
-      candidate.idle_after[slot] -= limits.idle_quantum;
-      return true;
-    }
-    default: {  // shift one idle quantum between slots
-      const std::size_t src = random_idle_slot(candidate, rng);
-      const std::size_t dst = random_idle_slot(candidate, rng);
-      if (src == dst || candidate.idle_after[src] < limits.idle_quantum)
-        return false;
-      candidate.idle_after[src] -= limits.idle_quantum;
-      candidate.idle_after[dst] += limits.idle_quantum;
-      return true;
-    }
-  }
+std::vector<std::vector<std::size_t>> valid_orders(
+    const std::vector<StateCond>& conds) {
+  std::vector<std::size_t> order(conds.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::vector<std::vector<std::size_t>> orders;
+  do {
+    if (order_is_valid(conds, order)) orders.push_back(order);
+  } while (order.size() > 2 &&
+           std::next_permutation(order.begin() + 1, order.end() - 1));
+  return orders;
 }
 
 march::MarchTest build_schedule(const march::MarchTest& base,

@@ -1,28 +1,27 @@
-// Candidate schedule encoding and validity-preserving moves for the
-// peak-constrained March schedule search.
+// Candidate schedule encoding for the peak-constrained March schedule
+// search.
 //
-// A candidate is a permutation of the base test's elements plus idle
-// cycles inserted between them.  The move set never touches the CONTENT
-// of an element — every sensitise/observe operation pair the base test
-// applies is still applied at every address — so the searched schedules
-// differ from the base only in when each element runs:
+// A candidate is an order of the base test's elements plus idle cycles
+// inserted between them.  It never touches the CONTENT of an element —
+// every sensitise/observe operation pair the base test applies is still
+// applied at every address — so a schedule differs from the base only in
+// when each element runs:
 //
-//   * element reorders, subject to the read-state chain: each element has
-//     a pre-condition (the value its first read expects every cell to
+//   * the element order is subject to the read-state chain: each element
+//     has a pre-condition (the value its first read expects every cell to
 //     hold) and a post-condition (the value its last operation leaves
 //     behind); an order is valid when every pre-condition is established
 //     by the schedule prefix, so the test still passes on a fault-free
 //     array.  The first element (initialisation, the only one with no
 //     pre-condition in a well-formed March test) and the last (final
 //     observation) stay pinned;
-//   * idle-window insertion between elements, in quanta of
-//     idle_quantum cycles up to a total budget — pauses only add
-//     retention stress, never reduce coverage;
-//   * idle redistribution (interleaving): moving a quantum between slots
-//     re-phases the downstream elements against the peak windows.
+//   * idle windows go between elements, in quanta of idle_quantum cycles
+//     up to a total budget — pauses only add retention stress, never
+//     reduce coverage — and re-phase the downstream elements against the
+//     peak windows.
 //
-// Every Pareto winner is additionally re-run cycle-accurate; a schedule
-// that broke the chain would be rejected there by its read mismatches.
+// Every reported schedule is additionally re-run cycle-accurate; one that
+// broke the chain would be rejected there by its read mismatches.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +29,6 @@
 #include <vector>
 
 #include "march/test.h"
-#include "util/rng.h"
 
 namespace sramlp::search {
 
@@ -65,19 +63,11 @@ Candidate identity_candidate(std::size_t elements);
 bool order_is_valid(const std::vector<StateCond>& conds,
                     const std::vector<std::size_t>& order);
 
-/// Move-set limits (from SearchSpec).
-struct MoveLimits {
-  std::uint64_t idle_quantum = 1024;
-  std::size_t max_idle_quanta = 16;  ///< total budget over the schedule
-};
-
-/// Mutate @p candidate in place with one random validity-preserving move
-/// (reorder / idle add / idle remove / idle shift).  Returns false when
-/// the drawn move was inapplicable or produced an invalid order (the
-/// candidate is left unchanged) — callers redraw.
-bool apply_random_move(Candidate& candidate,
-                       const std::vector<StateCond>& conds,
-                       const MoveLimits& limits, util::Rng& rng);
+/// Every valid order of the elements described by @p conds, in
+/// lexicographic order, with the first and last elements pinned (the
+/// identity order comes first when it is valid).
+std::vector<std::vector<std::size_t>> valid_orders(
+    const std::vector<StateCond>& conds);
 
 /// Materialise the candidate as a runnable MarchTest: base elements in
 /// candidate order with Del elements for the inserted idle.  @p name

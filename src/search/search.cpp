@@ -1,27 +1,50 @@
 #include "search/search.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 
 #include "engine/parallel.h"
 #include "power/trace.h"
 #include "util/error.h"
-#include "util/rng.h"
 
 namespace sramlp::search {
+
+namespace {
+
+/// The base test's valid element orders (valid_orders).
+std::vector<std::vector<std::size_t>> orders_of(const SearchSpec& spec) {
+  SRAMLP_REQUIRE(spec.base.has_value(), "search spec needs a base March test");
+  const std::vector<march::MarchElement>& elements = spec.base->elements();
+  SRAMLP_REQUIRE(elements.size() <= kMaxSearchElements,
+                 "base test has more than " +
+                     std::to_string(kMaxSearchElements) + " elements");
+  std::vector<StateCond> conds;
+  conds.reserve(elements.size());
+  for (const march::MarchElement& element : elements)
+    conds.push_back(element_state(element));
+  return valid_orders(conds);
+}
+
+}  // namespace
 
 void SearchSpec::validate() const {
   config.geometry.validate();
   SRAMLP_REQUIRE(base.has_value(), "search spec needs a base March test");
   SRAMLP_REQUIRE(!base->elements().empty(), "base test has no elements");
+  SRAMLP_REQUIRE(!orders_of(*this).empty(),
+                 "no element order satisfies the base test's read-state "
+                 "chain");
   SRAMLP_REQUIRE(window_cycles >= 1, "window_cycles must be >= 1");
-  SRAMLP_REQUIRE(restarts > 0, "search needs at least one restart");
-  SRAMLP_REQUIRE(steps > 0, "search needs at least one step");
-  SRAMLP_REQUIRE(beam_width > 0, "beam_width must be >= 1");
-  SRAMLP_REQUIRE(neighbors > 0, "neighbors must be >= 1");
+  SRAMLP_REQUIRE(restarts > 0, "search needs at least one work item");
   SRAMLP_REQUIRE(idle_quantum > 0, "idle_quantum must be >= 1");
+  SRAMLP_REQUIRE(max_idle_quanta <= kMaxIdleQuanta,
+                 "max_idle_quanta must be <= " +
+                     std::to_string(kMaxIdleQuanta));
   SRAMLP_REQUIRE(max_front > 0, "max_front must be >= 1");
   SRAMLP_REQUIRE(peak_budget_w >= 0.0, "peak budget cannot be negative");
   SRAMLP_REQUIRE(!config.trace.has_value(),
@@ -29,6 +52,10 @@ void SearchSpec::validate() const {
                  "verification runs at window_cycles");
   SRAMLP_REQUIRE(config.waveform_sink == nullptr,
                  "waveform sinks cannot cross the search/job boundary");
+}
+
+std::size_t SearchSpec::size() const {
+  return std::min(restarts, orders_of(*this).size());
 }
 
 double verify_tolerance(const core::SessionConfig& config) {
@@ -40,64 +67,18 @@ double verify_tolerance(const core::SessionConfig& config) {
 
 namespace {
 
-/// Dominance on the reported front: minimise (peak power, test time).
-bool dominates(double peak_a, std::uint64_t cycles_a, double peak_b,
-               std::uint64_t cycles_b) {
-  return peak_a <= peak_b && cycles_a <= cycles_b &&
-         (peak_a < peak_b || cycles_a < cycles_b);
+/// Dominance on the reported front: minimise (peak power, test time), of
+/// Scores or ScheduleResults (integer-valued cycles either way).
+template <typename Point>
+bool dominates(const Point& a, const Point& b) {
+  return a.peak_power_w <= b.peak_power_w && a.cycles <= b.cycles &&
+         (a.peak_power_w < b.peak_power_w || a.cycles < b.cycles);
 }
 
 struct Entry {
   Candidate candidate;
   Score score;
   std::string key;
-};
-
-/// Insert a scored candidate into the Pareto archive over
-/// (peak_power_w, cycles): dominated or duplicate entries are skipped,
-/// entries the newcomer dominates are dropped.  Scores are integer-cycle
-/// and bit-deterministic, so archive contents depend only on the
-/// insertion sequence — which the seeded driver fixes.
-void archive_insert(std::vector<Entry>& archive, const Candidate& candidate,
-                    const Score& score, std::string key) {
-  const auto cycles = static_cast<std::uint64_t>(score.cycles);
-  for (const Entry& held : archive) {
-    const auto held_cycles = static_cast<std::uint64_t>(held.score.cycles);
-    if (dominates(held.score.peak_power_w, held_cycles, score.peak_power_w,
-                  cycles))
-      return;
-    if (held.score.peak_power_w == score.peak_power_w &&
-        held_cycles == cycles && held.key == key)
-      return;
-  }
-  archive.erase(
-      std::remove_if(archive.begin(), archive.end(),
-                     [&](const Entry& held) {
-                       return dominates(
-                           score.peak_power_w, cycles,
-                           held.score.peak_power_w,
-                           static_cast<std::uint64_t>(held.score.cycles));
-                     }),
-      archive.end());
-  archive.push_back(Entry{candidate, score, std::move(key)});
-}
-
-/// Scalarised beam cost: restart-dependent peak-vs-time weight so
-/// different restarts chase different front regions, plus a hard penalty
-/// past the budget.
-struct CostModel {
-  double weight = 0.5;       ///< 1 = all peak, 0 = all time
-  double base_peak = 1.0;
-  double base_cycles = 1.0;
-  double budget_w = 0.0;     ///< 0 = unconstrained
-
-  double operator()(const Score& score) const {
-    double cost = weight * (score.peak_power_w / base_peak) +
-                  (1.0 - weight) * (score.cycles / base_cycles);
-    if (budget_w > 0.0 && score.peak_power_w > budget_w)
-      cost += 1e3 * (score.peak_power_w / budget_w);
-    return cost;
-  }
 };
 
 /// Build the winner's runnable schedule, then hold it to the
@@ -132,89 +113,151 @@ ScheduleResult verify_winner(const SearchSpec& spec,
   return result;
 }
 
+/// The program of search.h's file comment over at most @p q quanta: the
+/// least-idle placement of @p order within @p limit_w [W], or nullopt and
+/// @p rejected_w = the least peak it turned away (a lower bound).
+std::optional<OrderOptimum> place_idle_upto(
+    const ScheduleEvaluator& evaluator, const SearchSpec& spec,
+    const std::vector<std::size_t>& order, std::size_t q, double limit_w,
+    double& rejected_w) {
+  const std::size_t n = order.size();
+  const double window_s = evaluator.window_seconds();
+  rejected_w = std::numeric_limits<double>::infinity();
+  const auto within = [&](double window_j) {
+    const double watts = window_j / window_s;
+    if (watts <= limit_w) return true;
+    rejected_w = std::min(rejected_w, watts);
+    return false;
+  };
+  // layer[k]: the dominant walk through the slots so far with k quanta
+  // placed; idle[s * (q + 1) + k]: the quanta after slot s on the
+  // dominant path to (s, k).
+  std::vector<std::optional<ScoreWalk>> layer(q + 1), next(q + 1);
+  std::vector<std::uint32_t> idle((n - 1) * (q + 1));
+  layer[0] = evaluator.start_walk();
+  for (std::size_t s = 0; s + 1 < n; ++s) {
+    std::fill(next.begin(), next.end(), std::nullopt);
+    for (std::size_t k = 0; k <= q; ++k) {
+      if (!layer[k]) continue;
+      ScoreWalk walk = *layer[k];
+      evaluator.add_element(walk, order[s]);
+      if (!within(walk.peak)) continue;
+      for (std::size_t j = 0; k + j <= q; ++j) {
+        ScoreWalk padded = walk;
+        evaluator.add_idle(padded, j * spec.idle_quantum);
+        if (!within(padded.peak)) break;  // the closed peak grows with j
+        std::optional<ScoreWalk>& held = next[k + j];
+        if (held && held->acc <= padded.acc) continue;
+        held = padded;
+        idle[s * (q + 1) + k + j] = static_cast<std::uint32_t>(j);
+      }
+    }
+    std::swap(layer, next);
+  }
+  for (std::size_t k = 0; k <= q; ++k) {
+    if (!layer[k]) continue;
+    ScoreWalk walk = *layer[k];
+    evaluator.add_element(walk, order[n - 1]);
+    evaluator.add_idle(walk, 0);  // score_one's trailing slot
+    if (!within(walk.peak_window_j())) continue;
+    OrderOptimum optimum{Candidate{order, std::vector<std::uint64_t>(n, 0)},
+                         evaluator.finish(walk), true};
+    for (std::size_t s = n - 1, left = k; s-- > 0;) {
+      const std::uint32_t j = idle[s * (q + 1) + left];
+      optimum.candidate.idle_after[s] = j * spec.idle_quantum;
+      left -= j;
+    }
+    return optimum;
+  }
+  return std::nullopt;
+}
+
+/// place_idle_upto over the whole idle budget.  A state with k quanta only
+/// extends states with fewer, so the program cut at K quanta agrees with
+/// the full one on every k <= K: doubling K from 1 reaches the least k
+/// after ~(2k)^2 steps per slot instead of max_idle_quanta^2.
+std::optional<OrderOptimum> place_idle(const ScheduleEvaluator& evaluator,
+                                       const SearchSpec& spec,
+                                       const std::vector<std::size_t>& order,
+                                       double limit_w, double& rejected_w) {
+  const std::size_t budget = spec.max_idle_quanta;
+  for (std::size_t q = std::min<std::size_t>(1, budget);;
+       q = std::min(2 * q, budget)) {
+    if (std::optional<OrderOptimum> found = place_idle_upto(
+            evaluator, spec, order, q, limit_w, rejected_w))
+      return found;
+    if (q == budget) return std::nullopt;
+  }
+}
+
 }  // namespace
+
+OrderOptimum solve_order(const ScheduleEvaluator& evaluator,
+                         const SearchSpec& spec,
+                         const std::vector<std::size_t>& order) {
+  const Candidate bare{order, std::vector<std::uint64_t>(order.size(), 0)};
+  const Score bare_score = evaluator.score_one(bare);
+  if (spec.peak_budget_w <= 0.0 ||
+      bare_score.peak_power_w <= spec.peak_budget_w)
+    return OrderOptimum{bare, bare_score, true};
+  double rejected_w = 0.0;
+  if (std::optional<OrderOptimum> optimum =
+          place_idle(evaluator, spec, order, spec.peak_budget_w, rejected_w))
+    return *optimum;
+
+  // No placement meets the budget.  Feasibility is monotone in the limit:
+  // bisect the doubles' bit patterns between lo (infeasible) and hi (a
+  // placement's peak) until adjacent, when hi is the exact minimum peak.
+  // A failed probe lifts lo under the least peak it turned away; every
+  // other probe tries that floor (often the answer).  The result is the
+  // program's placement at limit hi (`at_hi`, once a probe ran there).
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  double lo = std::nextafter(rejected_w, 0.0);
+  double hi = bare_score.peak_power_w;
+  std::optional<OrderOptimum> at_hi;
+  for (bool floor_turn = true; bits(lo) + 1 < bits(hi);
+       floor_turn = !floor_turn) {
+    const double probe =
+        floor_turn ? std::nextafter(lo, hi)
+                   : std::bit_cast<double>(bits(lo) +
+                                           (bits(hi) - bits(lo)) / 2);
+    std::optional<OrderOptimum> found =
+        place_idle(evaluator, spec, order, probe, rejected_w);
+    if (!found) {
+      lo = std::max(probe, std::nextafter(rejected_w, 0.0));
+      continue;
+    }
+    hi = found->score.peak_power_w;
+    at_hi = hi == probe ? std::move(found) : std::nullopt;
+  }
+  if (!at_hi) at_hi = place_idle(evaluator, spec, order, hi, rejected_w);
+  SRAMLP_REQUIRE(at_hi.has_value(), "bisection lost its feasible bound");
+  at_hi->meets_budget = false;
+  return *at_hi;
+}
 
 RestartResult run_restart(const SearchSpec& spec, std::size_t restart) {
   spec.validate();
-  SRAMLP_REQUIRE(restart < spec.restarts, "restart index out of range");
-  const march::MarchTest& base = *spec.base;
-  const std::size_t n = base.elements().size();
+  const ScheduleEvaluator evaluator(spec.config, *spec.base,
+                                    spec.window_cycles);
+  const std::vector<std::vector<std::size_t>> orders = orders_of(spec);
+  const std::size_t items = std::min(spec.restarts, orders.size());
+  SRAMLP_REQUIRE(restart < items, "search item index out of range");
 
-  ScheduleEvaluator evaluator(spec.config, base, spec.window_cycles);
-  const MoveLimits limits{spec.idle_quantum, spec.max_idle_quanta};
-  // The restart's whole trajectory is a pure function of (seed, restart).
-  util::Rng rng(spec.seed ^
-                (0x9E3779B97F4A7C15ull * (static_cast<std::uint64_t>(restart) + 1)));
-
-  Candidate start = identity_candidate(n);
-  const Score base_score = evaluator.score_one(start);
-  // Diversify later restarts' starting points with a short random walk.
-  for (std::size_t k = 0; k < restart; ++k)
-    for (int attempt = 0; attempt < 8; ++attempt)
-      if (apply_random_move(start, evaluator.conds(), limits, rng)) break;
-
-  CostModel cost;
-  cost.weight = spec.restarts > 1
-                    ? static_cast<double>(restart) /
-                          static_cast<double>(spec.restarts - 1)
-                    : 0.5;
-  cost.base_peak = base_score.peak_power_w > 0.0 ? base_score.peak_power_w
-                                                 : 1.0;
-  cost.base_cycles = base_score.cycles > 0.0 ? base_score.cycles : 1.0;
-  cost.budget_w = spec.peak_budget_w;
-
-  std::vector<Entry> beam;
-  beam.push_back(Entry{start, evaluator.score_one(start), start.key()});
-  std::vector<Entry> archive;
-  archive_insert(archive, beam[0].candidate, beam[0].score, beam[0].key);
-  // The base schedule always competes for the front: restart 0 starts
-  // from it, and every restart's archive sees it first.
-  archive_insert(archive, identity_candidate(n), base_score,
-                 identity_candidate(n).key());
-
-  std::vector<Candidate> batch;
-  std::vector<Score> scores;
-  for (std::size_t step = 0; step < spec.steps; ++step) {
-    batch.clear();
-    for (const Entry& member : beam) {
-      for (std::size_t k = 0; k < spec.neighbors; ++k) {
-        Candidate neighbor = member.candidate;
-        bool moved = false;
-        for (int attempt = 0; attempt < 8 && !moved; ++attempt)
-          moved = apply_random_move(neighbor, evaluator.conds(), limits, rng);
-        if (moved) batch.push_back(std::move(neighbor));
-      }
-    }
-    if (batch.empty()) break;  // no applicable moves (e.g. 1-element test)
-    evaluator.score(batch, scores);
-
-    std::vector<Entry> pool = beam;
-    pool.reserve(beam.size() + batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      std::string key = batch[i].key();
-      archive_insert(archive, batch[i], scores[i], key);
-      pool.push_back(Entry{std::move(batch[i]), scores[i], std::move(key)});
-    }
-    std::stable_sort(pool.begin(), pool.end(),
-                     [&](const Entry& a, const Entry& b) {
-                       const double ca = cost(a.score);
-                       const double cb = cost(b.score);
-                       if (ca != cb) return ca < cb;
-                       return a.key < b.key;
-                     });
-    beam.clear();
-    for (Entry& entry : pool) {
-      bool duplicate = false;
-      for (const Entry& kept : beam)
-        if (kept.key == entry.key) {
-          duplicate = true;
-          break;
-        }
-      if (duplicate) continue;
-      beam.push_back(std::move(entry));
-      if (beam.size() >= spec.beam_width) break;
-    }
+  std::vector<Entry> optima;
+  for (std::size_t o = restart; o < orders.size(); o += items) {
+    const OrderOptimum optimum = solve_order(evaluator, spec, orders[o]);
+    optima.push_back(
+        Entry{optimum.candidate, optimum.score, optimum.candidate.key()});
   }
+  // Their Pareto set over (peak, cycles); each order is one distinct
+  // candidate, so there are no duplicates to drop.
+  std::vector<Entry> archive;
+  for (const Entry& entry : optima)
+    if (std::none_of(optima.begin(), optima.end(), [&](const Entry& other) {
+          return dominates(other.score, entry.score);
+        }))
+      archive.push_back(entry);
 
   // Reduce the archive to the reported front: sort by (peak, cycles,
   // energy, key), then keep at most max_front points spread evenly across
@@ -255,8 +298,8 @@ RestartResult run_restart(const SearchSpec& spec, std::size_t restart) {
 SearchOutcome run_search(const SearchSpec& spec, unsigned threads) {
   spec.validate();
   SearchOutcome outcome;
-  outcome.restarts.resize(spec.restarts);
-  engine::parallel_for(spec.restarts, threads, [&](std::size_t i) {
+  outcome.restarts.resize(spec.size());
+  engine::parallel_for(outcome.restarts.size(), threads, [&](std::size_t i) {
     outcome.restarts[i] = run_restart(spec, i);
   });
   outcome.front = merge_front(outcome.restarts);
@@ -272,25 +315,18 @@ std::vector<ScheduleResult> merge_front(
 
   std::vector<ScheduleResult> front;
   for (const ScheduleResult* candidate : all) {
-    bool dropped = false;
-    for (const ScheduleResult* other : all) {
-      if (other == candidate) continue;
-      if (dominates(other->peak_power_w, other->cycles,
-                    candidate->peak_power_w, candidate->cycles)) {
-        dropped = true;
-        break;
-      }
-    }
-    if (dropped) continue;
-    bool duplicate = false;
-    for (const ScheduleResult& kept : front)
-      if (kept.peak_power_w == candidate->peak_power_w &&
-          kept.cycles == candidate->cycles &&
-          kept.energy_j == candidate->energy_j) {
-        duplicate = true;
-        break;
-      }
-    if (!duplicate) front.push_back(*candidate);
+    // dominates() is strict, so a point never drops itself.
+    if (std::any_of(all.begin(), all.end(), [&](const ScheduleResult* other) {
+          return dominates(*other, *candidate);
+        }))
+      continue;
+    if (std::none_of(front.begin(), front.end(),
+                     [&](const ScheduleResult& kept) {
+                       return kept.peak_power_w == candidate->peak_power_w &&
+                              kept.cycles == candidate->cycles &&
+                              kept.energy_j == candidate->energy_j;
+                     }))
+      front.push_back(*candidate);
   }
   std::stable_sort(front.begin(), front.end(),
                    [](const ScheduleResult& a, const ScheduleResult& b) {

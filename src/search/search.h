@@ -1,31 +1,32 @@
-// Peak-constrained March schedule search (see ROADMAP: use the PR 5
-// per-element peak data as an objective).
+// Peak-constrained March schedule search: given a peak-power budget, the
+// shortest validity-preserving schedule of a base March test — an element
+// order plus idle windows between elements (search/schedule.h) — whose
+// fixed-window peak stays under the cap.  Scan-test scheduling under a
+// power cap (arXiv 1106.2794, 0710.4653) needs heuristics; a March test's
+// space is small enough to solve exactly.
 //
-// Given a peak-power budget, search over validity-preserving schedules of
-// a base March test — element reorders, inserted idle windows, idle
-// redistribution (search/schedule.h) — for schedules minimising test time
-// and energy while staying under the cap.  The scan-test literature
-// (arXiv 1106.2794, 0710.4653) does this budget-constrained scheduling
-// for scan chains; the memoized analytic evaluator (search/evaluator.h)
-// makes the SRAM March version nearly free per candidate.
+// The solver.  valid_orders lists the orders the read-state chain allows
+// (4 for March C- and SS, 2 for SR, 8 for G).  solve_order places idle in
+// each with a dynamic program over (slot s, quanta used k): every path to
+// (s, k) ends at the same cycle, so among those whose closed windows are
+// within budget the least open-window energy (ScoreWalk::acc) dominates.
+// The optimum is the least k whose completed walk is within budget; ties
+// go to the first path found (smaller predecessor k, then smaller idle).
+// Slots are walked as score_one walks them, so the winner's Score is
+// bit-identical to score_one's.  When no placement meets the budget, the
+// budget is bisected over the same program (feasibility is monotone in
+// it) and the exact minimum-peak placement is reported, over budget.  With
+// no budget (0), an order's optimum is its zero-idle schedule.
 //
-// Determinism contract: run_restart(spec, r) is a pure function of
-// (spec, r) — its RNG is util::Rng keyed by spec.seed and r, its scores
-// come from the evaluator's fixed-order double arithmetic (no FMA
-// contraction), and its winner verification runs the parity-locked
-// cycle-accurate engine.  run_search fans restarts out over
-// engine::parallel_for with one result slot per restart and reduces in
-// restart order, so the same spec produces byte-identical serialized
-// results whatever the thread count, shard count, or host — the dist/
-// 'search' job kind rides on exactly this.
-//
-// Each restart walks a seeded beam search: neighbours of every beam
-// member are scored as one batch, the beam keeps the best
-// scalarised costs (restart-dependent peak-vs-time weight, hard budget
-// penalty), and every scored candidate feeds a Pareto archive over
-// (peak power, test cycles).  The restart's surviving front is verified
-// cycle-accurate — zero read mismatches, exact cycle count, analytic
-// peak within the PR 5 trace-parity tolerance — before it is reported.
+// Item r of size() = min(restarts, valid orders) solves orders r,
+// r + size(), …; its front is the Pareto set of their optima, cut to
+// max_front points, each verified cycle-accurate (zero read mismatches,
+// exact cycle count, analytic peak within verify_tolerance).
+// run_restart(spec, r) is a pure function of (spec, r): no random
+// numbers, fixed-order double arithmetic (no FMA contraction), the
+// parity-locked engine.  run_search reduces items in item order, so a spec
+// serializes byte-identically at any thread count, shard count or host —
+// the dist/ 'search' job kind rides on exactly this.
 #pragma once
 
 #include <cstdint>
@@ -39,32 +40,40 @@
 
 namespace sramlp::search {
 
-/// One search job: base test, objective, budget and search knobs.
+/// Input caps: solve_order walks O(elements x Q^2) segments and keeps
+/// O(elements x Q) back-pointers (one pass ~1 s at the caps), and
+/// valid_orders walks all (elements - 2)! interior permutations.
+inline constexpr std::size_t kMaxIdleQuanta = 4096;
+inline constexpr std::size_t kMaxSearchElements = 10;
+
+/// One search job: base test, budget and the idle grid.
 struct SearchSpec {
   core::SessionConfig config;  ///< geometry/tech/mode of the sweep point
   /// Base March test (optional only to keep the spec default-constructible,
   /// like dist::JobSpec::test; validate() requires it).
   std::optional<march::MarchTest> base;
-  /// Peak-window power budget [W]; 0 = unconstrained (pure Pareto sweep).
+  /// Peak-window power budget [W]; 0 = unconstrained (each order's
+  /// optimum is its zero-idle schedule).
   double peak_budget_w = 0.0;
   /// Peak-window width in cycles.  Pick a thermal-scale window of a few
-  /// element spans (e.g. 4 * geometry.words()): schedule moves only have
-  /// leverage on windows that straddle element boundaries.
+  /// element spans (e.g. 4 * geometry.words()): idle only has leverage on
+  /// windows that straddle element boundaries.
   std::uint64_t window_cycles = 65536;
+  /// Unused by the solver.  Kept on the wire and in the job fingerprint,
+  /// so specs that differ only here stay distinct jobs.
   std::uint64_t seed = 1;
-  std::size_t restarts = 8;    ///< independent seeded restarts (fan-out unit)
-  std::size_t steps = 96;      ///< beam iterations per restart
-  std::size_t beam_width = 8;
-  std::size_t neighbors = 16;  ///< candidates per beam member per step
+  /// Most work items: size() = min(restarts, valid orders).
+  std::size_t restarts = 8;
+  std::size_t steps = 96;  ///< unused by the solver; kept on the wire
   std::uint64_t idle_quantum = 1024;
-  std::size_t max_idle_quanta = 16;
-  std::size_t max_front = 8;   ///< verified winners kept per restart
+  std::size_t max_idle_quanta = 16;  ///< idle budget over the schedule
+  std::size_t max_front = 8;   ///< verified winners kept per item
 
   void validate() const;
-  std::size_t size() const { return restarts; }
+  std::size_t size() const;
 };
 
-/// One verified point of a restart's Pareto front.
+/// One verified point of an item's Pareto front.
 struct ScheduleResult {
   march::MarchTest schedule;      ///< runnable (both engines, serializable)
   std::uint64_t cycles = 0;       ///< test time in cycles
@@ -75,40 +84,55 @@ struct ScheduleResult {
                                   ///< within the trace-parity tolerance
 };
 
-/// Everything one restart reports.  Default-constructible (dist/ merge
+/// Everything one work item reports.  Default-constructible (dist/ merge
 /// slots); `front` is sorted by (peak asc, cycles asc, energy asc).
 struct RestartResult {
-  std::size_t restart = 0;
+  std::size_t restart = 0;  ///< the item index
   std::vector<ScheduleResult> front;
 };
 
-/// The whole search: per-restart results plus the merged global front.
+/// The whole search: per-item results plus the merged global front.
 struct SearchOutcome {
   std::vector<RestartResult> restarts;
   std::vector<ScheduleResult> front;
 };
 
-/// Run restart @p restart of @p spec — a pure function of its arguments
-/// (see the determinism contract above).
+/// The optimum of one element order (see the file comment).
+struct OrderOptimum {
+  Candidate candidate;
+  Score score;  ///< bit-identical to evaluator.score_one(candidate)
+  /// False when no placement meets the budget: candidate is then the
+  /// least-idle placement at the exact minimum peak.
+  bool meets_budget = false;
+};
+
+/// Solve @p order (a valid order of spec.base) exactly over spec's idle
+/// grid and budget.
+OrderOptimum solve_order(const ScheduleEvaluator& evaluator,
+                         const SearchSpec& spec,
+                         const std::vector<std::size_t>& order);
+
+/// Work item @p restart of @p spec — a pure function of its arguments
+/// (see the file comment).
 RestartResult run_restart(const SearchSpec& spec, std::size_t restart);
 
-/// All restarts over engine::parallel_for (0 threads = hardware count),
+/// All items over engine::parallel_for (0 threads = hardware count),
 /// merged with merge_front.  Byte-identical results at any thread count.
 SearchOutcome run_search(const SearchSpec& spec, unsigned threads = 0);
 
-/// Deterministic global Pareto front over per-restart fronts: restart-order
+/// Deterministic global Pareto front over per-item fronts: item-order
 /// scan, (peak_power_w, cycles) dominance, exact-duplicate dedup, sorted by
 /// (peak asc, cycles asc, energy asc).  This is the reduction the dist/
 /// job-kind merge (dist/job.h) and run_search share — the merged front
-/// depends only on the per-restart results, never on who merged them.
+/// depends only on the per-item results, never on who merged them.
 std::vector<ScheduleResult> merge_front(
     const std::vector<RestartResult>& restarts);
 
 /// The naive baseline the search must beat: keep the base order and pad a
 /// uniform idle quantum count after every element (growing until the peak
-/// budget is met or the idle budget is exhausted).  Used by the
-/// march_search tool and tests to report "search time vs naive-padding
-/// time at the same budget".
+/// budget is met or padding stops helping), so its length moves in steps
+/// of (elements - 1) x idle_quantum.  Used by the march_search tool and
+/// tests to report "search time vs naive-padding time at the same budget".
 struct PaddedBaseline {
   Candidate candidate;
   Score score;

@@ -15,8 +15,6 @@ JsonValue to_json(const search::SearchSpec& spec) {
   v.set("seed", JsonValue::integer(spec.seed));
   v.set("restarts", JsonValue::integer(spec.restarts));
   v.set("steps", JsonValue::integer(spec.steps));
-  v.set("beam_width", JsonValue::integer(spec.beam_width));
-  v.set("neighbors", JsonValue::integer(spec.neighbors));
   v.set("idle_quantum", JsonValue::integer(spec.idle_quantum));
   v.set("max_idle_quanta", JsonValue::integer(spec.max_idle_quanta));
   v.set("max_front", JsonValue::integer(spec.max_front));
@@ -32,8 +30,6 @@ search::SearchSpec search_spec_from_json(const JsonValue& json) {
   spec.seed = json.at("seed").as_uint();
   spec.restarts = json.at("restarts").as_size();
   spec.steps = json.at("steps").as_size();
-  spec.beam_width = json.at("beam_width").as_size();
-  spec.neighbors = json.at("neighbors").as_size();
   spec.idle_quantum = json.at("idle_quantum").as_uint();
   spec.max_idle_quanta = json.at("max_idle_quanta").as_size();
   spec.max_front = json.at("max_front").as_size();

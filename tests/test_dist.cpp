@@ -8,9 +8,9 @@
 // (non-square, word width 1/4/8, traced), campaign and search jobs, plus
 // the point-cache payload round trip — and the steal cut (lease_units): on
 // generated libraries it partitions the uncached indices, every campaign
-// batch unit is one session pair, executing the units (partly cached, with
-// the Fig. 7 restore on and off) merges to single, and the 512-unit cap
-// holds on large jobs.
+// batch unit is one session pair, every search item is its own unit,
+// executing the units (partly cached, with the Fig. 7 restore on and off)
+// merges to single, and the 512-unit cap holds on large jobs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -78,13 +78,17 @@ JobSpec search_job(std::uint64_t seed) {
   spec.base = march::algorithms::march_c_minus();
   spec.window_cycles = 512;
   spec.seed = seed;
-  spec.restarts = 5;
-  spec.steps = 12;
-  spec.beam_width = 4;
-  spec.neighbors = 8;
+  spec.restarts = 3;  // under March C-'s 4 orders: item 0 solves two
   spec.idle_quantum = 128;
   spec.max_idle_quanta = 8;
   spec.max_front = 4;
+  // A seeded budget of 0.90-0.99x the base peak.
+  const search::ScheduleEvaluator evaluator(spec.config, *spec.base,
+                                            spec.window_cycles);
+  spec.peak_budget_w =
+      (0.90 + 0.01 * static_cast<double>(seed % 10)) *
+      evaluator.score_one(search::identity_candidate(evaluator.elements()))
+          .peak_power_w;
   job.search = std::move(spec);
   return job;
 }
@@ -299,26 +303,40 @@ TEST(LeaseUnits, PartitionTheUncachedIndicesOfGeneratedJobs) {
                 << label;
           }
         }
-  for (std::uint64_t seed = 1; seed <= 3; ++seed)
-    for (const JobSpec& job :
-         {generated_sweep_job(seed, false), search_job(seed)}) {
-      const std::vector<std::size_t> uncached =
-          random_subset(job.size(), 70, rng);
-      dist::LeaseCut cut;
-      const auto units = dist::lease_units(job, uncached, 3, &cut);
-      expect_partition(units, uncached, dist::item_type(job));
-      EXPECT_FALSE(cut.planned);
-      // Exactly consecutive runs of 3: the steal cut sweeps always had.
-      for (std::size_t u = 0; u < units.size(); ++u) {
-        const std::size_t start = u * 3;
-        EXPECT_EQ(units[u],
-                  std::vector<std::size_t>(
-                      uncached.begin() + static_cast<std::ptrdiff_t>(start),
-                      uncached.begin() + static_cast<std::ptrdiff_t>(
-                                             std::min(start + 3,
-                                                      uncached.size()))));
-      }
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const JobSpec job = generated_sweep_job(seed, false);
+    const std::vector<std::size_t> uncached =
+        random_subset(job.size(), 70, rng);
+    dist::LeaseCut cut;
+    const auto units = dist::lease_units(job, uncached, 3, &cut);
+    expect_partition(units, uncached, dist::item_type(job));
+    EXPECT_FALSE(cut.planned);
+    // Exactly consecutive runs of 3: the steal cut sweeps always had.
+    for (std::size_t u = 0; u < units.size(); ++u) {
+      const std::size_t start = u * 3;
+      EXPECT_EQ(units[u],
+                std::vector<std::size_t>(
+                    uncached.begin() + static_cast<std::ptrdiff_t>(start),
+                    uncached.begin() + static_cast<std::ptrdiff_t>(
+                                           std::min(start + 3,
+                                                    uncached.size()))));
     }
+  }
+  // A search item (one group of element orders) is one unit, whatever
+  // the unit size.
+  for (const std::size_t restarts : {1u, 3u, 24u}) {
+    JobSpec job = search_job(1);
+    job.search->restarts = restarts;
+    const std::vector<std::size_t> uncached =
+        random_subset(job.size(), 70, rng);
+    dist::LeaseCut cut;
+    const auto units = dist::lease_units(job, uncached, 3, &cut);
+    expect_partition(units, uncached, dist::item_type(job));
+    EXPECT_FALSE(cut.planned);
+    ASSERT_EQ(units.size(), uncached.size());
+    for (std::size_t u = 0; u < units.size(); ++u)
+      EXPECT_EQ(units[u], std::vector<std::size_t>{uncached[u]});
+  }
 }
 
 TEST(LeaseUnits, CampaignBatchUnitsReplanToOneBatch) {
@@ -392,6 +410,12 @@ TEST(LeaseUnits, ExecutingTheUnitsMergesToSingle) {
   const JobSpec sweep = generated_sweep_job(5, false);
   EXPECT_EQ(leased_document(sweep, random_subset(sweep.size(), 50, rng), 2),
             dist::single_document(sweep));
+  JobSpec search = search_job(4);
+  search.search->restarts = 24;  // one order per item
+  std::vector<std::size_t> items(search.size());
+  std::iota(items.begin(), items.end(), std::size_t{0});
+  EXPECT_EQ(leased_document(search, {1, 3}, 2), dist::single_document(search));
+  EXPECT_EQ(leased_document(search, items, 2), dist::single_document(search));
 }
 
 TEST(LeaseUnits, LargeJobsStayWithinTheUnitCap) {

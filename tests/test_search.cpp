@@ -1,14 +1,17 @@
-// The peak-constrained schedule search (src/search/): the memoized batch
-// evaluator against the traced analytic engine, the validity-preserving
-// move set, the hand-checked peak-window walk, end-to-end
-// determinism (threads / service), cycle-accurate winner
-// verification, and the acceptance anchor — a budget the base March C-
-// violates, met by the search at no more test time than naive uniform
-// idle padding.
+// The peak-constrained schedule search (src/search/): the memoized
+// evaluator against the traced analytic engine, the read-state order
+// enumeration, the hand-checked peak-window walk, the exact per-order
+// solver against brute force (every order x every idle split), end-to-end
+// determinism (threads / service), cycle-accurate winner verification,
+// and the acceptance anchor — a budget the base March C- violates, met by
+// the search at no more test time than naive uniform idle padding.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -19,17 +22,18 @@
 #include "dist/service.h"
 #include "engine/analytic_backend.h"
 #include "march/algorithms.h"
+#include "march/parser.h"
 #include "search/evaluator.h"
 #include "search/schedule.h"
 #include "search/search.h"
 #include "search/serialize.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace {
 
 using namespace sramlp;
 using search::Candidate;
-using search::MoveLimits;
 using search::ScheduleEvaluator;
 using search::SearchSpec;
 using search::StateCond;
@@ -40,21 +44,27 @@ core::SessionConfig small_config() {
   return config;
 }
 
+/// The base schedule's analytic peak under @p spec.
+double base_peak(const SearchSpec& spec) {
+  const ScheduleEvaluator evaluator(spec.config, *spec.base,
+                                    spec.window_cycles);
+  return evaluator.score_one(search::identity_candidate(evaluator.elements()))
+      .peak_power_w;
+}
+
 /// Small spec the whole suite shares: 6-element March C- on 128 words,
-/// thermal-scale window (straddles element boundaries).
+/// thermal-scale window (straddles element boundaries), a budget the base
+/// schedule misses.
 SearchSpec small_spec() {
   SearchSpec spec;
   spec.config = small_config();
   spec.base = march::algorithms::march_c_minus();
   spec.window_cycles = 512;
-  spec.seed = 7;
   spec.restarts = 3;
-  spec.steps = 12;
-  spec.beam_width = 4;
-  spec.neighbors = 8;
   spec.idle_quantum = 128;
   spec.max_idle_quanta = 8;
   spec.max_front = 4;
+  spec.peak_budget_w = 0.97 * base_peak(spec);
   return spec;
 }
 
@@ -89,43 +99,54 @@ std::string outcome_json(const SearchSpec& spec, unsigned threads) {
   return json.dump();
 }
 
+/// A candidate the test draws itself: enumerated order @p order plus
+/// seeded idle after every slot but the last, each in [0, max_idle].
+Candidate drawn_candidate(const std::vector<std::size_t>& order,
+                          std::uint64_t max_idle, util::Rng& rng) {
+  Candidate candidate{order, std::vector<std::uint64_t>(order.size(), 0)};
+  for (std::size_t s = 0; s + 1 < order.size(); ++s)
+    candidate.idle_after[s] = rng.next_below(max_idle + 1);
+  return candidate;
+}
+
 // --- evaluator vs the traced analytic engine ---------------------------------
 
 TEST(SearchEvaluator, MatchesTracedAnalyticEngineOnMutatedSchedule) {
   const core::SessionConfig config = small_config();
   const march::MarchTest base = march::algorithms::march_c_minus();
-  const std::size_t n = base.elements().size();
   const std::uint64_t window = 512;
   ScheduleEvaluator evaluator(config, base, window);
+  util::Rng rng(11);
 
-  // A reordered, idle-padded candidate (swap the two w1 ascents, pad two
-  // interior slots with different idle amounts).
-  Candidate candidate = search::identity_candidate(n);
-  std::swap(candidate.order[1], candidate.order[3]);
-  ASSERT_TRUE(search::order_is_valid(conds_of(base), candidate.order));
-  candidate.idle_after[1] = 384;
-  candidate.idle_after[3] = 128;
+  // Every valid reorder, each with seeded idle on its interior slots.
+  for (const std::vector<std::size_t>& order :
+       search::valid_orders(conds_of(base)))
+    for (int draw = 0; draw < 2; ++draw) {
+      const Candidate candidate = drawn_candidate(order, 400, rng);
+      ASSERT_TRUE(search::order_is_valid(conds_of(base), candidate.order));
 
-  const search::Score score = evaluator.score_one(candidate);
-  const march::MarchTest schedule =
-      search::build_schedule(base, candidate, "mutated");
+      const search::Score score = evaluator.score_one(candidate);
+      const march::MarchTest schedule =
+          search::build_schedule(base, candidate, "mutated");
 
-  core::SessionConfig traced = config;
-  power::TraceConfig trace;
-  trace.window_cycles = window;
-  traced.trace = trace;
-  core::TestSession session(traced);
-  engine::AnalyticBackend backend(config.tech, config.geometry);
-  const core::SessionResult run = session.run(schedule, backend);
+      core::SessionConfig traced = config;
+      power::TraceConfig trace;
+      trace.window_cycles = window;
+      traced.trace = trace;
+      core::TestSession session(traced);
+      engine::AnalyticBackend backend(config.tech, config.geometry);
+      const core::SessionResult run = session.run(schedule, backend);
 
-  // Same closed-form rates on both sides; the only divergence allowed is
-  // summation order (rate*cycles vs per-cycle spreading), ~1 ulp.
-  EXPECT_EQ(run.cycles, static_cast<std::uint64_t>(score.cycles));
-  EXPECT_NEAR(run.supply_energy_j, score.energy_j,
-              1e-9 * std::abs(score.energy_j));
-  ASSERT_TRUE(run.trace.has_value());
-  EXPECT_NEAR(run.trace->peak_power_w, score.peak_power_w,
-              1e-9 * score.peak_power_w);
+      // Same closed-form rates on both sides; the only divergence allowed
+      // is summation order (rate*cycles vs per-cycle spreading), ~1 ulp.
+      SCOPED_TRACE(candidate.key());
+      EXPECT_EQ(run.cycles, static_cast<std::uint64_t>(score.cycles));
+      EXPECT_NEAR(run.supply_energy_j, score.energy_j,
+                  1e-9 * std::abs(score.energy_j));
+      ASSERT_TRUE(run.trace.has_value());
+      EXPECT_NEAR(run.trace->peak_power_w, score.peak_power_w,
+                  1e-9 * score.peak_power_w);
+    }
 }
 
 TEST(SearchEvaluator, IdentityCandidateMatchesBaseTest) {
@@ -150,47 +171,55 @@ TEST(ScheduleCycles, ElementCyclesBoundariesUnderMutation) {
   const std::size_t words = config.geometry.words();
   const march::MarchTest base = march::algorithms::march_c_minus();
   const std::size_t n = base.elements().size();
+  util::Rng rng(5);
 
-  Candidate candidate = search::identity_candidate(n);
-  std::swap(candidate.order[2], candidate.order[4]);  // r1,w0 <-> r1,w0
-  ASSERT_TRUE(search::order_is_valid(conds_of(base), candidate.order));
-  candidate.idle_after[0] = 1;      // boundary: a single pause cycle
-  candidate.idle_after[2] = 1000;   // non-multiple of anything
-  const march::MarchTest schedule =
-      search::build_schedule(base, candidate, "mutated");
+  for (const std::vector<std::size_t>& order :
+       search::valid_orders(conds_of(base))) {
+    Candidate candidate = drawn_candidate(order, 2000, rng);
+    ASSERT_TRUE(search::order_is_valid(conds_of(base), candidate.order));
+    candidate.idle_after[0] = 1;     // boundary: a single pause cycle
+    candidate.idle_after[1] = 0;     // a zero-idle slot inserts nothing
+    candidate.idle_after[2] = 1000;  // non-multiple of anything
+    const std::size_t pauses = static_cast<std::size_t>(std::count_if(
+        candidate.idle_after.begin(), candidate.idle_after.end(),
+        [](std::uint64_t idle) { return idle != 0; }));
+    const march::MarchTest schedule =
+        search::build_schedule(base, candidate, "mutated");
+    SCOPED_TRACE(candidate.key());
 
-  // Per-element boundary accounting: pauses report their own cycles,
-  // operations scale with the address count; zero-idle slots insert no
-  // element at all.
-  ASSERT_EQ(schedule.elements().size(), n + 2);
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < schedule.elements().size(); ++i) {
-    const march::MarchElement& element = schedule.elements()[i];
-    const std::uint64_t cycles = schedule.element_cycles(i, words);
-    if (element.is_pause())
-      EXPECT_EQ(cycles, element.pause_cycles);
-    else
-      EXPECT_EQ(cycles, element.ops.size() * words);
-    total += cycles;
+    // Per-element boundary accounting: pauses report their own cycles,
+    // operations scale with the address count; zero-idle slots insert no
+    // element at all.
+    ASSERT_EQ(schedule.elements().size(), n + pauses);
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < schedule.elements().size(); ++i) {
+      const march::MarchElement& element = schedule.elements()[i];
+      const std::uint64_t cycles = schedule.element_cycles(i, words);
+      if (element.is_pause())
+        EXPECT_EQ(cycles, element.pause_cycles);
+      else
+        EXPECT_EQ(cycles, element.ops.size() * words);
+      total += cycles;
+    }
+    EXPECT_EQ(schedule.element_cycles(1, words), 1u);
+    // element_cycles must not depend on the address count for pauses.
+    EXPECT_EQ(schedule.element_cycles(1, 1), 1u);
+
+    // Both engines must walk exactly these cycles.
+    core::TestSession cycle_accurate(config);
+    const core::SessionResult measured = cycle_accurate.run(schedule);
+    EXPECT_EQ(measured.cycles, total);
+    EXPECT_EQ(measured.mismatches, 0u);
+
+    core::TestSession analytic_session(config);
+    engine::AnalyticBackend backend(config.tech, config.geometry);
+    EXPECT_EQ(analytic_session.run(schedule, backend).cycles, total);
   }
-  EXPECT_EQ(schedule.element_cycles(1, words), 1u);
-  // element_cycles must not depend on the address count for pauses.
-  EXPECT_EQ(schedule.element_cycles(1, 1), 1u);
-
-  // Both engines must walk exactly these cycles.
-  core::TestSession cycle_accurate(config);
-  const core::SessionResult measured = cycle_accurate.run(schedule);
-  EXPECT_EQ(measured.cycles, total);
-  EXPECT_EQ(measured.mismatches, 0u);
-
-  core::TestSession analytic_session(config);
-  engine::AnalyticBackend backend(config.tech, config.geometry);
-  EXPECT_EQ(analytic_session.run(schedule, backend).cycles, total);
 }
 
-// --- validity-preserving moves -----------------------------------------------
+// --- element orders ------------------------------------------------------------
 
-TEST(ScheduleMoves, MarchCMinusChainRules) {
+TEST(ScheduleOrders, MarchCMinusChainRules) {
   const march::MarchTest base = march::algorithms::march_c_minus();
   const std::vector<StateCond> conds = conds_of(base);
   ASSERT_EQ(conds.size(), 6u);
@@ -206,36 +235,76 @@ TEST(ScheduleMoves, MarchCMinusChainRules) {
   EXPECT_FALSE(search::order_is_valid(conds, {1, 0, 2, 3, 4, 5}));
 }
 
-TEST(ScheduleMoves, RandomWalkPreservesValidityAndLimits) {
+TEST(ScheduleOrders, ValidOrderCountsOfTheTable1Tests) {
+  const std::vector<std::pair<march::MarchTest, std::size_t>> expected = {
+      {march::algorithms::march_c_minus(), 4},
+      {march::algorithms::march_ss(), 4},
+      {march::algorithms::march_sr(), 2},
+      {march::algorithms::march_g(), 8}};
+  for (const auto& [test, count] : expected) {
+    const std::vector<StateCond> conds = conds_of(test);
+    const std::vector<std::vector<std::size_t>> orders =
+        search::valid_orders(conds);
+    EXPECT_EQ(orders.size(), count) << test.name();
+    // Lexicographic, identity first, every one valid and pinned.
+    EXPECT_TRUE(std::is_sorted(orders.begin(), orders.end())) << test.name();
+    EXPECT_EQ(orders.front(),
+              search::identity_candidate(conds.size()).order);
+    for (const std::vector<std::size_t>& order : orders) {
+      EXPECT_TRUE(search::order_is_valid(conds, order));
+      EXPECT_EQ(order.front(), 0u);
+      EXPECT_EQ(order.back(), conds.size() - 1);
+    }
+
+    // One work item per order, capped by restarts.
+    SearchSpec spec = small_spec();
+    spec.base = test;
+    for (const std::size_t restarts : {1u, 3u, 24u}) {
+      spec.restarts = restarts;
+      EXPECT_EQ(spec.size(), std::min(restarts, count)) << test.name();
+    }
+  }
+}
+
+TEST(ScheduleOrders, SolvedSchedulesPreserveValidityAndLimits) {
   const march::MarchTest base = march::algorithms::march_c_minus();
   const std::vector<StateCond> conds = conds_of(base);
   const std::size_t n = conds.size();
-  const MoveLimits limits{128, 8};
+  SearchSpec spec = small_spec();
+  const ScheduleEvaluator evaluator(spec.config, base, spec.window_cycles);
+  const double peak = base_peak(spec);
   util::Rng rng(42);
 
-  Candidate candidate = search::identity_candidate(n);
-  std::size_t applied = 0;
-  for (std::size_t k = 0; k < 2000; ++k) {
-    if (!search::apply_random_move(candidate, conds, limits, rng)) continue;
-    ++applied;
-    EXPECT_TRUE(search::order_is_valid(conds, candidate.order));
-    // First and last elements stay pinned.
-    EXPECT_EQ(candidate.order.front(), 0u);
-    EXPECT_EQ(candidate.order.back(), n - 1);
-    // Trailing idle never appears; the idle budget holds.
-    EXPECT_EQ(candidate.idle_after.back(), 0u);
-    std::uint64_t idle = 0;
-    for (const std::uint64_t cycles : candidate.idle_after) {
-      EXPECT_EQ(cycles % limits.idle_quantum, 0u);
-      idle += cycles;
+  std::size_t solved = 0;
+  for (const std::vector<std::size_t>& order : search::valid_orders(conds))
+    for (int draw = 0; draw < 40; ++draw) {
+      // Seeded budgets from far under the reachable floor to the base peak.
+      spec.peak_budget_w = peak * (0.5 + 0.5 * rng.next_double());
+      const search::OrderOptimum optimum =
+          search::solve_order(evaluator, spec, order);
+      const Candidate& candidate = optimum.candidate;
+      ++solved;
+      EXPECT_TRUE(search::order_is_valid(conds, candidate.order));
+      EXPECT_EQ(candidate.order, order);
+      // First and last elements stay pinned.
+      EXPECT_EQ(candidate.order.front(), 0u);
+      EXPECT_EQ(candidate.order.back(), n - 1);
+      // Trailing idle never appears; the idle budget holds.
+      EXPECT_EQ(candidate.idle_after.back(), 0u);
+      std::uint64_t idle = 0;
+      for (const std::uint64_t cycles : candidate.idle_after) {
+        EXPECT_EQ(cycles % spec.idle_quantum, 0u);
+        idle += cycles;
+      }
+      EXPECT_LE(idle, spec.idle_quantum * spec.max_idle_quanta);
+      // The permutation stays a permutation.
+      const std::set<std::size_t> unique(candidate.order.begin(),
+                                         candidate.order.end());
+      EXPECT_EQ(unique.size(), n);
+      EXPECT_EQ(optimum.meets_budget,
+                optimum.score.peak_power_w <= spec.peak_budget_w);
     }
-    EXPECT_LE(idle, limits.idle_quantum * limits.max_idle_quanta);
-    // The permutation stays a permutation.
-    const std::set<std::size_t> unique(candidate.order.begin(),
-                                       candidate.order.end());
-    EXPECT_EQ(unique.size(), n);
-  }
-  EXPECT_GT(applied, 500u);  // the move set actually moves
+  EXPECT_GT(solved, 100u);
 }
 
 // --- the peak-window walk -----------------------------------------------------
@@ -253,6 +322,157 @@ TEST(SearchEvaluator, PeakWindowSemanticsMatchPowerTrace) {
   EXPECT_EQ(walk.peak_window_j(), 256.0);
 }
 
+// --- the exact solver against brute force -------------------------------------
+
+/// Every idle split of at most @p quanta quanta over the first @p slots
+/// slots (the trailing slot stays 0), in quanta.
+void idle_splits(std::size_t slot, std::size_t slots, std::size_t left,
+                 std::vector<std::size_t>& split,
+                 std::vector<std::vector<std::size_t>>& out) {
+  if (slot == slots) {
+    out.push_back(split);
+    return;
+  }
+  for (std::size_t j = 0; j <= left; ++j) {
+    split[slot] = j;
+    idle_splits(slot + 1, slots, left - j, split, out);
+  }
+}
+
+/// Every schedule of @p spec's idle grid, order by order: score_one of
+/// each (order, split).
+std::vector<std::vector<search::Score>> brute_force(
+    const ScheduleEvaluator& evaluator, const SearchSpec& spec,
+    const std::vector<std::vector<std::size_t>>& orders) {
+  const std::size_t n = evaluator.elements();
+  std::vector<std::vector<std::size_t>> splits;
+  std::vector<std::size_t> split(n, 0);
+  idle_splits(0, n - 1, spec.max_idle_quanta, split, splits);
+  std::vector<std::vector<search::Score>> scores(orders.size());
+  for (std::size_t o = 0; o < orders.size(); ++o)
+    for (const std::vector<std::size_t>& quanta : splits) {
+      Candidate candidate{orders[o], std::vector<std::uint64_t>(n, 0)};
+      for (std::size_t s = 0; s < n; ++s)
+        candidate.idle_after[s] = quanta[s] * spec.idle_quantum;
+      scores[o].push_back(evaluator.score_one(candidate));
+    }
+  return scores;
+}
+
+void expect_same_score(const search::Score& a, const search::Score& b) {
+  EXPECT_EQ(a.energy_j, b.energy_j);
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.peak_window_j, b.peak_window_j);
+  EXPECT_EQ(a.peak_power_w, b.peak_power_w);
+}
+
+TEST(SearchSolver, ExactAgainstBruteForceOnGeneratedInstances) {
+  std::vector<march::MarchTest> tests = march::algorithms::table1();
+  tests.push_back(march::algorithms::march_g_with_delays());
+  const std::vector<sram::Geometry> geometries = {{8, 8, 1}, {16, 32, 1}};
+  util::Rng rng(2006);
+  std::size_t feasible = 0, infeasible = 0;
+  for (const march::MarchTest& test : tests)
+    for (const sram::Geometry& geometry : geometries) {
+      SearchSpec spec;
+      spec.config.geometry = geometry;
+      spec.base = test;
+      spec.window_cycles = 2 + rng.next_below(4 * geometry.words());
+      spec.idle_quantum = 1 + rng.next_below(geometry.words());
+      spec.max_idle_quanta = 1 + rng.next_below(6);
+      const ScheduleEvaluator evaluator(spec.config, test,
+                                        spec.window_cycles);
+      const std::vector<std::vector<std::size_t>> orders =
+          search::valid_orders(evaluator.conds());
+      const std::vector<std::vector<search::Score>> scores =
+          brute_force(evaluator, spec, orders);
+      double floor = std::numeric_limits<double>::infinity();
+      for (const std::vector<search::Score>& order : scores)
+        for (const search::Score& score : order)
+          floor = std::min(floor, score.peak_power_w);
+      const double top = base_peak(spec);
+
+      // Seeded budgets between the reachable floor and the base peak, one
+      // under the floor (no schedule meets it), and none at all.
+      std::vector<double> budgets = {0.0, 0.999 * floor, floor, top};
+      for (int b = 0; b < 4; ++b)
+        budgets.push_back(floor + (top - floor) * rng.next_double());
+      for (const double budget : budgets) {
+        spec.peak_budget_w = budget;
+        for (std::size_t o = 0; o < orders.size(); ++o) {
+          const search::OrderOptimum optimum =
+              search::solve_order(evaluator, spec, orders[o]);
+          SCOPED_TRACE(test.name() + " " + std::to_string(geometry.rows) +
+                       "x" + std::to_string(geometry.cols) + " budget " +
+                       std::to_string(budget) + " order " +
+                       optimum.candidate.key());
+          // Bit identity: the solver's walk is score_one's.
+          expect_same_score(optimum.score,
+                            evaluator.score_one(optimum.candidate));
+          std::optional<double> least_cycles;
+          double least_peak = std::numeric_limits<double>::infinity();
+          for (const search::Score& score : scores[o]) {
+            least_peak = std::min(least_peak, score.peak_power_w);
+            if ((budget <= 0.0 || score.peak_power_w <= budget) &&
+                (!least_cycles || score.cycles < *least_cycles))
+              least_cycles = score.cycles;
+          }
+          if (budget <= 0.0) {
+            // Unconstrained: the zero-idle schedule.
+            EXPECT_TRUE(optimum.meets_budget);
+            EXPECT_EQ(optimum.candidate.idle_after,
+                      std::vector<std::uint64_t>(orders[o].size(), 0));
+          } else if (least_cycles) {
+            ++feasible;
+            EXPECT_TRUE(optimum.meets_budget);
+            EXPECT_EQ(optimum.score.cycles, *least_cycles);
+            EXPECT_LE(optimum.score.peak_power_w, budget);
+          } else {
+            // Over budget: the exact minimum peak, at its least length.
+            ++infeasible;
+            EXPECT_FALSE(optimum.meets_budget);
+            EXPECT_EQ(optimum.score.peak_power_w, least_peak);
+            double least_at_peak = std::numeric_limits<double>::infinity();
+            for (const search::Score& score : scores[o])
+              if (score.peak_power_w == least_peak)
+                least_at_peak = std::min(least_at_peak, score.cycles);
+            EXPECT_EQ(optimum.score.cycles, least_at_peak);
+          }
+        }
+      }
+    }
+  EXPECT_GT(feasible, 100u);
+  EXPECT_GT(infeasible, 20u);
+}
+
+TEST(SearchSolver, WinnersAreBitIdenticalToScoreOne) {
+  // With one order per item, each item reports exactly its order's
+  // optimum, carrying the solver's own Score — score_one's, to the bit.
+  SearchSpec spec = small_spec();
+  spec.restarts = 24;
+  const ScheduleEvaluator evaluator(spec.config, *spec.base,
+                                    spec.window_cycles);
+  const std::vector<std::vector<std::size_t>> orders =
+      search::valid_orders(evaluator.conds());
+  ASSERT_EQ(spec.size(), orders.size());
+  for (std::size_t r = 0; r < orders.size(); ++r) {
+    const search::OrderOptimum optimum =
+        search::solve_order(evaluator, spec, orders[r]);
+    const search::Score score = evaluator.score_one(optimum.candidate);
+    expect_same_score(optimum.score, score);
+    const search::RestartResult item = search::run_restart(spec, r);
+    ASSERT_EQ(item.front.size(), 1u) << "item " << r;
+    EXPECT_EQ(item.front[0].cycles, static_cast<std::uint64_t>(score.cycles));
+    EXPECT_EQ(item.front[0].energy_j, score.energy_j);
+    EXPECT_EQ(item.front[0].peak_power_w, score.peak_power_w);
+    EXPECT_EQ(io::to_json(item.front[0].schedule).dump(),
+              io::to_json(search::build_schedule(
+                              *spec.base, optimum.candidate,
+                              spec.base->name() + " [scheduled]"))
+                  .dump());
+  }
+}
+
 // --- determinism -------------------------------------------------------------
 
 TEST(SearchDeterminism, RestartIsPureFunctionOfSpecAndIndex) {
@@ -267,15 +487,6 @@ TEST(SearchDeterminism, ByteIdenticalAcrossThreadCounts) {
   const SearchSpec spec = small_spec();
   EXPECT_EQ(single_document(spec, 1), single_document(spec, 4));
   EXPECT_EQ(outcome_json(spec, 1), outcome_json(spec, 4));
-}
-
-TEST(SearchDeterminism, SeedChangesTheTrajectory) {
-  SearchSpec spec = small_spec();
-  const std::string doc = single_document(spec);
-  spec.seed = 8;
-  // Different seed explores differently (fronts may coincide on a tiny
-  // instance, but the serialized restarts as a whole should not).
-  EXPECT_NE(single_document(spec), doc);
 }
 
 // --- winner verification -----------------------------------------------------
@@ -304,15 +515,9 @@ TEST(SearchVerification, EveryFrontPointIsCycleAccurateVerified) {
 TEST(SearchBudget, BeatsNaiveIdlePaddingAtTheSameBudget) {
   SearchSpec spec = small_spec();
   spec.restarts = 4;
-  spec.steps = 24;
   spec.max_idle_quanta = 16;
-
-  // A budget the base schedule violates.
-  const double base_peak =
-      ScheduleEvaluator(spec.config, *spec.base, spec.window_cycles)
-          .score_one(search::identity_candidate(spec.base->elements().size()))
-          .peak_power_w;
-  spec.peak_budget_w = 0.97 * base_peak;
+  // small_spec's budget is 0.97x the base peak: one the base violates.
+  ASSERT_LT(spec.peak_budget_w, base_peak(spec));
 
   const search::PaddedBaseline naive = search::naive_idle_padding(spec);
   ASSERT_TRUE(naive.meets_budget);
@@ -423,10 +628,38 @@ TEST(SearchSpec, ValidateRejectsBrokenSpecs) {
   spec.restarts = 0;
   EXPECT_THROW(spec.validate(), Error);
   spec = small_spec();
+  spec.base = march::parse_march("read first", "{ U(r0); U(r0,w1) }");
+  EXPECT_THROW(spec.validate(), Error);  // no order satisfies the chain
+  spec = small_spec();
   power::TraceConfig trace;
   trace.window_cycles = 64;
   spec.config.trace = trace;
   EXPECT_THROW(spec.validate(), Error);
+}
+
+TEST(SearchSpec, ValidateBoundsTheSolverInputs) {
+  // The solver holds O(elements x Q) state per order and walks
+  // O(elements x Q^2) segments: an unbounded idle budget off the wire
+  // would exhaust a worker's memory.
+  SearchSpec spec = small_spec();
+  spec.max_idle_quanta = search::kMaxIdleQuanta;
+  EXPECT_NO_THROW(spec.validate());
+  spec.max_idle_quanta = search::kMaxIdleQuanta + 1;
+  EXPECT_THROW(spec.validate(), Error);
+  spec.max_idle_quanta = 1'000'000'000'000;
+  EXPECT_THROW(spec.validate(), Error);
+  EXPECT_THROW(search::run_restart(spec, 0), Error);
+
+  // valid_orders walks (elements - 2)! permutations.
+  spec = small_spec();
+  std::vector<march::MarchElement> elements = spec.base->elements();
+  march::MarchElement pause;
+  pause.pause_cycles = 8;
+  while (elements.size() <= search::kMaxSearchElements)
+    elements.insert(elements.end() - 1, pause);
+  spec.base = march::MarchTest("too long", elements);
+  EXPECT_THROW(spec.validate(), Error);
+  EXPECT_THROW((void)spec.size(), Error);
 }
 
 }  // namespace

@@ -569,6 +569,49 @@ TEST(Service, CampaignJobByteIdenticalToSingle) {
   EXPECT_EQ(again.document, reference);
 }
 
+TEST(Service, SearchJobLeasesOneShardPerItem) {
+  JobSpec job = small_search_job(3);
+  job.search->max_idle_quanta = 8;
+  job.search->peak_budget_w = 1e-3;  // under any reachable peak: bisected
+  const std::string reference = dist::single_document(job);
+  dist::Service::Options options;  // points_per_shard 4 does not apply
+  ServiceHarness harness(options, /*workers=*/2);
+  const io::JsonValue complete = job_complete_of(harness.address(), job);
+  ASSERT_FALSE(complete.is_null());
+  EXPECT_EQ(complete.at("document").as_string(), reference);
+  // One shard per item: each element order is its own steal unit.
+  ASSERT_EQ(job.size(), 4u);  // March C-'s 4 valid orders
+  EXPECT_EQ(complete.at("shards_executed").as_uint(), job.size());
+}
+
+TEST(Service, HostileSearchJobIsRejectedAndWorkersServeOn) {
+  dist::Service::Options options;
+  ServiceHarness harness(options, /*workers=*/1);
+  // An idle budget the exact solver could never allocate for.
+  io::JsonValue hostile = dist::to_json(small_search_job(1));
+  io::JsonValue spec = hostile.at("search");
+  spec.set("max_idle_quanta", io::JsonValue::integer(1'000'000'000'000));
+  hostile.set("search", std::move(spec));
+  {
+    io::LineChannel channel(io::connect_socket(harness.address(), 5000));
+    io::JsonValue submit = io::JsonValue::object();
+    submit.set("type", io::JsonValue::string("submit"));
+    submit.set("job", std::move(hostile));
+    ASSERT_TRUE(channel.send(submit));
+    const auto reply = channel.receive();
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(reply->at("type").as_string(), "job_failed");
+    EXPECT_NE(reply->dump().find("max_idle_quanta"), std::string::npos)
+        << reply->dump();
+  }
+  // The daemon and its one worker still compute a real search job.
+  const JobSpec job = small_search_job(2);
+  const io::JsonValue complete = job_complete_of(harness.address(), job);
+  ASSERT_FALSE(complete.is_null());
+  EXPECT_EQ(complete.at("document").as_string(), dist::single_document(job));
+  EXPECT_EQ(complete.at("shards_executed").as_uint(), job.size());
+}
+
 TEST(Service, PointCacheAnswersOverlapOfANewJob) {
   const JobSpec big = small_sweep_job();  // 12 points
   JobSpec subset;

@@ -27,11 +27,11 @@ Hazard classes
                       expressions differently on FMA targets), and no
                       file may re-enable contraction or -ffast-math.
   random-device       std::random_device — hardware-entropy seeding in the
-                      parity-locked subsystems (the schedule search's
-                      restarts, the engines, the dist/ merge paths) makes
-                      the same spec produce different bytes per run; every
-                      RNG must be util::Rng keyed from serialized state
-                      (e.g. SearchSpec::seed ^ restart index).
+                      parity-locked subsystems (the schedule search, the
+                      engines, the dist/ merge paths) makes the same spec
+                      produce different bytes per run; every RNG must be
+                      util::Rng keyed from serialized state (e.g. a fault
+                      library's seed).
   unordered-iteration range-for over a std::unordered_{map,set} — their
                       iteration order is implementation-defined, so any
                       such loop that feeds a serializer or accumulates

@@ -125,9 +125,9 @@ int cmd_example_job(Args& args) {
                 "internally by their cycle-accurate verification");
   dist::JobSpec job;
   if (search_job) {
-    // A small peak-constrained schedule search: one restart per work
-    // item, sized so the daemon e2e finishes in seconds while still
-    // exercising reorder + idle-insertion moves and winner verification.
+    // A small peak-constrained schedule search: one element order per
+    // work item (March C- has 4), at a budget the base schedule misses,
+    // so every item places idle and verifies its winner.
     job.kind = dist::JobSpec::Kind::kSearch;
     search::SearchSpec spec;
     spec.config.geometry = {16, 32, 1};
@@ -135,12 +135,15 @@ int cmd_example_job(Args& args) {
     spec.window_cycles = 4 * spec.config.geometry.words();
     spec.seed = 7;
     spec.restarts = 4;
-    spec.steps = 24;
-    spec.beam_width = 4;
-    spec.neighbors = 8;
     spec.idle_quantum = 512;
     spec.max_idle_quanta = 8;
     spec.max_front = 4;
+    const search::ScheduleEvaluator evaluator(spec.config, *spec.base,
+                                              spec.window_cycles);
+    spec.peak_budget_w =
+        0.95 * evaluator
+                   .score_one(search::identity_candidate(evaluator.elements()))
+                   .peak_power_w;
     job.search = std::move(spec);
   } else if (campaign) {
     job.kind = dist::JobSpec::Kind::kCampaign;
@@ -217,7 +220,7 @@ int cmd_run(Args& args, const char* argv0) {
       ("sramlp_dist_run." + std::to_string(::getpid()) + ".sock");
   dist::Service::Options options;
   options.listen = "unix:" + socket_path.string();
-  // Small jobs (a few search restarts) still reach every worker.
+  // Small jobs (a few search items) still reach every worker.
   options.points_per_shard = std::clamp<std::size_t>(
       (job.size() + workers - 1) / workers, 1, options.points_per_shard);
   dist::Service service(options);
