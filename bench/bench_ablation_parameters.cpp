@@ -1,11 +1,11 @@
 // Experiment E15 — calibration-robustness ablation.
 //
 // The headline ~50 % PRR rests on a calibrated 0.13 um parameter set
-// (DESIGN.md §5).  This bench perturbs each load-bearing parameter across
-// a generous range and reports the resulting PRR, showing which constants
-// the conclusion actually depends on (the RES fight current and the
-// peripheral energy scale) and which barely matter (decay constant, read
-// swing, word-line duty, swap threshold).
+// (power/technology.h).  This bench perturbs each load-bearing parameter
+// across a generous range and reports the resulting PRR, showing which
+// constants the conclusion actually depends on (the RES fight current and
+// the peripheral energy scale) and which barely matter (decay constant,
+// read swing, word-line duty, swap threshold).
 #include <cmath>
 #include <cstdio>
 #include <exception>

@@ -44,9 +44,13 @@ using sram::Mode;
 using sram::SramArray;
 using sram::SramConfig;
 
+// One cycle() call per iteration, walking row 0 column by column, at 512
+// and 4096 columns: cycle() costs O(word_width) amortised, so the wider
+// row must not cost more per call (ci/compare_bench.py gates the ratio).
 void BM_FunctionalCycle(benchmark::State& state) {
+  const auto cols = static_cast<std::size_t>(state.range(0));
   SramConfig cfg;
-  cfg.geometry = {512, 512, 1};
+  cfg.geometry = {512, cols, 1};
   cfg.mode = Mode::kFunctional;
   SramArray array(cfg);
   std::size_t col = 0;
@@ -57,15 +61,17 @@ void BM_FunctionalCycle(benchmark::State& state) {
     cmd.is_read = false;
     cmd.value = true;
     benchmark::DoNotOptimize(array.cycle(cmd));
-    col = (col + 1) % 512;
+    col = (col + 1) % cols;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_FunctionalCycle);
+BENCHMARK(BM_FunctionalCycle)->Arg(512)->Arg(4096);
 
+// Low-power twin: the last group of the row issues the Fig. 7 restore.
 void BM_LowPowerCycle(benchmark::State& state) {
+  const auto cols = static_cast<std::size_t>(state.range(0));
   SramConfig cfg;
-  cfg.geometry = {512, 512, 1};
+  cfg.geometry = {512, cols, 1};
   cfg.mode = Mode::kLowPowerTest;
   SramArray array(cfg);
   std::size_t col = 0;
@@ -75,13 +81,13 @@ void BM_LowPowerCycle(benchmark::State& state) {
     cmd.col_group = col;
     cmd.is_read = false;
     cmd.value = true;
-    cmd.restore_row_transition = col == 511;
+    cmd.restore_row_transition = col == cols - 1;
     benchmark::DoNotOptimize(array.cycle(cmd));
-    col = (col + 1) % 512;
+    col = (col + 1) % cols;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_LowPowerCycle);
+BENCHMARK(BM_LowPowerCycle)->Arg(512)->Arg(4096);
 
 void BM_MarchRun(benchmark::State& state) {
   const auto mode = state.range(0) == 0 ? Mode::kFunctional

@@ -38,6 +38,17 @@ RATIO_GATES = [
      "session pair per shard (0.94-1.12 measured on a shared 4-core "
      "host; 3.2-3.9 on the same host when the service cut campaigns "
      "into 4-fault shards across batches)"),
+    ("BM_FunctionalCycle/4096", "BM_FunctionalCycle/512", 2.0,
+     "one cycle() call must stay O(word_width) amortised: 1.00-1.20 "
+     "measured as a one-op run on a shared 4-core host (0.95-1.15 for "
+     "the separate per-cycle executor it replaced); a per-call O(cols) "
+     "scan would put the ratio far past 2 (7.0 measured)"),
+    ("BM_LowPowerCycle/4096", "BM_LowPowerCycle/512", 2.0,
+     "one low-power cycle() call (restore on the row's last group) must "
+     "stay O(word_width) amortised: 1.00-1.13 measured as a one-op run "
+     "on a shared 4-core host (0.72-1.05 for the separate per-cycle "
+     "executor it replaced); a per-call O(cols) scan would put the "
+     "ratio far past 2 (6.4 measured)"),
     ("BM_SearchJob128", "BM_SearchVerify128", 12.0,
      "a schedule-search job must stay close to the cycle-accurate "
      "verification of its front: the exact per-order solver reads 3.9-5.4 "

@@ -5,7 +5,10 @@
 // bit-line discharge through a cell, how hard does a cell fight a pre-charge
 // keeper, what is the propagation delay of a transmission gate), a long-
 // channel square-law model integrated explicitly is sufficient and keeps the
-// simulator dependency-free.  See DESIGN.md §2 for the substitution record.
+// simulator dependency-free.  It stands in for the paper's Spice decks: the
+// questions above depend on charge and current ratios (C_BL >> C_cellnode,
+// keeper vs cell drive), which the square law preserves, not on short-
+// channel detail, which no result here reads.
 #pragma once
 
 #include <algorithm>

@@ -60,14 +60,14 @@ struct SessionConfig {
   /// Opt-in time-resolved power accounting: when set, every run carries a
   /// power::TraceSummary (peak-window power, per-March-element breakdown)
   /// in SessionResult::trace.  Energy totals are bit-identical to an
-  /// untraced run; cycle-accurate execution takes the per-cycle metering
-  /// path, so traced runs trade some speed for time resolution.
+  /// untraced run; the cycle-accurate array folds the trace's windows in
+  /// its batched runs, at ~1.2-1.3x the untraced run time.
   std::optional<power::TraceConfig> trace;
   /// Opt-in per-cycle waveform export (borrowed, may be nullptr): a
   /// power::WaveformWriter (or any raw-event MeterSink) subscribed to
   /// every cycle-accurate run of this session — including both runs of a
-  /// compare_modes pair.  Needs the raw event stream, so it forces the
-  /// per-cycle execution path; totals stay bit-identical.
+  /// compare_modes pair.  Needs the raw event stream, so the array meters
+  /// every event through EnergyMeter::add; totals stay bit-identical.
   power::MeterSink* waveform_sink = nullptr;
 };
 

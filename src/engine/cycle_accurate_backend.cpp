@@ -18,8 +18,8 @@ struct SinkGuard {
 
 /// Fan-out for runs that request both a trace and a waveform export.  It
 /// keeps the default bulk_fold_supported() == false: the waveform side
-/// needs every event, so the array must stay on its per-cycle path even
-/// though the trace alone could fold.
+/// needs every event, so the array delivers each one through the meter
+/// even though the trace alone could fold.
 struct TeeSink final : power::MeterSink {
   power::MeterSink* a = nullptr;
   power::MeterSink* b = nullptr;
@@ -44,9 +44,9 @@ ExecutionResult CycleAccurateBackend::run(CommandStream& stream) {
                 "RunResult cannot carry enough detections per run");
 
   // Opt-in probe/sink wiring: the trace subscribes to the array's meter
-  // for the duration of this run.  The array routes batched runs through
-  // its per-cycle path while a sink is attached (bit-identical totals),
-  // and the stream's element indices mark the attribution boundaries.
+  // for the duration of this run (bit-identical totals; the array picks
+  // its accumulation policy from the sink), and the stream's element
+  // indices mark the attribution boundaries.
   std::optional<power::PowerTrace> trace;
   TeeSink tee;
   SinkGuard guard;

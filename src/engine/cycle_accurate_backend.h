@@ -5,9 +5,10 @@
 // Whole-row batches: when the stream can describe the rest of a word line
 // as one StreamRun (word-line-after-word-line orders), the backend hands
 // the whole row to SramArray::execute_run, which executes it in one tight
-// loop — bit-identical results, a fraction of the per-cycle dispatch cost.
+// loop — bit-identical results, a fraction of the per-step dispatch cost.
 // Any position the stream cannot batch (non-WLAWL orders, pauses) falls
-// back to the per-step path transparently.
+// back to the per-step path transparently: SramArray::cycle() runs the
+// same executor on a one-address, one-operation run.
 #pragma once
 
 #include "engine/backend.h"

@@ -4,7 +4,10 @@
 // from this one parameter set.  The default preset reproduces the paper's
 // experimental setup: 0.13 um, VDD = 1.6 V, 3 ns clock, 512x512 array.
 //
-// Calibration notes (see DESIGN.md §5):
+// Calibration notes.  The paper reports no per-event energies, only the
+// measured outcome (~50 % PRR on a 0.13 um 512x512 array), so these values
+// are calibrated to its published behaviour rather than extracted from a
+// process; bench_ablation_parameters shows which of them the PRR depends on.
 //  * res_fight_current is the steady current a '0'-storing cell sinks from a
 //    live pre-charge keeper during a Read Equivalent Stress; the device-level
 //    fixture in circuit/subcircuits.h measures the same quantity and an

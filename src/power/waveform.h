@@ -7,8 +7,8 @@
 //
 // The writer is a plain MeterSink that needs the raw event stream, so it
 // deliberately does NOT opt into bulk folding (bulk_fold_supported stays
-// false): attaching one routes the array through its per-cycle metering
-// path, where every event reaches on_add with its cycle stamp.  Idle
+// false): with one attached the array meters every event through
+// EnergyMeter::add, so each reaches on_add with its cycle stamp.  Idle
 // blocks (March "Del" elements) arrive as one on_spread covering millions
 // of cycles; the writer keeps them as ONE record with a span column rather
 // than exploding the file — energy in a record is the total over its span.

@@ -99,8 +99,8 @@ void SramArray::set_mode(Mode mode) {
   if (fast_) {
     cohorts_.clear();
     for (std::size_t col = 0; col < cohort_of_.size(); ++col)
-      cohort_of_[col] =
-          always_materialized_[col] ? kColMaterialized : kColPrecharged;
+      set_col_tag(col, always_materialized_[col] ? kColMaterialized
+                                                 : kColPrecharged);
     snap_ = PrechargeSnapshot{};
   } else {
     precharge_active_.assign(config_.geometry.cols, mode == Mode::kFunctional);
@@ -417,7 +417,24 @@ CycleResult SramArray::cycle(const CycleCommand& command) {
   const Geometry& g = config_.geometry;
   SRAMLP_REQUIRE(command.row < g.rows, "row out of range");
   SRAMLP_REQUIRE(command.col_group < g.col_groups(), "column out of range");
-  return fast_ ? fast_cycle(command) : reference_cycle(command);
+  const RunOp op{command.is_read, command.value};
+  RunCommand run;
+  run.row = command.row;
+  run.first_group = command.col_group;
+  run.group_count = 1;
+  run.descending = command.scan == Scan::kDescending;
+  run.ops = &op;
+  run.op_count = 1;
+  run.background = command.background;
+  run.scan = command.scan;
+  run.restore_last = command.restore_row_transition;
+  const RunResult rr = execute_run(run);
+  CycleResult result;
+  result.read_value = rr.last_read_value;
+  result.mismatch = rr.mismatches > 0;
+  result.first_bad_col = rr.detections[0].col;
+  result.faulty_swaps = rr.faulty_swaps;
+  return result;
 }
 
 CycleResult SramArray::reference_cycle(const CycleCommand& command) {
@@ -628,7 +645,7 @@ void SramArray::materialize_column(std::size_t col) {
     const Cohort& k = cohorts_[tag];
     columns_[col] = ColumnState{vdd, vdd, k.start, true, k.pre_op};
   }
-  cohort_of_[col] = kColMaterialized;
+  set_col_tag(col, kColMaterialized);
 }
 
 void SramArray::compact_cohorts() {
@@ -695,7 +712,7 @@ std::uint32_t SramArray::fast_enter_row(std::size_t row) {
           const bool one = cells_.get_unchecked(old_row, c);
           columns_[c] = one ? ColumnState{e.v_low, vdd, cycle_, true, k.pre_op}
                             : ColumnState{vdd, e.v_low, cycle_, true, k.pre_op};
-          cohort_of_[c] = kColMaterialized;
+          set_col_tag(c, kColMaterialized);
         }
       }
     });
@@ -723,117 +740,6 @@ std::uint32_t SramArray::fast_enter_row(std::size_t row) {
   }
   if (had_row) ++stats_.row_transitions;
   return swaps;
-}
-
-CycleResult SramArray::fast_execute_op(const CycleCommand& command) {
-  CycleResult result;
-  const auto& t = config_.tech;
-  const std::size_t w = config_.geometry.word_width;
-  const std::size_t first_col = command.col_group * w;
-
-  // Column-state phase: bring every selected column to pre-charged VDD,
-  // folding residual decay exactly like the reference engine (including
-  // its back-to-back multi-op exemption).
-  for (std::size_t b = 0; b < w; ++b) {
-    const std::size_t col = first_col + b;
-    const std::uint32_t tag = cohort_of_[col];
-    if (tag == kColPrecharged) continue;  // at VDD, disconnected: no energy
-    if (tag == kColMaterialized) {
-      ColumnState& s = columns_[col];
-      if (s.connected && cycle_ - s.since <= 1 &&
-          s.v_bl >= t.vdd - 1e-3 && s.v_blb >= t.vdd - 1e-3) {
-        s.v_bl = t.vdd;
-        s.v_blb = t.vdd;
-        s.connected = false;
-        s.pre_op_phase = false;
-        s.since = cycle_;
-      } else {
-        recharge(col, EnergySource::kPrechargeNextColumn);
-      }
-      if (!always_materialized_[col]) cohort_of_[col] = kColPrecharged;
-      continue;
-    }
-    const Cohort& k = cohorts_[tag];
-    if (cycle_ - k.start <= 1) {
-      // Back-to-back exemption: still at VDD, stays pre-charged for free.
-      cohort_of_[col] = kColPrecharged;
-    } else {
-      materialize_column(col);
-      recharge(col, EnergySource::kPrechargeNextColumn);
-      cohort_of_[col] = kColPrecharged;
-    }
-  }
-
-  // Operation phase.  Fault hooks are per-cell, so an attached model runs
-  // the shared per-bit path; otherwise the whole group reads, compares
-  // against the background and writes word-parallel (bit-oriented arrays
-  // take the single-cell shortcut of the same math).
-  if (faults_ != nullptr) {
-    for (std::size_t b = 0; b < w; ++b)
-      op_bit(command, first_col + b, &result);
-  } else {
-    if (w == 1) {
-      const bool physical =
-          command.background.physical(command.value, command.row, first_col);
-      if (command.is_read) {
-        const bool sensed = cells_.get_unchecked(command.row, first_col);
-        if (sensed != physical) {
-          result.mismatch = true;
-          result.first_bad_col = first_col;
-        }
-        result.read_value = sensed;
-      } else {
-        cells_.set_unchecked(command.row, first_col, physical);
-      }
-    } else {
-      // One 64-periodic word describes the whole group's expected physical
-      // data (every background's column period divides 64), so the
-      // fault-free data path compares / writes the full slice word-parallel;
-      // only a mismatching read decomposes per 64-bit chunk.
-      const std::uint64_t pattern =
-          (command.value ? ~std::uint64_t{0} : std::uint64_t{0}) ^
-          command.background.bits(command.row, first_col,
-                                  std::min<std::size_t>(64, w));
-      if (command.is_read) {
-        if (cells_.row_matches_pattern(command.row, first_col, w, pattern)) {
-          result.read_value = ((pattern >> ((w - 1) & 63)) & 1u) != 0;
-        } else {
-          for (std::size_t c0 = first_col; c0 < first_col + w; c0 += 64) {
-            const std::size_t n =
-                std::min<std::size_t>(64, first_col + w - c0);
-            const std::uint64_t physical = pattern & low_bit_mask(n);
-            const std::uint64_t sensed = cells_.row_bits(command.row, c0, n);
-            if (sensed != physical) {
-              if (!result.mismatch)
-                result.first_bad_col =
-                    c0 + static_cast<std::size_t>(
-                             std::countr_zero(sensed ^ physical));
-              result.mismatch = true;
-            }
-            result.read_value = ((sensed >> (n - 1)) & 1u) != 0;
-          }
-        }
-      } else {
-        cells_.fill_row_pattern(command.row, first_col, w, pattern);
-      }
-    }
-    if (command.is_read) {
-      meter_.add(EnergySource::kSenseAmp, e_.sense_amp, w);
-      meter_.add(EnergySource::kDataIo, e_.data_io, w);
-      meter_.add(EnergySource::kPrechargeRestoreRead, e_.read_restore, w);
-      meter_.add(EnergySource::kCellRes, e_.cell_res, w);
-    } else {
-      meter_.add(EnergySource::kWriteDriver, e_.write_driver, w);
-      meter_.add(EnergySource::kDataIo, e_.data_io, w);
-      meter_.add(EnergySource::kPrechargeRestoreWrite, e_.write_restore, w);
-    }
-  }
-  if (command.is_read)
-    ++stats_.reads;
-  else
-    ++stats_.writes;
-  if (result.mismatch) ++stats_.read_mismatches;
-  return result;
 }
 
 void SramArray::fast_restore_cycle(std::size_t row, std::size_t first_col) {
@@ -876,126 +782,6 @@ void SramArray::fast_restore_cycle(std::size_t row, std::size_t first_col) {
   cohorts_.clear();
 }
 
-CycleResult SramArray::fast_cycle(const CycleCommand& command) {
-  const Geometry& g = config_.geometry;
-  CycleResult result;
-  const bool lp = config_.mode == Mode::kLowPowerTest;
-  const std::size_t w = g.word_width;
-  const std::size_t first_col = command.col_group * w;
-
-  // Row hand-over bookkeeping (swap hazard in LP mode without restore).
-  if (!active_row_ || *active_row_ != command.row)
-    result.faulty_swaps = fast_enter_row(command.row);
-  stats_.faulty_swaps += result.faulty_swaps;
-
-  charge_peripheral(command);
-
-  // The operation itself (selected columns).
-  const CycleResult op = fast_execute_op(command);
-  result.read_value = op.read_value;
-  result.mismatch = op.mismatch;
-  result.first_bad_col = op.first_bad_col;
-
-  // Pre-charge activity snapshot: stored as the command outline, expanded
-  // on demand by precharge_was_active() instead of an O(cols) refill.
-  snap_.valid = true;
-  snap_.all_on = !lp || command.restore_row_transition;
-  snap_.first_col = first_col;
-  snap_.width = w;
-  snap_.has_follower = false;
-
-  if (!lp) {
-    // Functional mode: every unselected column of the active row fights a
-    // full RES against its live pre-charge circuit, every cycle.
-    meter_.add(EnergySource::kPrechargeResFight, e_.others_res_fight);
-    meter_.add(EnergySource::kCellRes, e_.others_cell_res);
-    stats_.full_res_column_cycles += g.cols - w;
-    if (faults_ != nullptr) {
-      for (std::size_t col : sensitive_by_row_[command.row]) {
-        if (col < first_col || col >= first_col + w)
-          faults_->on_res(*this, {command.row, col}, 1.0);
-      }
-    }
-  } else if (command.restore_row_transition) {
-    fast_restore_cycle(command.row, first_col);
-  } else {
-    // Steady LP cycle: only the follower group's pre-charge is on (driven
-    // by the previous column's selection signal, Fig. 8).  The last group
-    // of the scan has no follower (its CS line is not wrapped around).
-    const bool ascending = command.scan == Scan::kAscending;
-    const std::size_t groups = g.col_groups();
-    std::optional<std::size_t> follower;
-    if (ascending && command.col_group + 1 < groups)
-      follower = command.col_group + 1;
-    else if (!ascending && command.col_group > 0)
-      follower = command.col_group - 1;
-    if (follower) {
-      const std::size_t fc = *follower * w;
-      snap_.has_follower = true;
-      snap_.follower_first = fc;
-      for_each_run(fc, fc + w,
-                   [&](std::size_t col, std::size_t n, std::uint32_t tag) {
-        if (tag == kColPrecharged) {
-          full_res_bulk(n);
-        } else if (tag == kColMaterialized) {
-          for (std::size_t c = col; c < col + n; ++c) {
-            recharge(c, EnergySource::kPrechargeNextColumn);
-            apply_full_res(command.row, c);
-            if (!always_materialized_[c]) cohort_of_[c] = kColPrecharged;
-          }
-        } else {
-          const Cohort& k = cohorts_[tag];
-          const CohortEval e = eval_cohort(k);
-          cohort_recharge_bulk(e, k, n, EnergySource::kPrechargeNextColumn);
-          full_res_bulk(n);
-          std::fill(cohort_of_.begin() + static_cast<std::ptrdiff_t>(col),
-                    cohort_of_.begin() + static_cast<std::ptrdiff_t>(col + n),
-                    kColPrecharged);
-        }
-      });
-    }
-    // One control element switches per column-group advance (paper §5.5).
-    if (!last_col_group_ || *last_col_group_ != command.col_group)
-      meter_.add(EnergySource::kControlLogic, e_.control_element_group);
-  }
-
-  // After the restore phase the selected columns sit at VDD; from the next
-  // cycle on they decay again (WL still strobes this row every cycle).
-  // (Restore cycles leave everything pre-charged via fast_restore_cycle.)
-  if (lp && !command.restore_row_transition) {
-    const std::uint32_t post_cohort =
-        static_cast<std::uint32_t>(cohorts_.size());
-    cohorts_.push_back(Cohort{cycle_ + 1, /*pre_op=*/false});
-    for (std::size_t b = 0; b < w; ++b) {
-      const std::size_t col = first_col + b;
-      if (always_materialized_[col])
-        begin_decay(col, /*pre_op=*/false);
-      else
-        cohort_of_[col] = post_cohort;
-    }
-    if (cohorts_.size() > 2 * g.cols + 64) compact_cohorts();
-  } else if (!lp) {
-    for (std::size_t b = 0; b < w; ++b) {
-      const std::size_t col = first_col + b;
-      if (cohort_of_[col] == kColMaterialized) {
-        columns_[col].v_bl = config_.tech.vdd;
-        columns_[col].v_blb = config_.tech.vdd;
-        columns_[col].connected = false;
-        columns_[col].since = cycle_;
-      } else {
-        cohort_of_[col] = kColPrecharged;
-      }
-    }
-  }
-
-  restored_last_cycle_ = lp && command.restore_row_transition;
-  last_col_group_ = command.col_group;
-  ++cycle_;
-  meter_.tick_cycle();
-  ++stats_.cycles;
-  return result;
-}
-
 void SramArray::fast_idle(std::uint64_t cycles) {
   if (cycles == 0) return;
   const auto& t = config_.tech;
@@ -1023,7 +809,7 @@ void SramArray::fast_idle(std::uint64_t cycles) {
           active_row_ && cells_.get_unchecked(*active_row_, c);
       columns_[c] = one ? ColumnState{e.v_low, vdd, since, true, k.pre_op}
                         : ColumnState{vdd, e.v_low, since, true, k.pre_op};
-      cohort_of_[c] = kColMaterialized;
+      set_col_tag(c, kColMaterialized);
     }
   });
   cohorts_.clear();
@@ -1050,19 +836,19 @@ RunResult SramArray::execute_run(const RunCommand& run) {
     SRAMLP_REQUIRE(run.first_group + run.group_count <= g.col_groups(),
                    "column run out of range");
   }
-  // fast_run accumulates meter totals in registers via raw_totals().  A
-  // bulk-fold-capable sink (PowerTrace) keeps the batch path: its window /
-  // element blocks fold through the identical addition sequences, so both
-  // totals and traces stay bit-identical to per-cycle delivery (the batch
-  // executor's documented contract, pinned by test_bitsliced_parity.cpp).
-  // A sink that needs the raw event stream (waveform writers) forces the
-  // per-cycle path — every event delivered.
-  const bool bulk_ok =
-      !meter_.has_sink() || meter_.sink()->bulk_fold_supported();
-  return fast_ && bulk_ok ? fast_run(run) : run_per_cycle(run);
+  if (!fast_) return reference_run(run);
+  // A bulk-fold-capable sink (PowerTrace) folds its window / element blocks
+  // through the identical addition sequences as the meter totals, so
+  // totals and traces stay bit-identical to per-event delivery (pinned by
+  // test_bitsliced_parity.cpp).  Any other sink (waveform writers) gets
+  // every event through the meter.
+  if (!meter_.has_sink()) return fast_run_impl<Accumulation::kTotals>(run);
+  if (meter_.sink()->bulk_fold_supported())
+    return fast_run_impl<Accumulation::kBulkSink>(run);
+  return fast_run_impl<Accumulation::kEvents>(run);
 }
 
-RunResult SramArray::run_per_cycle(const RunCommand& run) {
+RunResult SramArray::reference_run(const RunCommand& run) {
   RunResult rr;
   CycleCommand cmd;
   cmd.row = run.row;
@@ -1077,8 +863,9 @@ RunResult SramArray::run_per_cycle(const RunCommand& run) {
       cmd.restore_row_transition = run.restore_last &&
                                    k + 1 == run.group_count &&
                                    o + 1 == run.op_count;
-      const CycleResult r = fast_ ? fast_cycle(cmd) : reference_cycle(cmd);
+      const CycleResult r = reference_cycle(cmd);
       rr.faulty_swaps += r.faulty_swaps;
+      if (cmd.is_read) rr.last_read_value = r.read_value;
       if (cmd.is_read && r.mismatch) {
         ++rr.mismatches;
         if (rr.detection_count < RunResult::kDetectionCap)
@@ -1090,16 +877,10 @@ RunResult SramArray::run_per_cycle(const RunCommand& run) {
   return rr;
 }
 
-RunResult SramArray::fast_run(const RunCommand& run) {
-  // A sink can only be attached here when it supports bulk folding
-  // (execute_run routes other sinks per-cycle); pick the matching
-  // instantiation once per run.
-  return meter_.has_sink() ? fast_run_impl<true>(run)
-                           : fast_run_impl<false>(run);
-}
-
-template <bool kTraced>
+template <SramArray::Accumulation kPolicy>
 RunResult SramArray::fast_run_impl(const RunCommand& run) {
+  constexpr bool kBulk = kPolicy == Accumulation::kBulkSink;
+  constexpr bool kEvents = kPolicy == Accumulation::kEvents;
   const Geometry& g = config_.geometry;
   const std::size_t w = g.word_width;
   const bool lp = config_.mode == Mode::kLowPowerTest;
@@ -1114,13 +895,7 @@ RunResult SramArray::fast_run_impl(const RunCommand& run) {
   }
   stats_.faulty_swaps += rr.faulty_swaps;
 
-  bool have_mat = false;
-  for (const std::uint32_t tag : cohort_of_) {
-    if (tag == kColMaterialized) {
-      have_mat = true;
-      break;
-    }
-  }
+  const bool have_mat = materialized_count_ != 0;
   // Per-cell hooks are needed only on rows the fault model can act on;
   // everywhere else the data path runs word-parallel (the model promised
   // its hooks are no-ops there — see CellFaultModel::relevant_rows).
@@ -1128,17 +903,16 @@ RunResult SramArray::fast_run_impl(const RunCommand& run) {
       faults_ != nullptr && (all_rows_hooked_ || hooked_rows_[run.row]);
 
   // Meter accumulators and the hot statistics live in locals for the whole
-  // run: each cycle performs exactly the additions the per-cycle path
-  // performs, in the same order, so the written-back totals match it to
-  // the bit.  store()/load() spill and reload them around the rare
-  // per-column (materialized / restore) work that meters directly.
-  // Fault hooks never touch the meter (they only see cells via force()),
-  // so hook calls need no spill.
-  constexpr auto I = [](EnergySource s) constexpr {
-    return static_cast<std::size_t>(s);
-  };
-  auto& totals = meter_.raw_totals();
-  // Traced runs additionally fold the sink's current-window and
+  // run: each cycle performs exactly the additions EnergyMeter::add would,
+  // in the same order, so the written-back totals match it to the bit.
+  // store()/load() spill and reload them around the rare per-column
+  // (materialized / restore) work that meters directly.  Under the events
+  // policy every addition goes through the meter itself and only the
+  // statistics spill.  Fault hooks never touch the meter (they only see
+  // cells via force()), so hook calls need no spill.
+  std::array<double, power::kEnergySourceCount>* totals = nullptr;
+  if constexpr (!kEvents) totals = &meter_.raw_totals();
+  // The bulk-sink policy additionally folds the sink's current-window and
   // current-element slot blocks: local copies receive the identical
   // per-slot addition sequences on_add would have performed, and are
   // written back at window boundaries and spill points — bit-identical
@@ -1146,14 +920,18 @@ RunResult SramArray::fast_run_impl(const RunCommand& run) {
   // The three mirrored accumulators of one source are interleaved as a
   // {window, element, total, pad} quad so one event's additions land in
   // one cache line and the window/element pair runs as a single lanewise
-  // two-wide add; untraced runs keep the dense one-total-per-source
+  // two-wide add; the totals policy keeps the dense one-total-per-source
   // block.  Interleaving only regroups independent per-slot chains, so
   // the bits are unchanged.
-  constexpr std::size_t kStride = kTraced ? 4 : 1;
+  constexpr std::size_t kStride = kBulk ? 4 : 1;
   alignas(16) std::array<double, power::kEnergySourceCount * kStride> t{};
-  power::MeterSink* const sink = kTraced ? meter_.sink() : nullptr;
+  power::MeterSink* const sink = kBulk ? meter_.sink() : nullptr;
   std::uint64_t win_cycles = 1;
-  if constexpr (kTraced) win_cycles = sink->bulk_window_cycles();
+  if constexpr (kBulk) win_cycles = sink->bulk_window_cycles();
+  // Trace windows are keyed on the meter's cycle counter, which
+  // reset_measurements() rewinds while cycle_ keeps counting; both advance
+  // together within a run, so this offset maps one onto the other.
+  const std::uint64_t meter_offset = cycle_ - meter_.cycles();
   double* winp = nullptr;
   double* elemp = nullptr;
   std::uint64_t cur_window = 0;
@@ -1164,21 +942,19 @@ RunResult SramArray::fast_run_impl(const RunCommand& run) {
   const auto load = [&] {
     equiv_post = stats_.decay_stress_equiv_post_op;
     equiv_pre = stats_.decay_stress_equiv_pre_op;
-    if constexpr (kTraced) {
+    if constexpr (kBulk) {
       // (Re-)acquire the sink's blocks: direct meter adds during a spill
-      // fold windows and may reallocate the sink's slot storage.  The
-      // meter's cycle counter equals cycle_ at every spill point, so the
-      // current window is cycle_ / width on both paths.
-      cur_window = cycle_ / win_cycles;
+      // fold windows and may reallocate the sink's slot storage.
+      cur_window = meter_.cycles() / win_cycles;
       winp = sink->bulk_window_slots(cur_window);
       elemp = sink->bulk_element_slots();
       for (std::size_t i = 0; i < power::kEnergySourceCount; ++i) {
         t[i * 4] = winp[i];
         t[i * 4 + 1] = elemp[i];
-        t[i * 4 + 2] = totals[i];
+        t[i * 4 + 2] = (*totals)[i];
       }
-    } else {
-      t = totals;
+    } else if constexpr (!kEvents) {
+      t = *totals;
     }
   };
   const auto store = [&] {
@@ -1189,27 +965,30 @@ RunResult SramArray::fast_run_impl(const RunCommand& run) {
     stats_.writes += d_writes;
     stats_.read_mismatches += d_mismatch;
     stats_.cycles += d_cycles;
-    meter_.tick_cycles(d_cycles);
+    if constexpr (!kEvents) meter_.tick_cycles(d_cycles);
     d_full_res = d_reads = d_writes = d_mismatch = d_cycles = 0;
-    if constexpr (kTraced) {
+    if constexpr (kBulk) {
       for (std::size_t i = 0; i < power::kEnergySourceCount; ++i) {
         winp[i] = t[i * 4];
         elemp[i] = t[i * 4 + 1];
-        totals[i] = t[i * 4 + 2];
+        (*totals)[i] = t[i * 4 + 2];
       }
-    } else {
-      totals = t;
+    } else if constexpr (!kEvents) {
+      *totals = t;
     }
   };
   // One metered event: the totals always; the trace's window / element
-  // chains only for supply-drawn sources (the per-cycle sink skips
+  // chains only for supply-drawn sources (the per-event sink skips
   // stored-charge stress the same way).  Mirroring an exact 0.0 is a
   // bitwise no-op on the non-negative accumulators, matching the sink's
   // zero-event skip.
   using V2 = double __attribute__((vector_size(16), may_alias));
   const auto acc = [&](EnergySource s, double e) {
-    if constexpr (kTraced) {
-      double* const p = t.data() + I(s) * 4;
+    const auto i = static_cast<std::size_t>(s);
+    if constexpr (kEvents) {
+      meter_.add(s, e);
+    } else if constexpr (kBulk) {
+      double* const p = t.data() + i * 4;
       if (power::info(s).supply_drawn) {
         // Lanewise two-wide add: each lane is the identical scalar IEEE
         // addition, just issued as one aligned instruction.
@@ -1217,7 +996,7 @@ RunResult SramArray::fast_run_impl(const RunCommand& run) {
       }
       p[2] += e;
     } else {
-      t[I(s)] += e;
+      t[i] += e;
     }
   };
   load();
@@ -1269,17 +1048,17 @@ RunResult SramArray::fast_run_impl(const RunCommand& run) {
       const bool restore = run.restore_last && k + 1 == run.group_count &&
                            o + 1 == run.op_count;
 
-      if constexpr (kTraced) {
-        if (cycle_ / win_cycles != cur_window) {
+      if constexpr (kBulk) {
+        if ((cycle_ - meter_offset) / win_cycles != cur_window) {
           // Entering a new window with a cycle still to run: finish the
           // old block, acquire the new one (acquisition finalizes every
           // window below it).  Doing this before the cycle's first event
           // — rather than right after ++cycle_ — means a window past the
-          // run's final event never materializes, matching the per-cycle
+          // run's final event never materializes, matching the per-event
           // sink, which only creates a window when an add lands in it.
           for (std::size_t i = 0; i < power::kEnergySourceCount; ++i)
             winp[i] = t[i * 4];
-          cur_window = cycle_ / win_cycles;
+          cur_window = (cycle_ - meter_offset) / win_cycles;
           winp = sink->bulk_window_slots(cur_window);
           for (std::size_t i = 0; i < power::kEnergySourceCount; ++i)
             t[i * 4] = winp[i];
@@ -1293,7 +1072,10 @@ RunResult SramArray::fast_run_impl(const RunCommand& run) {
       acc(EnergySource::kClockTree, e_.clock_tree);
       acc(EnergySource::kMemoryControl, e_.control_base);
 
-      // --- selected column state (fast_execute_op phase 1) ------------
+      // --- selected column state ---------------------------------------
+      // Bring every selected column to pre-charged VDD, folding residual
+      // decay exactly like the reference engine's execute_op (including
+      // its back-to-back multi-op exemption).
       // Virtual mode: the selected group is provably exempt or
       // pre-charged on every cycle of the sweep — no state, no energy.
       // Functional runs without materialized columns are all-pre-charged
@@ -1317,14 +1099,14 @@ RunResult SramArray::fast_run_impl(const RunCommand& run) {
               s.pre_op_phase = false;
               s.since = cycle_;
               if (!always_materialized_[col])
-                cohort_of_[col] = kColPrecharged;
+                set_col_tag(col, kColPrecharged);
               continue;
             }
           }
           store();
           if (cohort_of_[col] != kColMaterialized) materialize_column(col);
           recharge(col, EnergySource::kPrechargeNextColumn);
-          if (!always_materialized_[col]) cohort_of_[col] = kColPrecharged;
+          if (!always_materialized_[col]) set_col_tag(col, kColPrecharged);
           load();
         }
       }
@@ -1345,6 +1127,7 @@ RunResult SramArray::fast_run_impl(const RunCommand& run) {
                 faults_->read_result(cell, stored_v, &stored_after);
             if (stored_after != stored_v)
               cells_.set_unchecked(cell.row, cell.col, stored_after);
+            rr.last_read_value = sensed;
             if (sensed != physical) {
               if (!mismatch) first_bad_col = col;
               mismatch = true;
@@ -1382,9 +1165,10 @@ RunResult SramArray::fast_run_impl(const RunCommand& run) {
             cells_.set_unchecked(run.row, first_col, physical);
           }
         } else {
-          // Word-parallel data path: one 64-periodic pattern word covers
-          // the whole group (see fast_execute_op); mismatching reads —
-          // the rare case — decompose per 64-bit chunk.
+          // Word-parallel data path: one 64-periodic pattern word describes
+          // the whole group's expected physical data (every background's
+          // column period divides 64); mismatching reads — the rare case —
+          // decompose per 64-bit chunk.
           const std::uint64_t pattern =
               (op.value ? ~std::uint64_t{0} : std::uint64_t{0}) ^
               run.background.bits(run.row, first_col,
@@ -1418,6 +1202,12 @@ RunResult SramArray::fast_run_impl(const RunCommand& run) {
           }
         }
         if (op.is_read) {
+          // The run's last read is at its last address.  Reads leave the
+          // cells untouched here: the group's last cell still holds the
+          // bit just sensed.
+          if (k + 1 == run.group_count)
+            rr.last_read_value =
+                cells_.get_unchecked(run.row, first_col + w - 1);
           for (std::size_t b = 0; b < w; ++b) {
             acc(EnergySource::kSenseAmp, e_.sense_amp);
             acc(EnergySource::kDataIo, e_.data_io);
@@ -1526,7 +1316,7 @@ RunResult SramArray::fast_run_impl(const RunCommand& run) {
                 recharge(col, EnergySource::kPrechargeNextColumn);
                 apply_full_res(run.row, col);
                 if (!always_materialized_[col])
-                  cohort_of_[col] = kColPrecharged;
+                  set_col_tag(col, kColPrecharged);
                 load();
               } else {
                 const Cohort& kc = cohorts_[tag];
@@ -1582,6 +1372,7 @@ RunResult SramArray::fast_run_impl(const RunCommand& run) {
 
       ++cycle_;
       ++d_cycles;
+      if constexpr (kEvents) meter_.tick_cycle();
     }
     group = run.descending ? group - 1 : group + 1;
   }
@@ -1589,7 +1380,7 @@ RunResult SramArray::fast_run_impl(const RunCommand& run) {
   if (virt && !run.restore_last) {
     // Materialize the row's deferred cohort structure: one post-op cohort
     // per group, decay start arithmetic in the scan position — the exact
-    // state the per-cycle path would have accumulated.
+    // state the tag-driven loop would have accumulated.
     cohorts_.clear();
     for (std::size_t gi = 0; gi < groups; ++gi) {
       const std::size_t scan_index =

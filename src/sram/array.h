@@ -47,6 +47,12 @@
 //     cohort path's per-source floating-point sums match the reference
 //     path's addition-by-addition.
 //
+// The bitsliced engine has one cycle executor, fast_run_impl: cycle() is a
+// one-address, one-operation run through it.  It is compiled per meter
+// accumulation policy — totals only, a bulk-folding sink (PowerTrace), or
+// a sink that receives every event (WaveformWriter) — and execute_run
+// picks the policy from the attached sink.
+//
 // Bit-line voltages are tracked lazily (closed-form exponential decay from
 // the last capture point, memoized per integer cycle count), so a cycle
 // costs O(word_width) amortised work and full 512x512 March runs complete
@@ -130,6 +136,7 @@ class SramArray {
 
   /// Execute one clock cycle. In low-power test mode the caller must issue
   /// addresses word-line-after-word-line (the TestSession enforces this).
+  /// The cycle runs as a one-address, one-operation execute_run.
   CycleResult cycle(const CycleCommand& command);
 
   /// Execute a whole-row batch of cycles (see RunCommand): group_count
@@ -137,7 +144,8 @@ class SramArray {
   /// statistics, cell contents and detections are bit-identical to
   /// issuing the equivalent CycleCommands through cycle(); the bitsliced
   /// engine executes the batch with meter accumulators held in registers
-  /// and per-cycle glue amortised over the row.
+  /// (unless the attached sink needs every event) and per-cycle glue
+  /// amortised over the row.
   RunResult execute_run(const RunCommand& run);
 
   /// Idle for @p cycles clock cycles (March "Del" elements): no access,
@@ -216,8 +224,8 @@ class SramArray {
   /// Full RES on one column for one cycle (fight energy + hooks).
   void apply_full_res(std::size_t row, std::size_t col);
   void charge_peripheral(const CycleCommand& command);
-  /// The read/write data-path of one selected cell (meters + fault hooks);
-  /// shared verbatim by both column engines.
+  /// The reference engine's read/write data-path of one selected cell
+  /// (meters + fault hooks); fast_run_impl's hooked path mirrors it.
   void op_bit(const CycleCommand& command, std::size_t col,
               CycleResult* result);
 
@@ -226,6 +234,9 @@ class SramArray {
   void reference_idle(std::uint64_t cycles);
   std::uint32_t enter_row(std::size_t row);
   CycleResult execute_op(const CycleCommand& command);
+  /// execute_run on the reference engine: one reference_cycle per address
+  /// and operation.
+  RunResult reference_run(const RunCommand& run);
 
   // --- bitsliced / decay-cohort engine ------------------------------------
   /// A set of columns whose bit-lines all float from VDD since the same
@@ -252,26 +263,22 @@ class SramArray {
     double tau_over_duty = 0.0;  ///< decay_tau_cycles / wordline_duty
   };
 
-  CycleResult fast_cycle(const CycleCommand& command);
   void fast_idle(std::uint64_t cycles);
   std::uint32_t fast_enter_row(std::size_t row);
-  CycleResult fast_execute_op(const CycleCommand& command);
   /// The Fig. 7 all-column restore cycle's column work (recharge + RES +
-  /// the everything-pre-charged tail), shared by fast_cycle and fast_run.
+  /// the everything-pre-charged tail) for runs outside virtual mode.
   void fast_restore_cycle(std::size_t row, std::size_t first_col);
-  /// Per-cycle fallback for execute_run: the reference engine always, and
-  /// the bitsliced engine when the attached meter sink needs the raw event
-  /// stream (no bulk-fold support — e.g. a waveform writer).  Bulk-capable
-  /// sinks (PowerTrace) stay on the batched fast path, which folds their
-  /// window/element accumulators exactly like the meter totals.
-  /// Dispatches to the active engine's cycle path, which is bit-identical
-  /// to the batch executor.
-  RunResult run_per_cycle(const RunCommand& run);
-  RunResult fast_run(const RunCommand& run);
-  /// The batch executor, compiled twice: untraced (meter totals only) and
-  /// traced (additionally folding the sink's per-window / per-element
-  /// accumulator blocks through the identical addition sequences).
-  template <bool kTraced>
+  /// Where the batch executor's metered events go.  execute_run picks the
+  /// policy from the attached sink, never from configuration.
+  enum class Accumulation {
+    kTotals,    ///< no sink: meter totals held in registers
+    kBulkSink,  ///< bulk-fold sink (PowerTrace): totals + window/element
+                ///< blocks held in registers
+    kEvents,    ///< any other sink: every event through EnergyMeter::add
+  };
+  /// The bitsliced engine's one cycle executor: every run, including the
+  /// one-address, one-operation runs cycle() issues.
+  template <Accumulation kPolicy>
   RunResult fast_run_impl(const RunCommand& run);
   CohortEval eval_cohort(const Cohort& cohort) const;
   /// eval_cohort keyed by elapsed decay cycles, served from the grow-only
@@ -308,6 +315,14 @@ class SramArray {
     }
   }
   void compact_cohorts();
+  /// Set a column's state tag.  Every write that can enter or leave
+  /// kColMaterialized goes through here, so materialized_count_ stays
+  /// exact and a run learns in O(1) whether any column is materialized.
+  void set_col_tag(std::size_t col, std::uint32_t tag) {
+    materialized_count_ += tag == kColMaterialized;
+    materialized_count_ -= cohort_of_[col] == kColMaterialized;
+    cohort_of_[col] = tag;
+  }
 
   SramConfig config_;
   CellArray cells_;
@@ -352,6 +367,7 @@ class SramArray {
   static constexpr std::uint32_t kColMaterialized = 0xFFFFFFFEu;
   bool fast_ = true;                      ///< config_.column_model cached
   std::vector<std::uint32_t> cohort_of_;  ///< per-column state tag
+  std::size_t materialized_count_ = 0;    ///< tags equal to kColMaterialized
   std::vector<Cohort> cohorts_;
   std::vector<bool> always_materialized_; ///< RES-sensitive columns
   /// Rows where the fault model's data-path hooks can act (from

@@ -84,6 +84,8 @@ struct RunResult {
   std::uint64_t mismatches = 0;        ///< read cycles with any bad bit
   std::uint32_t faulty_swaps = 0;
   std::size_t detection_count = 0;     ///< entries valid in detections[]
+  /// Sensed value of the run's last read (last bit for words).
+  bool last_read_value = false;
   struct RunDetection {
     std::size_t op = 0;
     std::size_t group = 0;

@@ -5,11 +5,14 @@
 // functional, low-power, restore-disabled and single-fault runs, on square
 // and awkward (non-square, non-power-of-two, word-oriented) geometries.
 // Also covers the whole-row batch executor (StreamRun / execute_run)
-// against the per-step path, and the lazy column state surviving
-// reset_measurements().
+// against the per-step path, non-word-line orders and seeded random
+// drives that step every cycle through cycle(), traced runs repeated on
+// one session, and the lazy column state surviving reset_measurements().
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/session.h"
@@ -19,6 +22,7 @@
 #include "power/energy_source.h"
 #include "power/trace.h"
 #include "sram/array.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -88,8 +92,34 @@ void expect_results_identical(const SessionResult& ref,
   }
 }
 
+void expect_traces_identical(const power::TraceSummary& a,
+                             const power::TraceSummary& b,
+                             const std::string& where) {
+  EXPECT_EQ(a.window_cycles, b.window_cycles) << where;
+  EXPECT_EQ(a.total_cycles, b.total_cycles) << where;
+  EXPECT_EQ(a.windows, b.windows) << where;
+  EXPECT_EQ(a.peak_window, b.peak_window) << where;
+  EXPECT_EQ(a.peak_window_energy_j, b.peak_window_energy_j) << where;
+  EXPECT_EQ(a.peak_power_w, b.peak_power_w) << where;
+  EXPECT_EQ(a.supply_energy_j, b.supply_energy_j) << where;
+  EXPECT_EQ(a.average_power_w, b.average_power_w) << where;
+  ASSERT_EQ(a.elements.size(), b.elements.size()) << where;
+  for (std::size_t e = 0; e < a.elements.size(); ++e) {
+    EXPECT_EQ(a.elements[e].element, b.elements[e].element) << where;
+    EXPECT_EQ(a.elements[e].start_cycle, b.elements[e].start_cycle) << where;
+    EXPECT_EQ(a.elements[e].cycles, b.elements[e].cycles) << where;
+    EXPECT_EQ(a.elements[e].supply_energy_j, b.elements[e].supply_energy_j)
+        << where << " element " << e;
+    EXPECT_EQ(a.elements[e].precharge_energy_j,
+              b.elements[e].precharge_energy_j)
+        << where << " element " << e;
+  }
+  EXPECT_EQ(a.window_supply_j, b.window_supply_j) << where;
+}
+
 /// Run @p test under both column engines and require bit-exact agreement,
-/// including final cell contents.
+/// including final cell contents (and traces, when the config asks for
+/// one).
 void expect_session_parity_specs(SessionConfig config,
                                  const march::MarchTest& test,
                                  const std::vector<faults::FaultSpec>& specs,
@@ -109,6 +139,10 @@ void expect_session_parity_specs(SessionConfig config,
   }
   expect_results_identical(results[0], results[1], where);
   EXPECT_EQ(cells[0], cells[1]) << where << " (cell contents)";
+  ASSERT_EQ(results[0].trace.has_value(), results[1].trace.has_value())
+      << where;
+  if (results[0].trace)
+    expect_traces_identical(*results[0].trace, *results[1].trace, where);
 }
 
 void expect_session_parity(const SessionConfig& config,
@@ -180,6 +214,11 @@ TEST(BitslicedParity, DelayElementsAndIdleWindows) {
   SessionConfig cfg = grid_config(Mode::kLowPowerTest, 6, 16);
   expect_session_parity(cfg, march::algorithms::march_g_with_delays(),
                         nullptr, "march G with delays");
+  // Without the restore, a pause freezes partially decayed columns; the
+  // next element's first whole-row run must see them as materialized.
+  cfg.row_transition_restore = false;
+  expect_session_parity(cfg, march::algorithms::march_g_with_delays(),
+                        nullptr, "march G with delays, restore-disabled");
 }
 
 // --- restore-disabled (faulty-swap) parity ----------------------------------
@@ -268,6 +307,45 @@ TEST(BitslicedParity, DataRetentionFaultThroughDelays) {
   SessionConfig cfg = grid_config(Mode::kLowPowerTest, 4, 8);
   expect_session_parity(cfg, march::algorithms::march_g_with_delays(), &spec,
                         "data retention");
+}
+
+// --- non-word-line orders: every cycle through SramArray::cycle() ----------
+
+// Orders other than word-line-after-word-line cannot batch whole rows, so
+// the backend issues every cycle through cycle() — the one-address,
+// one-operation run.  They are functional-mode orders (a low-power
+// request falls back), with and without faults and a trace.
+TEST(BitslicedParity, NonWordLineOrdersStepThroughCycle) {
+  const std::size_t rows = 12, cols = 20;
+  const std::vector<faults::FaultSpec> fault_sets[] = {
+      {},
+      {{.kind = faults::FaultKind::kStuckAt1, .victim = {3, 5}},
+       {.kind = faults::FaultKind::kResSensitive,
+        .victim = {6, 10},
+        .res_threshold = 10.0}},
+  };
+  const std::pair<const char*, march::AddressOrder> orders[] = {
+      {"fast-row", march::AddressOrder::fast_row(rows, cols)},
+      {"pseudo-random", march::AddressOrder::pseudo_random(rows, cols, 7)},
+      {"gray-code", march::AddressOrder::gray_code(rows, cols)},
+      {"address-complement",
+       march::AddressOrder::address_complement(rows, cols)},
+  };
+  for (const auto& [name, order] : orders) {
+    for (std::size_t f = 0; f < 2; ++f) {
+      for (const bool traced : {false, true}) {
+        SessionConfig cfg = grid_config(Mode::kFunctional, rows, cols);
+        cfg.order = order;
+        if (traced)
+          cfg.trace = power::TraceConfig{.window_cycles = 16,
+                                         .keep_windows = true};
+        expect_session_parity_specs(
+            cfg, march::algorithms::march_c_minus(), fault_sets[f],
+            std::string(name) + (f == 0 ? "" : " faulty") +
+                (traced ? " traced" : ""));
+      }
+    }
+  }
 }
 
 // --- batch executor vs per-step path -----------------------------------------
@@ -378,36 +456,175 @@ TEST(BitslicedParity, DirectDriveWithSwapsIdleAndModeSwitch) {
   }
 }
 
-// --- probe/sink tracing: totals invariant, traces engine-identical -----------
+// --- generated cycle() sequences ---------------------------------------------
 
-void expect_traces_identical(const power::TraceSummary& a,
-                             const power::TraceSummary& b,
+/// Every observable of two identically driven arrays: meters, statistics,
+/// cell contents and the per-column diagnostics.
+void expect_arrays_identical(const SramArray& ref, const SramArray& fast,
                              const std::string& where) {
-  EXPECT_EQ(a.window_cycles, b.window_cycles) << where;
-  EXPECT_EQ(a.total_cycles, b.total_cycles) << where;
-  EXPECT_EQ(a.windows, b.windows) << where;
-  EXPECT_EQ(a.peak_window, b.peak_window) << where;
-  EXPECT_EQ(a.peak_window_energy_j, b.peak_window_energy_j) << where;
-  EXPECT_EQ(a.peak_power_w, b.peak_power_w) << where;
-  EXPECT_EQ(a.supply_energy_j, b.supply_energy_j) << where;
-  EXPECT_EQ(a.average_power_w, b.average_power_w) << where;
-  ASSERT_EQ(a.elements.size(), b.elements.size()) << where;
-  for (std::size_t e = 0; e < a.elements.size(); ++e) {
-    EXPECT_EQ(a.elements[e].element, b.elements[e].element) << where;
-    EXPECT_EQ(a.elements[e].start_cycle, b.elements[e].start_cycle) << where;
-    EXPECT_EQ(a.elements[e].cycles, b.elements[e].cycles) << where;
-    EXPECT_EQ(a.elements[e].supply_energy_j, b.elements[e].supply_energy_j)
-        << where << " element " << e;
-    EXPECT_EQ(a.elements[e].precharge_energy_j,
-              b.elements[e].precharge_energy_j)
-        << where << " element " << e;
+  expect_meters_identical(ref.meter(), fast.meter(), where);
+  expect_stats_identical(ref.stats(), fast.stats(), where);
+  const sram::Geometry& g = ref.geometry();
+  for (std::size_t r = 0; r < g.rows; ++r)
+    for (std::size_t c = 0; c < g.cols; ++c)
+      if (ref.peek(r, c) != fast.peek(r, c)) {
+        ADD_FAILURE() << where << " cell " << r << "," << c;
+        return;
+      }
+  for (std::size_t c = 0; c < g.cols; ++c) {
+    EXPECT_EQ(ref.bitline_low_side_voltage(c),
+              fast.bitline_low_side_voltage(c))
+        << where << " column " << c;
+    EXPECT_EQ(ref.precharge_was_active(c), fast.precharge_was_active(c))
+        << where << " column " << c;
   }
-  EXPECT_EQ(a.window_supply_j, b.window_supply_j) << where;
 }
 
+// Seeded random drives within cycle()'s contract: rows walked in scan
+// order (whole or partial, either direction, 1-3 operations per address,
+// random data and backgrounds), the row-transition restore issued or
+// omitted (omissions swap cells), interleaved with idle windows, mode
+// switches and measurement resets.  Both engines must agree after every
+// step.  Some walks go through execute_run as one batch instead, so the
+// whole-row paths start from states cycle() left.  The geometries include
+// two-group arrays (the fewest groups Geometry accepts) and words wider
+// than 64 bits.
+TEST(BitslicedParity, GeneratedCycleSequencesMatchTheReference) {
+  struct Geo {
+    std::size_t rows, cols, w;
+  };
+  const Geo geos[] = {
+      {6, 24, 1}, {5, 32, 4}, {4, 8, 4}, {3, 260, 130}, {2, 192, 96}};
+  for (const Geo& geo : geos) {
+    for (const bool faulty : {false, true}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        const std::string where_run =
+            std::to_string(geo.rows) + "x" + std::to_string(geo.cols) +
+            "/w" + std::to_string(geo.w) + (faulty ? " faulty" : "") +
+            " seed " + std::to_string(seed);
+        SramConfig base;
+        base.geometry = {geo.rows, geo.cols, geo.w};
+        base.mode = seed % 2 == 0 ? Mode::kFunctional : Mode::kLowPowerTest;
+        SramConfig ref_cfg = base;
+        ref_cfg.column_model = ColumnModel::kPerColumnReference;
+        SramArray ref(ref_cfg), fast(base);
+        const std::vector<faults::FaultSpec> specs = {
+            {.kind = faults::FaultKind::kStuckAt1, .victim = {geo.rows / 2, 1}},
+            {.kind = faults::FaultKind::kResSensitive,
+             .victim = {geo.rows - 1, geo.cols - 1},
+             .res_threshold = 10.0},
+        };
+        faults::FaultSet ref_faults(specs), fast_faults(specs);
+        if (faulty) {
+          ref.attach_fault_model(&ref_faults);
+          fast.attach_fault_model(&fast_faults);
+        }
+        util::Rng rng(seed * 0x9E3779B97F4A7C15ull + geo.cols);
+        for (std::size_t r = 0; r < geo.rows; ++r)
+          for (std::size_t c = 0; c < geo.cols; ++c) {
+            const bool v = rng.next_bool();
+            ref.poke(r, c, v);
+            fast.poke(r, c, v);
+          }
+        const std::size_t groups = geo.cols / geo.w;
+        std::size_t step = 0;
+        for (int walk = 0; walk < 30; ++walk) {
+          switch (rng.next_below(8)) {
+            case 0: {
+              const std::uint64_t cycles = 1 + rng.next_below(40);
+              ref.idle(cycles);
+              fast.idle(cycles);
+              break;
+            }
+            case 1: {
+              const Mode mode = rng.next_bool() ? Mode::kFunctional
+                                                : Mode::kLowPowerTest;
+              ref.set_mode(mode);
+              fast.set_mode(mode);
+              break;
+            }
+            case 2:
+              ref.reset_measurements();
+              fast.reset_measurements();
+              break;
+            default:
+              break;
+          }
+          CycleCommand cmd;
+          cmd.row = rng.next_below(geo.rows);
+          cmd.scan = rng.next_bool() ? sram::Scan::kAscending
+                                     : sram::Scan::kDescending;
+          cmd.background = sram::DataBackground(
+              sram::DataBackground::kinds()[rng.next_below(5)]);
+          const std::size_t count =
+              rng.next_below(4) == 0 ? 1 + rng.next_below(groups) : groups;
+          const std::size_t ops = 1 + rng.next_below(3);
+          const bool restore = rng.next_below(4) != 0;
+          if (rng.next_below(4) == 0) {
+            // The same walk as one batched run: the fast engine's
+            // whole-row paths must see the state cycle() left behind.
+            std::vector<sram::RunOp> run_ops;
+            for (std::size_t o = 0; o < ops; ++o)
+              run_ops.push_back({rng.next_bool(), rng.next_bool()});
+            sram::RunCommand rc;
+            rc.row = cmd.row;
+            rc.descending = cmd.scan == sram::Scan::kDescending;
+            rc.first_group = rc.descending ? groups - 1 : 0;
+            rc.group_count = count;
+            rc.ops = run_ops.data();
+            rc.op_count = ops;
+            rc.background = cmd.background;
+            rc.scan = cmd.scan;
+            rc.restore_last = restore;
+            const auto a = ref.execute_run(rc);
+            const auto b = fast.execute_run(rc);
+            const std::string where =
+                where_run + " run before step " + std::to_string(step);
+            EXPECT_EQ(a.mismatches, b.mismatches) << where;
+            EXPECT_EQ(a.faulty_swaps, b.faulty_swaps) << where;
+            EXPECT_EQ(a.last_read_value, b.last_read_value) << where;
+            ASSERT_EQ(a.detection_count, b.detection_count) << where;
+            for (std::size_t i = 0; i < a.detection_count; ++i) {
+              EXPECT_EQ(a.detections[i].op, b.detections[i].op) << where;
+              EXPECT_EQ(a.detections[i].group, b.detections[i].group)
+                  << where;
+              EXPECT_EQ(a.detections[i].col, b.detections[i].col) << where;
+            }
+            expect_arrays_identical(ref, fast, where);
+            if (HasFailure()) return;
+            continue;
+          }
+          for (std::size_t k = 0; k < count; ++k) {
+            cmd.col_group =
+                cmd.scan == sram::Scan::kAscending ? k : groups - 1 - k;
+            for (std::size_t o = 0; o < ops; ++o) {
+              cmd.is_read = rng.next_bool();
+              cmd.value = rng.next_bool();
+              cmd.restore_row_transition =
+                  restore && k + 1 == count && o + 1 == ops;
+              const auto a = ref.cycle(cmd);
+              const auto b = fast.cycle(cmd);
+              const std::string where =
+                  where_run + " step " + std::to_string(step++);
+              EXPECT_EQ(a.read_value, b.read_value) << where;
+              EXPECT_EQ(a.mismatch, b.mismatch) << where;
+              EXPECT_EQ(a.first_bad_col, b.first_bad_col) << where;
+              EXPECT_EQ(a.faulty_swaps, b.faulty_swaps) << where;
+              expect_arrays_identical(ref, fast, where);
+              if (HasFailure()) return;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// --- probe/sink tracing: totals invariant, traces engine-identical -----------
+
 // Attaching a trace sink must not move a single bit of the scalar totals
-// (the cycle-accurate path switches from the register-accumulator batch
-// executor to the per-cycle path — the documented-identical route), and
+// (the bitsliced executor folds the trace's blocks alongside its
+// register accumulators — the documented-identical route), and
 // the two column engines, which emit the same per-source event sequences
 // at the same cycles, must produce bit-identical traces.
 TEST(BitslicedParity, TracingKeepsTotalsBitIdenticalAndTracesEngineEqual) {
@@ -565,6 +782,34 @@ TEST(BitslicedParity, TracedBatchedRunsMatchPerStepExecution) {
     ASSERT_TRUE(res[0].trace.has_value() && res[1].trace.has_value())
         << where;
     expect_traces_identical(*res[0].trace, *res[1].trace, where);
+  }
+}
+
+// Trace windows follow the meter's cycle counter, which every run resets,
+// not the array's lifetime clock: a second traced run on the same session
+// must produce exactly the first run's trace, like the reference engine.
+TEST(BitslicedParity, SecondTracedRunOnOneSessionMatchesTheReference) {
+  for (const Mode mode : {Mode::kFunctional, Mode::kLowPowerTest}) {
+    SessionResult runs[2][2];  // [engine][run]
+    for (int m = 0; m < 2; ++m) {
+      SessionConfig cfg = grid_config(mode, 12, 24);
+      cfg.column_model = m == 0 ? ColumnModel::kPerColumnReference
+                                : ColumnModel::kBitslicedCohort;
+      cfg.trace = power::TraceConfig{.window_cycles = 16,
+                                     .keep_windows = true};
+      TestSession session(cfg);
+      for (int r = 0; r < 2; ++r)
+        runs[m][r] = session.run(march::algorithms::march_c_minus());
+    }
+    for (int r = 0; r < 2; ++r) {
+      const std::string where = std::string(mode == Mode::kFunctional
+                                                ? "F"
+                                                : "LP") +
+                                " run " + std::to_string(r);
+      expect_results_identical(runs[0][r], runs[1][r], where);
+      ASSERT_TRUE(runs[0][r].trace && runs[1][r].trace) << where;
+      expect_traces_identical(*runs[0][r].trace, *runs[1][r].trace, where);
+    }
   }
 }
 

@@ -1,11 +1,12 @@
 // WaveformWriter: the per-cycle energy export sink.
-//  * Attaching one must not move a bit of the run's totals (it forces the
-//    per-cycle metering path, whose arithmetic is the reference).
+//  * Attaching one must not move a bit of the run's totals (every event
+//    still passes through EnergyMeter::add).
 //  * Records reconstruct the run: per-run supply sums match the meter
 //    total (up to summation order), runs split automatically when the
 //    meter's cycle counter restarts, idle blocks stay single records.
 //  * CSV and JSONL formats, and the tee with a PowerTrace — the trace
 //    summary must stay bit-identical with the waveform attached.
+//  * Both column engines write byte-identical files.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "core/session.h"
+#include "faults/models.h"
 #include "march/algorithms.h"
 #include "power/waveform.h"
 
@@ -182,6 +184,95 @@ TEST(Waveform, TeeWithTraceKeepsTheTraceBitIdentical) {
     EXPECT_EQ(both.trace->elements[e].supply_energy_j,
               traced_only.trace->elements[e].supply_energy_j)
         << "element " << e;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+// The two column engines emit the same per-source events at the same
+// cycles, so their waveform files match byte for byte: CSV and JSONL,
+// with and without pauses and faults, bit- and word-oriented, and through
+// the trace tee (whose trace must match too).
+TEST(Waveform, ColumnEnginesWriteIdenticalFiles) {
+  const march::MarchTest tests[] = {march::algorithms::march_c_minus(),
+                                    march::algorithms::march_g_with_delays()};
+  const std::vector<faults::FaultSpec> specs = {
+      {.kind = faults::FaultKind::kStuckAt1, .victim = {3, 5}},
+      {.kind = faults::FaultKind::kResSensitive,
+       .victim = {6, 10},
+       .res_threshold = 10.0},
+  };
+  enum class Sink { kCsv, kJsonl, kTee };
+  for (const auto& test : tests) {
+    for (const auto mode : {sram::Mode::kFunctional, sram::Mode::kLowPowerTest}) {
+      for (const bool faulty : {false, true}) {
+        for (const std::size_t w : {std::size_t{1}, std::size_t{4}}) {
+          for (const Sink sink : {Sink::kCsv, Sink::kJsonl, Sink::kTee}) {
+            const std::string where =
+                test.name() +
+                (mode == sram::Mode::kFunctional ? " F" : " LP") +
+                (faulty ? " faulty" : "") + " w" + std::to_string(w) +
+                (sink == Sink::kCsv     ? " csv"
+                 : sink == Sink::kJsonl ? " jsonl"
+                                        : " tee");
+            std::string files[2];
+            core::SessionResult results[2];
+            for (int m = 0; m < 2; ++m) {
+              const std::string path = testing::TempDir() +
+                                       "sramlp_waveform_engine" +
+                                       std::to_string(m);
+              {
+                power::WaveformWriter writer(
+                    path, sink == Sink::kJsonl ? power::WaveformFormat::kJsonl
+                                               : power::WaveformFormat::kCsv);
+                core::SessionConfig cfg;
+                cfg.geometry = {12, 24, w};
+                cfg.mode = mode;
+                cfg.column_model = m == 0
+                                       ? sram::ColumnModel::kPerColumnReference
+                                       : sram::ColumnModel::kBitslicedCohort;
+                cfg.waveform_sink = &writer;
+                if (sink == Sink::kTee)
+                  cfg.trace = power::TraceConfig{.window_cycles = 16,
+                                                 .keep_windows = true};
+                core::TestSession session(cfg);
+                faults::FaultSet set(specs);
+                if (faulty) session.attach_fault_model(&set);
+                results[m] = session.run(test);
+              }
+              files[m] = slurp(path);
+            }
+            EXPECT_FALSE(files[0].empty()) << where;
+            EXPECT_TRUE(files[0] == files[1]) << where;
+            EXPECT_EQ(results[0].supply_energy_j, results[1].supply_energy_j)
+                << where;
+            EXPECT_EQ(results[0].mismatches, results[1].mismatches) << where;
+            if (sink != Sink::kTee) continue;
+            ASSERT_TRUE(results[0].trace && results[1].trace) << where;
+            EXPECT_EQ(results[0].trace->peak_window,
+                      results[1].trace->peak_window)
+                << where;
+            EXPECT_EQ(results[0].trace->window_supply_j,
+                      results[1].trace->window_supply_j)
+                << where;
+            ASSERT_EQ(results[0].trace->elements.size(),
+                      results[1].trace->elements.size())
+                << where;
+            for (std::size_t e = 0; e < results[0].trace->elements.size();
+                 ++e)
+              EXPECT_EQ(results[0].trace->elements[e].supply_energy_j,
+                        results[1].trace->elements[e].supply_energy_j)
+                  << where << " element " << e;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
