@@ -3,6 +3,8 @@
 // switch-level transient integrator, and the gate-level controller.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -376,6 +378,21 @@ BENCHMARK(BM_DistJobSpecRoundTrip);
 // against the same submit answered from the fingerprint cache, plus the
 // bare steal-queue coordination cost per shard.
 
+/// Start @p count worker threads on @p address and return once the service
+/// counts every one connected.  A worker still connecting when the bench
+/// calls request_stop() would retry the refused connect for its 5 s
+/// timeout and then throw out of its thread (std::terminate), so timing
+/// starts only after all of them said hello.
+std::vector<std::thread> start_workers(const std::string& address,
+                                       std::uint64_t count) {
+  std::vector<std::thread> workers;
+  for (std::uint64_t w = 0; w < count; ++w)
+    workers.emplace_back([address] { dist::ServiceWorker().run(address); });
+  while (dist::query_stats(address).workers_connected < count)
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+  return workers;
+}
+
 // A cold submit end to end, 2 worker threads over real sockets.  The
 // whole-job LRU is pinned to one entry and two jobs with distinct
 // fingerprints (same 8 points of compute — the algorithm list is just
@@ -387,10 +404,7 @@ void BM_ServiceSubmitCold(benchmark::State& state) {
   dist::Service service(options);
   service.start();
   const std::string address = service.address();
-  std::vector<std::thread> workers;
-  for (int w = 0; w < 2; ++w)
-    workers.emplace_back(
-        [address] { dist::ServiceWorker().run(address); });
+  std::vector<std::thread> workers = start_workers(address, 2);
   dist::JobSpec jobs[2] = {bench_sweep_job(), bench_sweep_job()};
   std::swap(jobs[1].grid.algorithms[0], jobs[1].grid.algorithms[1]);
   std::size_t i = 0;
@@ -415,10 +429,7 @@ void BM_ServiceSubmitCached(benchmark::State& state) {
   dist::Service service(options);
   service.start();
   const std::string address = service.address();
-  std::vector<std::thread> workers;
-  for (int w = 0; w < 2; ++w)
-    workers.emplace_back(
-        [address] { dist::ServiceWorker().run(address); });
+  std::vector<std::thread> workers = start_workers(address, 2);
   const dist::JobSpec job = bench_sweep_job();
   dist::submit_job(address, job);  // warm the cache
   for (auto _ : state) {
@@ -443,10 +454,7 @@ void BM_ServiceSubmitCachedTraced(benchmark::State& state) {
   dist::Service service(options);
   service.start();
   const std::string address = service.address();
-  std::vector<std::thread> workers;
-  for (int w = 0; w < 2; ++w)
-    workers.emplace_back(
-        [address] { dist::ServiceWorker().run(address); });
+  std::vector<std::thread> workers = start_workers(address, 2);
   const dist::JobSpec job = bench_sweep_job();
   dist::submit_job(address, job);  // warm the cache
   for (auto _ : state) {
@@ -476,10 +484,7 @@ void BM_ServiceSubmitCampaign256(benchmark::State& state) {
   dist::Service service(options);
   service.start();
   const std::string address = service.address();
-  std::vector<std::thread> workers;
-  for (int w = 0; w < 3; ++w)
-    workers.emplace_back(
-        [address] { dist::ServiceWorker().run(address); });
+  std::vector<std::thread> workers = start_workers(address, 3);
   dist::JobSpec job;
   job.kind = dist::JobSpec::Kind::kCampaign;
   job.config.geometry = {256, 256, 1};

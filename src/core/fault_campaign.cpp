@@ -1,6 +1,9 @@
+// Fault campaigns execute every session — per-fault pairs, batched pairs
+// and detects_fault — through run_faulty_session below: one TestSession
+// with the fault model attached, on the cycle-accurate engine (the only
+// backend that models faults).
 #include "core/fault_campaign.h"
 
-#include "core/sweep.h"
 #include "engine/parallel.h"
 #include "faults/batch.h"
 #include "obs/clock.h"
@@ -41,13 +44,24 @@ bool CampaignReport::modes_agree() const {
   return true;
 }
 
+namespace {
+
+/// One run of @p test in config.mode with @p faults attached to a fresh
+/// array.
+SessionResult run_faulty_session(const SessionConfig& config,
+                                 const march::MarchTest& test,
+                                 sram::CellFaultModel* faults) {
+  TestSession session(config);
+  session.attach_fault_model(faults);
+  return session.run(test);
+}
+
+}  // namespace
+
 bool detects_fault(const SessionConfig& config, const march::MarchTest& test,
                    const faults::FaultSpec& fault) {
   faults::FaultSet set({fault});
-  TestSession session(config);
-  session.attach_fault_model(&set);
-  const SessionResult result = session.run(test);
-  return result.detected();
+  return run_faulty_session(config, test, &set).detected();
 }
 
 CampaignReport CampaignRunner::run(
@@ -56,11 +70,6 @@ CampaignReport CampaignRunner::run(
   CampaignReport report;
   report.algorithm = test.name();
   report.entries.resize(faults.size());
-
-  // Every session pair goes through SweepRunner's single-point executor,
-  // so backend routing (always the bitsliced cycle-accurate engine here —
-  // the analytic backend cannot model faults) lives in one place.
-  const SweepRunner point_runner;
 
   // One fresh session pair per fault; entry i == faults[i] regardless of
   // which worker executes it.  A fresh fault model per mode run:
@@ -81,7 +90,7 @@ CampaignReport CampaignRunner::run(
       SessionConfig cfg = config;
       cfg.mode = mode;
       faults::FaultSet set({faults[i]});
-      const SessionResult result = point_runner.run_mode(cfg, test, &set);
+      const SessionResult result = run_faulty_session(cfg, test, &set);
       if (mode == sram::Mode::kFunctional) {
         entry.detected_functional = result.detected();
         entry.mismatches_functional = result.mismatches;
@@ -99,7 +108,7 @@ CampaignReport CampaignRunner::run(
   // independence is gone.
   faults::BatchPlan plan;
   if (options_.batched && config.row_transition_restore) {
-    plan = faults::plan_batches(faults, options_.max_batch);
+    plan = faults::plan_batches(faults);
   } else {
     plan.fallback.resize(faults.size());
     for (std::size_t i = 0; i < faults.size(); ++i) plan.fallback[i] = i;
@@ -118,7 +127,7 @@ CampaignReport CampaignRunner::run(
       SessionConfig cfg = config;
       cfg.mode = mode;
       faults::BatchFaultSet set(specs);  // fresh model per mode run
-      point_runner.run_mode(cfg, test, &set);
+      run_faulty_session(cfg, test, &set);
       // A mismatch no member owns means the batch-independence invariant
       // broke (a partitioning bug): fail loudly instead of silently
       // reporting wrong verdicts.

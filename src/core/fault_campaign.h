@@ -68,8 +68,6 @@ class CampaignRunner {
     /// Verdicts are identical to the per-fault path; sessions drop by the
     /// batching factor.
     bool batched = false;
-    /// Cap on faults per batch (0 = unlimited); forwarded to plan_batches.
-    std::size_t max_batch = 0;
   };
 
   CampaignRunner() = default;

@@ -10,18 +10,70 @@ namespace sramlp::core {
 
 namespace {
 
-sram::SramConfig make_array_config(const SessionConfig& config, bool lp_ok) {
+sram::SramConfig make_array_config(const SessionConfig& config,
+                                   sram::Mode mode) {
   sram::SramConfig ac;
   ac.geometry = config.geometry;
   ac.tech = config.tech;
-  ac.mode = (config.mode == sram::Mode::kLowPowerTest && lp_ok)
-                ? sram::Mode::kLowPowerTest
-                : sram::Mode::kFunctional;
-  ac.row_transition_restore = config.row_transition_restore;
+  ac.mode = mode;
   ac.wordline_duty = config.wordline_duty;
   ac.swap_threshold_frac = config.swap_threshold_frac;
   ac.column_model = config.column_model;
   return ac;
+}
+
+/// The address order of @p config (word-line-after-word-line unless one is
+/// configured), checked against the geometry.  @p mode is the requested
+/// mode on entry and the mode the run executes in on return: paper §4
+/// sends the low-power mode on any other order back to functional mode, or
+/// throws when strict_lp_order is set.
+march::AddressOrder resolve_order(const SessionConfig& config,
+                                  sram::Mode* mode) {
+  march::AddressOrder order =
+      config.order ? *config.order
+                   : march::AddressOrder::word_line_after_word_line(
+                         config.geometry.rows, config.geometry.col_groups());
+  SRAMLP_REQUIRE(order.rows() == config.geometry.rows &&
+                     order.col_groups() == config.geometry.col_groups(),
+                 "address order does not match the array geometry");
+  if (*mode == sram::Mode::kLowPowerTest &&
+      !order.is_word_line_after_word_line()) {
+    SRAMLP_REQUIRE(!config.strict_lp_order,
+                   "low-power test mode requires the "
+                   "word-line-after-word-line address order (March DOF-1)");
+    *mode = sram::Mode::kFunctional;
+  }
+  return order;
+}
+
+/// The stream schedule of one run of @p config.
+engine::StreamOptions stream_options(const SessionConfig& config,
+                                     sram::Mode mode) {
+  engine::StreamOptions options;
+  options.low_power = mode == sram::Mode::kLowPowerTest;
+  options.row_transition_restore = config.row_transition_restore;
+  options.invert_background = config.invert_background;
+  options.background = config.background;
+  options.trace = config.trace;
+  options.waveform_sink = config.waveform_sink;
+  return options;
+}
+
+SessionResult session_result(const march::MarchTest& test, sram::Mode mode,
+                             bool fell_back, engine::ExecutionResult exec) {
+  SessionResult result;
+  result.algorithm = test.name();
+  result.mode = mode;
+  result.fell_back_to_functional = fell_back;
+  result.cycles = exec.cycles;
+  result.supply_energy_j = exec.supply_energy_j;
+  result.energy_per_cycle_j = exec.energy_per_cycle_j;
+  result.meter = std::move(exec.meter);
+  result.stats = exec.stats;
+  result.mismatches = exec.mismatches;
+  result.first_detections = std::move(exec.first_detections);
+  result.trace = std::move(exec.trace);
+  return result;
 }
 
 /// Power Reduction Ratio from a pair of per-cycle energies (Table 1).
@@ -33,25 +85,12 @@ double prr_of(const SessionResult& functional, const SessionResult& low_power) {
 }  // namespace
 
 TestSession::TestSession(const SessionConfig& config)
-    : config_(config),
-      order_(config.order ? *config.order
-                          : march::AddressOrder::word_line_after_word_line(
-                                config.geometry.rows,
-                                config.geometry.col_groups())),
-      array_(make_array_config(config, /*lp_ok=*/true)) {
-  SRAMLP_REQUIRE(order_->rows() == config_.geometry.rows &&
-                     order_->col_groups() == config_.geometry.col_groups(),
-                 "address order does not match the array geometry");
-
-  // Paper §4: the low-power test mode assumes the word-line-after-word-line
-  // sequence; algorithms needing another order must use functional mode.
-  if (config_.mode == sram::Mode::kLowPowerTest &&
-      !order_->is_word_line_after_word_line()) {
-    SRAMLP_REQUIRE(!config_.strict_lp_order,
-                   "low-power test mode requires the "
-                   "word-line-after-word-line address order (March DOF-1)");
+    : config_(config), array_(make_array_config(config, config.mode)) {
+  sram::Mode mode = config.mode;
+  order_ = resolve_order(config, &mode);
+  if (mode != config.mode) {
     fell_back_ = true;
-    array_.set_mode(sram::Mode::kFunctional);
+    array_.set_mode(mode);
   }
 }
 
@@ -62,14 +101,8 @@ void TestSession::attach_fault_model(sram::CellFaultModel* model) {
 
 engine::CommandStream TestSession::make_stream(
     const march::MarchTest& test) const {
-  engine::StreamOptions options;
-  options.low_power = array_.mode() == sram::Mode::kLowPowerTest;
-  options.row_transition_restore = config_.row_transition_restore;
-  options.invert_background = config_.invert_background;
-  options.background = config_.background;
-  options.trace = config_.trace;
-  options.waveform_sink = config_.waveform_sink;
-  return engine::CommandStream(test, *order_, options);
+  return engine::CommandStream(test, *order_,
+                               stream_options(config_, array_.mode()));
 }
 
 SessionResult TestSession::run(const march::MarchTest& test) {
@@ -83,42 +116,23 @@ SessionResult TestSession::run(const march::MarchTest& test,
                  std::string("backend '") + backend.name() +
                      "' ignores fault models; detach the model or use a "
                      "fault-capable backend");
-
   engine::CommandStream stream = make_stream(test);
-  engine::ExecutionResult exec = backend.run(stream);
-
-  SessionResult result;
-  result.algorithm = test.name();
-  result.mode = array_.mode();
-  result.fell_back_to_functional = fell_back_;
-  result.cycles = exec.cycles;
-  result.supply_energy_j = exec.supply_energy_j;
-  result.energy_per_cycle_j = exec.energy_per_cycle_j;
-  result.meter = std::move(exec.meter);
-  result.stats = exec.stats;
-  result.mismatches = exec.mismatches;
-  result.first_detections = std::move(exec.first_detections);
-  result.trace = std::move(exec.trace);
-  return result;
+  return session_result(test, array_.mode(), fell_back_, backend.run(stream));
 }
 
 PrrComparison TestSession::compare_modes(const SessionConfig& config,
                                          const march::MarchTest& test,
                                          sram::CellFaultModel* faults) {
+  const auto run_mode = [&](sram::Mode mode) {
+    SessionConfig mode_config = config;
+    mode_config.mode = mode;
+    TestSession session(mode_config);
+    session.attach_fault_model(faults);
+    return session.run(test);
+  };
   PrrComparison cmp;
-
-  SessionConfig functional = config;
-  functional.mode = sram::Mode::kFunctional;
-  TestSession fs(functional);
-  fs.attach_fault_model(faults);
-  cmp.functional = fs.run(test);
-
-  SessionConfig low_power = config;
-  low_power.mode = sram::Mode::kLowPowerTest;
-  TestSession ls(low_power);
-  ls.attach_fault_model(faults);
-  cmp.low_power = ls.run(test);
-
+  cmp.functional = run_mode(sram::Mode::kFunctional);
+  cmp.low_power = run_mode(sram::Mode::kLowPowerTest);
   cmp.prr = prr_of(cmp.functional, cmp.low_power);
   return cmp;
 }
@@ -129,46 +143,19 @@ PrrComparison TestSession::compare_modes_analytic(const SessionConfig& config,
   // runs share one address order, and the default word-line-after-word-
   // line order is computed rather than materialised.  The closed form reads
   // only the order's size, so a default sweep point costs O(1).
-  const march::AddressOrder order =
-      config.order ? *config.order
-                   : march::AddressOrder::word_line_after_word_line(
-                         config.geometry.rows, config.geometry.col_groups());
-  SRAMLP_REQUIRE(order.rows() == config.geometry.rows &&
-                     order.col_groups() == config.geometry.col_groups(),
-                 "address order does not match the array geometry");
-  // Paper §4 fallback, as TestSession would resolve it for the LP leg.
-  const bool lp_ok = order.is_word_line_after_word_line();
-  SRAMLP_REQUIRE(lp_ok || !config.strict_lp_order,
-                 "low-power test mode requires the "
-                 "word-line-after-word-line address order (March DOF-1)");
+  sram::Mode lp_mode = sram::Mode::kLowPowerTest;
+  const march::AddressOrder order = resolve_order(config, &lp_mode);
 
   engine::AnalyticBackend backend(config.tech, config.geometry);
-  const auto run_schedule = [&](bool low_power) {
-    engine::StreamOptions options;
-    options.low_power = low_power;
-    options.row_transition_restore = config.row_transition_restore;
-    options.invert_background = config.invert_background;
-    options.background = config.background;
-    options.trace = config.trace;
-    engine::CommandStream stream(test, order, options);
-    engine::ExecutionResult exec = backend.run(stream);
-
-    SessionResult result;
-    result.algorithm = test.name();
-    result.mode = low_power ? sram::Mode::kLowPowerTest
-                            : sram::Mode::kFunctional;
-    result.cycles = exec.cycles;
-    result.supply_energy_j = exec.supply_energy_j;
-    result.energy_per_cycle_j = exec.energy_per_cycle_j;
-    result.stats = exec.stats;
-    result.trace = std::move(exec.trace);
-    return result;
+  const auto run_schedule = [&](sram::Mode mode, bool fell_back) {
+    engine::CommandStream stream(test, order, stream_options(config, mode));
+    return session_result(test, mode, fell_back, backend.run(stream));
   };
 
   PrrComparison cmp;
-  cmp.functional = run_schedule(false);
-  cmp.low_power = run_schedule(lp_ok);
-  cmp.low_power.fell_back_to_functional = !lp_ok;
+  cmp.functional = run_schedule(sram::Mode::kFunctional, false);
+  cmp.low_power =
+      run_schedule(lp_mode, lp_mode != sram::Mode::kLowPowerTest);
   cmp.prr = prr_of(cmp.functional, cmp.low_power);
   return cmp;
 }

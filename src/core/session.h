@@ -130,6 +130,7 @@ class TestSession {
 
   /// Run @p test in functional and low-power mode on two identical arrays
   /// built from @p config (mode field ignored) and compute the PRR.
+  /// @p faults, when given, is attached to both runs in sequence.
   static PrrComparison compare_modes(const SessionConfig& config,
                                      const march::MarchTest& test,
                                      sram::CellFaultModel* faults = nullptr);
@@ -140,8 +141,6 @@ class TestSession {
                                               const march::MarchTest& test);
 
  private:
-  const march::AddressOrder& order() const { return *order_; }
-
   SessionConfig config_;
   std::optional<march::AddressOrder> order_;
   sram::SramArray array_;

@@ -1,6 +1,5 @@
 #include "core/sweep.h"
 
-#include "engine/analytic_backend.h"
 #include "engine/parallel.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
@@ -27,44 +26,12 @@ SessionConfig SweepGrid::config_at(std::size_t index) const {
   return config;
 }
 
-BackendChoice SweepRunner::route(const SessionConfig& config,
-                                 bool has_faults) {
-  // The closed form models fault-free runs under the paper's schedule
-  // only: faults need per-cell behaviour, and a disabled Fig. 7 restore
-  // changes the energy (and triggers swaps) in ways §5 does not cover.
-  if (has_faults || !config.row_transition_restore)
-    return BackendChoice::kCycleAccurate;
-  return BackendChoice::kAnalytic;
-}
-
-PrrComparison SweepRunner::run_point(const SessionConfig& config,
-                                     const march::MarchTest& test,
-                                     sram::CellFaultModel* faults) const {
-  BackendChoice backend = options_.backend;
-  if (backend == BackendChoice::kAuto)
-    backend = route(config, faults != nullptr);
-  SRAMLP_REQUIRE(backend != BackendChoice::kAnalytic || faults == nullptr,
-                 "the analytic backend cannot model fault injection");
-  if (backend == BackendChoice::kAnalytic)
-    return TestSession::compare_modes_analytic(config, test);
-  return TestSession::compare_modes(config, test, faults);
-}
-
-SessionResult SweepRunner::run_mode(const SessionConfig& config,
-                                    const march::MarchTest& test,
-                                    sram::CellFaultModel* faults) const {
-  BackendChoice backend = options_.backend;
-  if (backend == BackendChoice::kAuto)
-    backend = route(config, faults != nullptr);
-  SRAMLP_REQUIRE(backend != BackendChoice::kAnalytic || faults == nullptr,
-                 "the analytic backend cannot model fault injection");
-  TestSession session(config);
-  session.attach_fault_model(faults);
-  if (backend == BackendChoice::kAnalytic) {
-    engine::AnalyticBackend analytic(config.tech, config.geometry);
-    return session.run(test, analytic);
-  }
-  return session.run(test);
+BackendChoice SweepRunner::route(const SessionConfig& config) {
+  // The closed form models the paper's schedule only: a disabled Fig. 7
+  // restore changes the energy (and triggers swaps) in ways §5 does not
+  // cover.
+  return config.row_transition_restore ? BackendChoice::kAnalytic
+                                       : BackendChoice::kCycleAccurate;
 }
 
 namespace {
@@ -91,7 +58,7 @@ SweepPointResult evaluate_grid_point(const SweepGrid& grid, std::size_t index,
   const SessionConfig config = grid.config_at(index);
   // Resolve the backend once; the recorded choice IS the executed one.
   point.backend = requested == BackendChoice::kAuto
-                      ? SweepRunner::route(config, /*has_faults=*/false)
+                      ? SweepRunner::route(config)
                       : requested;
   point.prr = point.backend == BackendChoice::kAnalytic
                   ? TestSession::compare_modes_analytic(

@@ -10,12 +10,14 @@
 //   * it fans the points over engine::parallel_for, one independent
 //     session pair per point;
 //   * it routes every point to the cheapest backend that can model it:
-//     the closed-form analytic backend when the point is fault-free with
-//     the Fig. 7 restore enabled, the bitsliced cycle-accurate engine
-//     otherwise.  Callers can force either backend (benches print both).
+//     the closed-form analytic backend when the Fig. 7 restore is
+//     enabled, the bitsliced cycle-accurate engine otherwise.  Callers can
+//     force either backend (benches print both).
 //
-// CampaignRunner routes its per-fault runs through the same single-point
-// executor (run_point), so backend selection lives in exactly one place.
+// Sweep points are fault-free, so routing is decided per point from the
+// configuration alone.  Fault campaigns (CampaignRunner) run their
+// sessions on the cycle-accurate engine directly: the analytic backend
+// cannot model faults.
 #pragma once
 
 #include <cstddef>
@@ -95,24 +97,8 @@ class SweepRunner {
   std::vector<SweepPointResult> run_indices(
       const SweepGrid& grid, const std::vector<std::size_t>& indices) const;
 
-  /// Evaluate one point through the routing policy.  @p faults forces the
-  /// cycle-accurate engine (the analytic backend cannot model faults) and
-  /// is attached to both mode runs in sequence, like
-  /// TestSession::compare_modes.
-  PrrComparison run_point(const SessionConfig& config,
-                          const march::MarchTest& test,
-                          sram::CellFaultModel* faults = nullptr) const;
-
-  /// Evaluate one single-mode run (config.mode is honoured) through the
-  /// routing policy.  Campaigns use this with a fresh fault model per
-  /// mode so no fault state leaks between the functional and low-power
-  /// verdicts.
-  SessionResult run_mode(const SessionConfig& config,
-                         const march::MarchTest& test,
-                         sram::CellFaultModel* faults = nullptr) const;
-
-  /// The routing rule: where kAuto sends a point.
-  static BackendChoice route(const SessionConfig& config, bool has_faults);
+  /// The routing rule: where kAuto sends a grid point.
+  static BackendChoice route(const SessionConfig& config);
 
  private:
   Options options_;

@@ -1,5 +1,7 @@
 #include "engine/command_stream.h"
 
+#include <string>
+
 #include "util/error.h"
 
 namespace sramlp::engine {
@@ -28,18 +30,24 @@ CommandStream::CommandStream(const march::MarchTest& test,
 }
 
 bool CommandStream::peek_run(StreamRun* run) const {
-  if (done_ || op_ != 0 || !wlawl_) return false;
-  const auto& elements = test_.elements();
-  const march::MarchElement& element = elements[element_];
+  if (done_) return false;
+  SRAMLP_REQUIRE(op_ == 0,
+                 "a stream run starts at an address boundary, but the "
+                 "cursor sits on operation " + std::to_string(op_) +
+                     " of an address; pop() the rest of the address or "
+                     "reset() the stream first");
+  const march::MarchElement& element = test_.elements()[element_];
   if (element.is_pause()) return false;
 
   const march::Direction dir = element.direction;
   const march::Address addr = order_->at(step_, dir);
   const bool descending = dir == march::Direction::kDown;
   // WLAWL sequences keep each row's groups contiguous, so the rest of the
-  // current row is exactly this many addresses.
-  const std::size_t count =
-      descending ? addr.col + 1 : order_->col_groups() - addr.col;
+  // current row is exactly this many addresses; any other order may leave
+  // the row at the next step, so its runs are one address long.
+  std::size_t count = 1;
+  if (wlawl_)
+    count = descending ? addr.col + 1 : order_->col_groups() - addr.col;
 
   run->element = element_;
   run->row = addr.row;

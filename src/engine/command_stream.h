@@ -15,8 +15,12 @@
 //   * the per-cycle scan direction, so backends pre-charge the correct
 //     follower column for descending March elements.
 //
-// Backends (cycle-accurate array, closed-form analytic model) consume the
-// stream; none of them re-derive scheduling.  The stream owns a copy of
+// Consumers pull either steps (peek()/next(): one cycle or idle block at
+// a time, as the BIST controller does) or runs (peek_run()/skip_run():
+// every address boundary outside a pause starts one, so the cycle-accurate
+// backend executes a whole session as runs plus idle blocks).  Backends
+// (cycle-accurate array, closed-form analytic model) consume the stream;
+// none of them re-derive scheduling.  The stream owns a copy of
 // the March test but only borrows the address order: the caller
 // (TestSession, BistController, ...) must keep the order alive for the
 // stream's lifetime.
@@ -45,13 +49,15 @@ struct StreamStep {
   std::size_t op = 0;
 };
 
-/// A whole-row batch of upcoming cycle steps: `group_count` consecutive
-/// addresses of one word line inside one March element, each executing the
-/// element's full operation list, with the stream's restore decision for
-/// the run's final operation pre-resolved.  Runs exist so backends can
-/// execute a row in one tight loop (sram::SramArray::execute_run) without
-/// re-deriving any sequencing policy — the stream remains the single owner
-/// of the restore and scan rules.
+/// A batch of upcoming cycle steps: `group_count` consecutive addresses of
+/// one word line inside one March element, each executing the element's
+/// full operation list, with the stream's restore decision for the run's
+/// final operation pre-resolved.  On a word-line-after-word-line order a
+/// run is the rest of the current row; on any other order it is one
+/// address.  Runs let backends execute them in one call
+/// (sram::SramArray::execute_run) without re-deriving any sequencing
+/// policy — the stream remains the single owner of the restore and scan
+/// rules.
 struct StreamRun {
   std::size_t element = 0;
   std::size_t row = 0;
@@ -111,11 +117,12 @@ class CommandStream {
   /// Pull one step; std::nullopt once the test is exhausted.
   std::optional<StreamStep> next();
 
-  /// Describe the whole-row run starting at the cursor, when one exists:
-  /// the cursor must sit on the first operation of an address, the order
-  /// must be word-line-after-word-line (runs are row-contiguous by
-  /// construction there), and the current element must not be a pause.
-  /// Returns false otherwise; the per-step API always remains valid.
+  /// Describe the run starting at the cursor: the rest of the row on a
+  /// word-line-after-word-line order, one address on any other.  Returns
+  /// false once the stream is done or while the current element is a pause
+  /// (consume that idle block with peek()/pop()).  The cursor must sit on
+  /// the first operation of an address (REQUIREd): a stream partly
+  /// consumed with pop() cannot continue as runs.
   bool peek_run(StreamRun* run) const;
 
   /// Advance the cursor past a run obtained from peek_run() (equivalent

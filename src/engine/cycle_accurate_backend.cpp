@@ -70,56 +70,45 @@ ExecutionResult CycleAccurateBackend::run(CommandStream& stream) {
   std::vector<sram::RunOp> ops;
   std::size_t ops_element = static_cast<std::size_t>(-1);
 
-  for (;;) {
+  // Every run ends on an address boundary, so after peek_run's REQUIRE on
+  // the first one the stream holds only runs and pause idle blocks.
+  while (!stream.done()) {
     StreamRun srun;
-    if (batch_runs_ && stream.peek_run(&srun)) {
-      if (trace) trace->begin_element(srun.element, array_->meter().cycles());
-      if (ops_element != srun.element) {
-        ops.clear();
-        for (const march::Operation op :
-             stream.test().elements()[srun.element].ops)
-          ops.push_back({march::is_read(op), march::value_of(op)});
-        ops_element = srun.element;
-      }
-      sram::RunCommand rc;
-      rc.row = srun.row;
-      rc.first_group = srun.first_group;
-      rc.group_count = srun.group_count;
-      rc.descending = srun.descending;
-      rc.ops = ops.data();
-      rc.op_count = ops.size();
-      rc.background = stream.options().background;
-      rc.scan = srun.scan;
-      rc.restore_last = srun.restore_last;
-      const sram::RunResult rr = array_->execute_run(rc);
-      result.mismatches += rr.mismatches;
-      for (std::size_t i = 0;
-           i < rr.detection_count &&
-           result.first_detections.size() < kMaxFirstDetections;
-           ++i)
-        result.first_detections.push_back(Detection{
-            srun.element, rr.detections[i].op, srun.row,
-            rr.detections[i].group, rr.detections[i].col});
-      stream.skip_run(srun);
+    if (!stream.peek_run(&srun)) {
+      const StreamStep* pause = stream.peek();
+      if (trace) trace->begin_element(pause->element, array_->meter().cycles());
+      array_->idle(pause->idle_cycles);
+      stream.pop();
       continue;
     }
-
-    const StreamStep* step = stream.peek();
-    if (step == nullptr) break;
-    if (trace) trace->begin_element(step->element, array_->meter().cycles());
-    if (step->kind == StreamStep::Kind::kIdle) {
-      array_->idle(step->idle_cycles);
-    } else {
-      const sram::CycleResult r = array_->cycle(step->command);
-      if (step->command.is_read && r.mismatch) {
-        ++result.mismatches;
-        if (result.first_detections.size() < kMaxFirstDetections)
-          result.first_detections.push_back(
-              Detection{step->element, step->op, step->command.row,
-                        step->command.col_group, r.first_bad_col});
-      }
+    if (trace) trace->begin_element(srun.element, array_->meter().cycles());
+    if (ops_element != srun.element) {
+      ops.clear();
+      for (const march::Operation op :
+           stream.test().elements()[srun.element].ops)
+        ops.push_back({march::is_read(op), march::value_of(op)});
+      ops_element = srun.element;
     }
-    stream.pop();
+    sram::RunCommand rc;
+    rc.row = srun.row;
+    rc.first_group = srun.first_group;
+    rc.group_count = srun.group_count;
+    rc.descending = srun.descending;
+    rc.ops = ops.data();
+    rc.op_count = ops.size();
+    rc.background = stream.options().background;
+    rc.scan = srun.scan;
+    rc.restore_last = srun.restore_last;
+    const sram::RunResult rr = array_->execute_run(rc);
+    result.mismatches += rr.mismatches;
+    for (std::size_t i = 0;
+         i < rr.detection_count &&
+         result.first_detections.size() < kMaxFirstDetections;
+         ++i)
+      result.first_detections.push_back(Detection{
+          srun.element, rr.detections[i].op, srun.row,
+          rr.detections[i].group, rr.detections[i].col});
+    stream.skip_run(srun);
   }
 
   if (trace) {

@@ -1,6 +1,7 @@
 #include "faults/batch.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/error.h"
 
@@ -22,8 +23,7 @@ bool needs_global_history(FaultKind kind) {
 
 }  // namespace
 
-BatchPlan plan_batches(const std::vector<FaultSpec>& specs,
-                       std::size_t max_batch) {
+BatchPlan plan_batches(const std::vector<FaultSpec>& specs) {
   BatchPlan plan;
 
   // Per-batch victim-cell bookkeeping for the greedy first-fit pass, plus
@@ -64,7 +64,6 @@ BatchPlan plan_batches(const std::vector<FaultSpec>& specs,
     bool placed = false;
     for (std::size_t b = 0; b < plan.batches.size() && !placed; ++b) {
       if (batch_global[b] != global) continue;
-      if (max_batch != 0 && plan.batches[b].size() >= max_batch) continue;
       const auto& victims = batch_victims[b];
       if (std::find(victims.begin(), victims.end(), f.victim) ==
           victims.end()) {
@@ -82,62 +81,22 @@ BatchPlan plan_batches(const std::vector<FaultSpec>& specs,
   return plan;
 }
 
-BatchFaultSet::BatchFaultSet(std::vector<FaultSpec> specs) {
-  victims_.reserve(specs.size());
-  for (const FaultSpec& f : specs) {
+BatchFaultSet::BatchFaultSet(std::vector<FaultSpec> specs)
+    : FaultSet(std::move(specs)) {
+  victims_.reserve(FaultSet::specs().size());
+  for (const FaultSpec& f : FaultSet::specs()) {
     for (const sram::CellCoord& v : victims_)
       SRAMLP_REQUIRE(!(v == f.victim),
                      "batched faults must have pairwise distinct victims");
     victims_.push_back(f.victim);
-    set_.add(f);
   }
   counts_.assign(victims_.size(), 0);
 }
 
 void BatchFaultSet::reset_state() {
-  set_.reset_state();
+  FaultSet::reset_state();
   counts_.assign(counts_.size(), 0);
   unattributed_ = 0;
-}
-
-void BatchFaultSet::on_attach(const sram::SramArray& array) {
-  set_.on_attach(array);
-}
-
-std::vector<sram::CellCoord> BatchFaultSet::declared_cells() const {
-  return set_.declared_cells();
-}
-
-bool BatchFaultSet::write_result(sram::CellCoord cell, bool stored,
-                                 bool intended) {
-  return set_.write_result(cell, stored, intended);
-}
-
-bool BatchFaultSet::read_result(sram::CellCoord cell, bool stored,
-                                bool* stored_after) {
-  return set_.read_result(cell, stored, stored_after);
-}
-
-void BatchFaultSet::after_write(sram::SramArray& array, sram::CellCoord cell,
-                                bool old_value, bool new_value) {
-  set_.after_write(array, cell, old_value, new_value);
-}
-
-std::vector<sram::CellCoord> BatchFaultSet::res_sensitive_cells() const {
-  return set_.res_sensitive_cells();
-}
-
-std::optional<std::vector<std::size_t>> BatchFaultSet::relevant_rows() const {
-  return set_.relevant_rows();
-}
-
-void BatchFaultSet::on_res(sram::SramArray& array, sram::CellCoord cell,
-                           double stress) {
-  set_.on_res(array, cell, stress);
-}
-
-void BatchFaultSet::on_idle(sram::SramArray& array, std::uint64_t cycles) {
-  set_.on_idle(array, cycles);
 }
 
 void BatchFaultSet::on_read_mismatch(sram::CellCoord cell) {

@@ -34,11 +34,9 @@
 //     different) data around and independence is gone — callers must run
 //     per-fault instead (CampaignRunner enforces this).
 //
-//   * BatchFaultSet — a FaultSet-compatible adapter over one batch that
-//     keeps per-fault identity: it forwards every sram::CellFaultModel
-//     hook to an inner FaultSet and listens on the on_read_mismatch
-//     attribution channel, mapping each mismatched cell back to the batch
-//     member owning it.  After a run, mismatches_of(i) is exactly the
+//   * BatchFaultSet — the FaultSet of one batch, keeping per-fault
+//     identity: it listens on the on_read_mismatch attribution channel,
+//     mapping each mismatched cell back to the batch member owning it.  After a run, mismatches_of(i) is exactly the
 //     mismatch count the per-fault path would have measured for member i
 //     (regression-tested bit-identical).
 #pragma once
@@ -64,21 +62,18 @@ struct BatchPlan {
 };
 
 /// Partition @p specs under the independence rules above (greedy,
-/// first-fit, deterministic).  @p max_batch caps the members per batch;
-/// 0 means unlimited.
-BatchPlan plan_batches(const std::vector<FaultSpec>& specs,
-                       std::size_t max_batch = 0);
+/// first-fit, deterministic).
+BatchPlan plan_batches(const std::vector<FaultSpec>& specs);
 
-/// Multi-fault adapter: one victim-disjoint batch behind the single
+/// Multi-fault set: one victim-disjoint batch behind the single
 /// sram::CellFaultModel interface, with per-fault detection attribution.
-class BatchFaultSet final : public sram::CellFaultModel {
+class BatchFaultSet final : public FaultSet {
  public:
   /// @p specs must have pairwise distinct victim cells (plan_batches
   /// guarantees this; enforced here).
   explicit BatchFaultSet(std::vector<FaultSpec> specs);
 
   std::size_t size() const { return victims_.size(); }
-  const std::vector<FaultSpec>& specs() const { return set_.specs(); }
 
   /// Read-cycle mismatches attributed to batch member @p i so far — the
   /// number the per-fault path's SessionResult::mismatches would show.
@@ -89,26 +84,12 @@ class BatchFaultSet final : public sram::CellFaultModel {
   /// partitioning bug), which the parity tests assert against.
   std::uint64_t unattributed() const { return unattributed_; }
 
-  /// Clear attribution counters and the inner set's dynamic state.
+  /// Clear attribution counters and the set's dynamic state.
   void reset_state();
 
-  // --- sram::CellFaultModel (forwarded to the inner FaultSet) ------------
-  void on_attach(const sram::SramArray& array) override;
-  std::vector<sram::CellCoord> declared_cells() const override;
-  bool write_result(sram::CellCoord cell, bool stored, bool intended) override;
-  bool read_result(sram::CellCoord cell, bool stored,
-                   bool* stored_after) override;
-  void after_write(sram::SramArray& array, sram::CellCoord cell,
-                   bool old_value, bool new_value) override;
-  std::vector<sram::CellCoord> res_sensitive_cells() const override;
-  std::optional<std::vector<std::size_t>> relevant_rows() const override;
-  void on_res(sram::SramArray& array, sram::CellCoord cell,
-              double stress) override;
-  void on_idle(sram::SramArray& array, std::uint64_t cycles) override;
   void on_read_mismatch(sram::CellCoord cell) override;
 
  private:
-  FaultSet set_;
   std::vector<sram::CellCoord> victims_;   ///< victims_[i] = member i's cell
   std::vector<std::uint64_t> counts_;      ///< parallel to victims_
   std::uint64_t unattributed_ = 0;

@@ -88,7 +88,7 @@ struct FaultSpec {
 ///
 /// bind() must point at the array the set is attached to before any cycle
 /// runs (state-coupling faults sample the aggressor's live value).
-class FaultSet final : public sram::CellFaultModel {
+class FaultSet : public sram::CellFaultModel {
  public:
   FaultSet() = default;
   explicit FaultSet(std::vector<FaultSpec> specs);

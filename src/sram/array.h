@@ -84,9 +84,6 @@ struct SramConfig {
   Geometry geometry;
   power::TechnologyParams tech = power::TechnologyParams::tech_0p13um();
   Mode mode = Mode::kFunctional;
-  /// Apply the one-cycle functional restore at row transitions (Fig. 7 fix).
-  /// The TestSession honours this; disabling it reproduces faulty swaps.
-  bool row_transition_restore = true;
   /// Fraction of the cycle the word line stays high (decay advances only
   /// while cells are connected to their bit-lines).
   double wordline_duty = 0.5;

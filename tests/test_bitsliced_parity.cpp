@@ -4,19 +4,21 @@
 // ArrayStats, detections, faulty swaps and cell contents — across
 // functional, low-power, restore-disabled and single-fault runs, on square
 // and awkward (non-square, non-power-of-two, word-oriented) geometries.
-// Also covers the whole-row batch executor (StreamRun / execute_run)
-// against the per-step path, non-word-line orders and seeded random
-// drives that step every cycle through cycle(), traced runs repeated on
-// one session, and the lazy column state surviving reset_measurements().
+// Also covers the backend's runs (StreamRun / execute_run) against a
+// per-step drive of the same stream, non-word-line orders (one-address
+// runs), seeded random drives through cycle() and execute_run, traced runs
+// repeated on one session, and the lazy column state surviving
+// reset_measurements().
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/session.h"
-#include "engine/cycle_accurate_backend.h"
+#include "engine/command_stream.h"
 #include "faults/models.h"
 #include "march/algorithms.h"
 #include "power/energy_source.h"
@@ -309,13 +311,13 @@ TEST(BitslicedParity, DataRetentionFaultThroughDelays) {
                         "data retention");
 }
 
-// --- non-word-line orders: every cycle through SramArray::cycle() ----------
+// --- non-word-line orders: one-address runs ---------------------------------
 
-// Orders other than word-line-after-word-line cannot batch whole rows, so
-// the backend issues every cycle through cycle() — the one-address,
-// one-operation run.  They are functional-mode orders (a low-power
-// request falls back), with and without faults and a trace.
-TEST(BitslicedParity, NonWordLineOrdersStepThroughCycle) {
+// Orders other than word-line-after-word-line run one address at a time,
+// each address carrying its element's whole operation list.  They are
+// functional-mode orders (a low-power request falls back), with and
+// without faults and a trace.
+TEST(BitslicedParity, NonWordLineOrdersMatchTheReference) {
   const std::size_t rows = 12, cols = 20;
   const std::vector<faults::FaultSpec> fault_sets[] = {
       {},
@@ -348,7 +350,48 @@ TEST(BitslicedParity, NonWordLineOrdersStepThroughCycle) {
   }
 }
 
-// --- batch executor vs per-step path -----------------------------------------
+// --- backend runs vs a per-step drive of the same stream --------------------
+
+/// The session's stream driven one step at a time — peek(), then cycle()
+/// or idle() — with a requested trace wired as the backend wires it: the
+/// per-step reference for the backend's run loop.
+SessionResult run_per_step(TestSession& session, const march::MarchTest& test) {
+  SramArray& array = session.array();
+  engine::CommandStream stream = session.make_stream(test);
+  array.reset_measurements();
+  std::optional<power::PowerTrace> trace;
+  if (stream.options().trace) {
+    trace.emplace(*stream.options().trace, array.config().tech.clock_period);
+    array.meter().attach_sink(&*trace);
+  }
+  SessionResult result;
+  while (const engine::StreamStep* step = stream.peek()) {
+    if (trace) trace->begin_element(step->element, array.meter().cycles());
+    if (step->kind == engine::StreamStep::Kind::kIdle) {
+      array.idle(step->idle_cycles);
+    } else {
+      const sram::CycleResult r = array.cycle(step->command);
+      if (step->command.is_read && r.mismatch) {
+        ++result.mismatches;
+        if (result.first_detections.size() < core::kMaxFirstDetections)
+          result.first_detections.push_back(
+              {step->element, step->op, step->command.row,
+               step->command.col_group, r.first_bad_col});
+      }
+    }
+    stream.pop();
+  }
+  if (trace) {
+    result.trace = trace->summarize(array.meter().cycles());
+    array.meter().attach_sink(nullptr);
+  }
+  result.cycles = array.meter().cycles();
+  result.supply_energy_j = array.meter().supply_total();
+  result.energy_per_cycle_j = array.meter().supply_per_cycle();
+  result.meter = array.meter();
+  result.stats = array.stats();
+  return result;
+}
 
 TEST(BitslicedParity, BatchedRunsMatchPerStepExecution) {
   for (const Mode mode : {Mode::kFunctional, Mode::kLowPowerTest}) {
@@ -356,18 +399,133 @@ TEST(BitslicedParity, BatchedRunsMatchPerStepExecution) {
     const auto test = march::algorithms::march_c_minus();
 
     TestSession per_step_session(cfg);
-    engine::CycleAccurateBackend per_step(per_step_session.array(),
-                                          /*batch_runs=*/false);
-    const auto a = per_step_session.run(test, per_step);
+    const auto a = run_per_step(per_step_session, test);
 
     TestSession batched_session(cfg);
-    engine::CycleAccurateBackend batched(batched_session.array(),
-                                         /*batch_runs=*/true);
-    const auto b = batched_session.run(test, batched);
+    const auto b = batched_session.run(test);
 
     expect_results_identical(a, b, mode == Mode::kFunctional
                                        ? "batched F"
                                        : "batched LP");
+  }
+}
+
+/// Every run peek_run() describes must expand to exactly the steps a
+/// second copy of the stream yields one at a time: the same addresses in
+/// scan order, the element's operation list at each, and the restore on
+/// the run's last operation only.
+void expect_runs_expand_to_steps(engine::CommandStream runs,
+                                 engine::CommandStream steps,
+                                 const std::string& where) {
+  while (!runs.done()) {
+    engine::StreamRun run;
+    if (!runs.peek_run(&run)) {
+      const auto pause = runs.next();
+      const auto step = steps.next();
+      ASSERT_TRUE(step.has_value()) << where;
+      EXPECT_EQ(pause->kind, engine::StreamStep::Kind::kIdle) << where;
+      EXPECT_EQ(step->kind, engine::StreamStep::Kind::kIdle) << where;
+      EXPECT_EQ(pause->idle_cycles, step->idle_cycles) << where;
+      continue;
+    }
+    const auto& ops = runs.test().elements()[run.element].ops;
+    for (std::size_t k = 0; k < run.group_count; ++k) {
+      const std::size_t group =
+          run.descending ? run.first_group - k : run.first_group + k;
+      for (std::size_t o = 0; o < ops.size(); ++o) {
+        const auto step = steps.next();
+        const std::string at = where + " element " +
+                               std::to_string(run.element) + " row " +
+                               std::to_string(run.row) + " group " +
+                               std::to_string(group) + " op " +
+                               std::to_string(o);
+        ASSERT_TRUE(step.has_value()) << at;
+        ASSERT_EQ(step->kind, engine::StreamStep::Kind::kCycle) << at;
+        EXPECT_EQ(step->element, run.element) << at;
+        EXPECT_EQ(step->op, o) << at;
+        EXPECT_EQ(step->command.row, run.row) << at;
+        EXPECT_EQ(step->command.col_group, group) << at;
+        EXPECT_EQ(step->command.scan, run.scan) << at;
+        EXPECT_EQ(step->command.is_read, march::is_read(ops[o])) << at;
+        EXPECT_EQ(step->command.value, march::value_of(ops[o])) << at;
+        EXPECT_EQ(step->command.restore_row_transition,
+                  run.restore_last && k + 1 == run.group_count &&
+                      o + 1 == ops.size())
+            << at;
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+    runs.skip_run(run);
+  }
+  EXPECT_TRUE(steps.done()) << where;
+}
+
+// Generated over every order DOF-1 allows besides word-line-after-word-
+// line, clean and faulty, untraced and traced, bit- and word-oriented:
+// the backend's one-address runs expand to the stream's steps, and the
+// session matches the per-step drive bit for bit (energy, statistics,
+// detections, trace, cell contents).  Low power is requested and falls
+// back (paper §4); March G with delays adds multi-operation elements and
+// idle blocks.
+TEST(BitslicedParity, GeneratedNonWordLineRunsMatchPerStepDrive) {
+  const std::size_t rows = 12, cols = 20;
+  const auto test = march::algorithms::march_g_with_delays();
+  const std::vector<faults::FaultSpec> fault_sets[] = {
+      {},
+      {{.kind = faults::FaultKind::kStuckAt1, .victim = {3, 5}},
+       {.kind = faults::FaultKind::kResSensitive,
+        .victim = {6, 10},
+        .res_threshold = 10.0}},
+  };
+  for (const std::size_t w : {std::size_t{1}, std::size_t{4}}) {
+    const std::size_t groups = cols / w;
+    const std::pair<const char*, march::AddressOrder> orders[] = {
+        {"fast-row", march::AddressOrder::fast_row(rows, groups)},
+        {"pseudo-random",
+         march::AddressOrder::pseudo_random(rows, groups, 7)},
+        {"gray-code", march::AddressOrder::gray_code(rows, groups)},
+        {"address-complement",
+         march::AddressOrder::address_complement(rows, groups)},
+    };
+    for (const auto& [name, order] : orders) {
+      for (std::size_t f = 0; f < 2; ++f) {
+        for (const bool traced : {false, true}) {
+          SessionConfig cfg = grid_config(Mode::kLowPowerTest, rows, cols, w);
+          cfg.order = order;
+          if (traced)
+            cfg.trace = power::TraceConfig{.window_cycles = 16,
+                                           .keep_windows = true};
+          const std::string where = std::string(name) + " w" +
+                                    std::to_string(w) +
+                                    (f == 0 ? "" : " faulty") +
+                                    (traced ? " traced" : "");
+          {
+            const TestSession probe(cfg);
+            expect_runs_expand_to_steps(probe.make_stream(test),
+                                        probe.make_stream(test), where);
+          }
+          SessionResult res[2];
+          std::vector<bool> cells[2];
+          for (int p = 0; p < 2; ++p) {
+            TestSession session(cfg);
+            faults::FaultSet set(fault_sets[f]);
+            if (!fault_sets[f].empty()) session.attach_fault_model(&set);
+            res[p] = p == 0 ? run_per_step(session, test) : session.run(test);
+            for (std::size_t r = 0; r < rows; ++r)
+              for (std::size_t c = 0; c < cols; ++c)
+                cells[p].push_back(session.array().peek(r, c));
+          }
+          EXPECT_TRUE(res[1].fell_back_to_functional) << where;
+          expect_results_identical(res[0], res[1], where);
+          EXPECT_EQ(cells[0], cells[1]) << where << " (cell contents)";
+          ASSERT_EQ(res[0].trace.has_value(), traced) << where;
+          ASSERT_EQ(res[1].trace.has_value(), traced) << where;
+          if (traced) expect_traces_identical(*res[0].trace, *res[1].trace,
+                                              where);
+          if (HasFailure()) return;
+        }
+      }
+    }
   }
 }
 
@@ -378,7 +536,6 @@ TEST(BitslicedParity, DirectDriveWithSwapsIdleAndModeSwitch) {
   SramConfig base;
   base.geometry = {rows, cols, 1};
   base.mode = Mode::kLowPowerTest;
-  base.row_transition_restore = false;
   SramConfig ref_cfg = base;
   ref_cfg.column_model = ColumnModel::kPerColumnReference;
   SramConfig fast_cfg = base;
@@ -735,9 +892,9 @@ TEST(BitslicedParity, TracingWithFaultsKeepsTotalsBitIdentical) {
 }
 
 // The bulk-window traced fast path: a batched traced run folds whole runs
-// into the sink's window/element slot blocks; the per-step path delivers
-// every event through MeterSink::on_add.  Same per-slot additions in the
-// same order — totals AND trace summaries must match to the bit, across
+// into the sink's window/element slot blocks; the per-step drive folds one
+// cycle at a time.  Same per-slot additions in the same order — totals
+// AND trace summaries must match to the bit, across
 // awkward geometries, word widths (including multi-word groups), the
 // restore-disabled schedule and fault models.
 TEST(BitslicedParity, TracedBatchedRunsMatchPerStepExecution) {
@@ -774,9 +931,7 @@ TEST(BitslicedParity, TracedBatchedRunsMatchPerStepExecution) {
       faults::FaultSet set({{.kind = faults::FaultKind::kStuckAt1,
                              .victim = {3, 5}}});
       if (c.faulty) session.attach_fault_model(&set);
-      engine::CycleAccurateBackend backend(session.array(),
-                                           /*batch_runs=*/p == 1);
-      res[p] = session.run(test, backend);
+      res[p] = p == 0 ? run_per_step(session, test) : session.run(test);
     }
     expect_results_identical(res[0], res[1], where);
     ASSERT_TRUE(res[0].trace.has_value() && res[1].trace.has_value())

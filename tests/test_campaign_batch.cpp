@@ -103,15 +103,6 @@ TEST(BatchPlan, CouplingAggressorCellCollisionFallsBack) {
   EXPECT_EQ(plan3.batches[0].size(), 2u);
 }
 
-TEST(BatchPlan, MaxBatchCapsMembership) {
-  std::vector<FaultSpec> specs;
-  for (std::size_t i = 0; i < 10; ++i)
-    specs.push_back(at(FaultKind::kStuckAt0, i, i % 8));
-  const auto plan = faults::plan_batches(specs, 4);
-  EXPECT_EQ(plan.batches.size(), 3u);  // 4 + 4 + 2
-  for (const auto& b : plan.batches) EXPECT_LE(b.size(), 4u);
-}
-
 TEST(BatchPlan, EveryIndexAppearsExactlyOnce) {
   const auto specs = faults::standard_fault_library({16, 16, 1}, 23);
   const auto plan = faults::plan_batches(specs);

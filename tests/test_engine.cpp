@@ -281,6 +281,24 @@ TEST(CycleAccurateBackend, DetectionCapIsHonoured) {
   EXPECT_EQ(r.first_detections.size(), core::kMaxFirstDetections);
 }
 
+// The backend consumes a stream as runs, which start at address
+// boundaries: a stream popped into the middle of an address is refused
+// until the address is finished.
+TEST(CycleAccurateBackend, RequiresTheStreamAtAnAddressBoundary) {
+  SessionConfig cfg = make_config(Mode::kFunctional, 8, 8);
+  TestSession session(cfg);
+  engine::CommandStream stream =
+      session.make_stream(march::algorithms::mats_plus());
+  // Past the one-operation first element, onto the r0 of (r0,w1).
+  for (std::size_t i = 0; i < 64 + 1; ++i) stream.pop();
+  engine::CycleAccurateBackend backend(session.array());
+  EXPECT_THROW(backend.run(stream), Error);
+  stream.pop();  // the w1: the cursor is on the next address
+  const auto r = backend.run(stream);
+  EXPECT_EQ(r.cycles, stream.total_cycles() - 64 - 2);
+  EXPECT_TRUE(stream.done());
+}
+
 // --- campaign runner ----------------------------------------------------------
 
 TEST(CampaignRunner, ParallelReportBitIdenticalToSerial) {

@@ -135,6 +135,8 @@ TEST(TestSession, LpModeUsesLessEnergy) {
   EXPECT_LT(cmp.prr, 1.0);
   EXPECT_LT(cmp.low_power.supply_energy_j, cmp.functional.supply_energy_j);
   EXPECT_EQ(cmp.functional.cycles, cmp.low_power.cycles);
+  EXPECT_EQ(cmp.functional.mode, Mode::kFunctional);
+  EXPECT_EQ(cmp.low_power.mode, Mode::kLowPowerTest);
 }
 
 // The cycle simulator and the §5 closed-form model must agree on both PF

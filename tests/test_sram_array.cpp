@@ -311,16 +311,15 @@ TEST(SramArray, FunctionalBitlinesStayPrecharged) {
 // --- faulty swap hazard (Fig. 6c / Fig. 7) ------------------------------------
 
 // Without the restore, entering the next row lets discharged bit-lines
-// overwrite opposite-valued cells.
+// overwrite opposite-valued cells.  The array restores only when a command
+// raises restore_row_transition, and none here does.
 TEST(SramArray, RowEntryWithoutRestoreSwapsOpposingCells) {
   const std::size_t cols = 16;
-  auto cfg = small_config(Mode::kLowPowerTest, 2, cols);
-  cfg.row_transition_restore = false;
-  SramArray a(cfg);
+  SramArray a(small_config(Mode::kLowPowerTest, 2, cols));
   // Row 1 holds the complement of what row 0's cells will drive.
   for (std::size_t c = 0; c < cols; ++c) a.poke(1, c, false);
   // Walk row 0 writing '1' everywhere (drives BL low on deselect), then
-  // hop to row 1 without a restore cycle.
+  // hop to row 1 without a restore cycle (no command requests one).
   for (std::size_t c = 0; c < cols; ++c) a.cycle(write_cmd(0, c, true));
   const auto res = a.cycle(read_cmd(1, 0, false));
   // All sufficiently-discharged columns of row 1 flipped to '1'; the
@@ -350,10 +349,10 @@ TEST(SramArray, RowEntryAfterRestoreCausesNoSwaps) {
 }
 
 // Cells matching the bit-line-implied value are reinforced, not corrupted.
+// No command requests the restore, so row 1 is entered over discharged
+// bit-lines.
 TEST(SramArray, MatchingCellsAreNotSwapped) {
-  auto cfg = small_config(Mode::kLowPowerTest, 2, 8);
-  cfg.row_transition_restore = false;
-  SramArray a(cfg);
+  SramArray a(small_config(Mode::kLowPowerTest, 2, 8));
   for (std::size_t c = 0; c < 8; ++c) a.poke(1, c, true);  // same value
   for (std::size_t c = 0; c < 8; ++c) a.cycle(write_cmd(0, c, true));
   a.cycle(read_cmd(1, 0, true));

@@ -1,12 +1,9 @@
 // Tests of the batched sweep-grid layer: deterministic point ordering
-// whatever the thread count, backend routing (analytic for fault-free
-// restored points, cycle-accurate otherwise), forced-backend agreement,
-// and the single-mode executor campaigns use.
+// whatever the thread count, backend routing (analytic for restored
+// points, cycle-accurate otherwise) and forced-backend agreement.
 #include <gtest/gtest.h>
 
-#include "core/fault_campaign.h"
 #include "core/sweep.h"
-#include "faults/models.h"
 #include "march/algorithms.h"
 #include "util/error.h"
 
@@ -95,16 +92,12 @@ TEST(SweepRunner, RunIndicesMatchesWholeGridSlots) {
   EXPECT_THROW(runner.run_indices(grid, {grid.size()}), Error);
 }
 
-TEST(SweepRunner, RoutesFaultFreeRestoredPointsToAnalytic) {
+TEST(SweepRunner, RoutesRestoredPointsToAnalytic) {
   SessionConfig cfg;
   cfg.geometry = {8, 16, 1};
-  EXPECT_EQ(SweepRunner::route(cfg, /*has_faults=*/false),
-            BackendChoice::kAnalytic);
-  EXPECT_EQ(SweepRunner::route(cfg, /*has_faults=*/true),
-            BackendChoice::kCycleAccurate);
+  EXPECT_EQ(SweepRunner::route(cfg), BackendChoice::kAnalytic);
   cfg.row_transition_restore = false;
-  EXPECT_EQ(SweepRunner::route(cfg, /*has_faults=*/false),
-            BackendChoice::kCycleAccurate);
+  EXPECT_EQ(SweepRunner::route(cfg), BackendChoice::kCycleAccurate);
 }
 
 TEST(SweepRunner, ForcedBackendsAgreeOnFaultFreePoints) {
@@ -118,38 +111,6 @@ TEST(SweepRunner, ForcedBackendsAgreeOnFaultFreePoints) {
   EXPECT_EQ(ana[0].backend, BackendChoice::kAnalytic);
   EXPECT_EQ(sim[0].prr.functional.cycles, ana[0].prr.functional.cycles);
   EXPECT_NEAR(ana[0].prr.prr, sim[0].prr.prr, 0.02);
-}
-
-TEST(SweepRunner, RunPointRejectsFaultsOnAnalyticBackend) {
-  SessionConfig cfg;
-  cfg.geometry = {8, 8, 1};
-  faults::FaultSet set({faults::FaultSpec{
-      .kind = faults::FaultKind::kStuckAt1, .victim = {2, 3}, .aggressor = {}}});
-  const SweepRunner forced_analytic({1, BackendChoice::kAnalytic});
-  EXPECT_THROW(
-      forced_analytic.run_point(cfg, march::algorithms::mats_plus(), &set),
-      Error);
-  // kAuto routes the same call to the cycle-accurate engine instead.
-  const SweepRunner automatic;
-  const auto cmp =
-      automatic.run_point(cfg, march::algorithms::march_c_minus(), &set);
-  EXPECT_TRUE(cmp.functional.detected());
-  EXPECT_TRUE(cmp.low_power.detected());
-}
-
-TEST(SweepRunner, RunModeHonoursConfiguredMode) {
-  SessionConfig cfg;
-  // Wide enough that the low-power mode actually saves energy (narrow
-  // arrays sit past the crossover the E10 sweep demonstrates).
-  cfg.geometry = {8, 128, 1};
-  cfg.mode = sram::Mode::kLowPowerTest;
-  const SweepRunner runner;
-  const auto lp = runner.run_mode(cfg, march::algorithms::mats_plus());
-  EXPECT_EQ(lp.mode, sram::Mode::kLowPowerTest);
-  cfg.mode = sram::Mode::kFunctional;
-  const auto f = runner.run_mode(cfg, march::algorithms::mats_plus());
-  EXPECT_EQ(f.mode, sram::Mode::kFunctional);
-  EXPECT_LT(lp.energy_per_cycle_j, f.energy_per_cycle_j);
 }
 
 }  // namespace
