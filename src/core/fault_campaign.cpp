@@ -6,8 +6,6 @@
 
 #include "engine/parallel.h"
 #include "faults/batch.h"
-#include "obs/clock.h"
-#include "obs/metrics.h"
 #include "util/error.h"
 
 namespace sramlp::core {
@@ -75,14 +73,7 @@ CampaignReport CampaignRunner::run(
   // which worker executes it.  A fresh fault model per mode run:
   // accumulated fault state (RES stress, dynamic-fault history) must not
   // leak between verdicts.
-  // Per-entry wall time feeds batch-size tuning; observational only.
-  static obs::Histogram& entry_seconds = obs::Registry::global().histogram(
-      "sramlp_campaign_entry_seconds",
-      "Wall time evaluating one fault-campaign entry (both modes)",
-      obs::Histogram::exponential_bounds(1e-5, 4.0, 10));
-
   const auto run_single = [&](std::size_t i) {
-    const std::uint64_t start_us = obs::monotonic_micros();
     CampaignEntry entry;
     entry.spec = faults[i];
     for (const sram::Mode mode :
@@ -100,7 +91,6 @@ CampaignReport CampaignRunner::run(
       }
     }
     report.entries[i] = entry;
-    entry_seconds.observe_micros(obs::monotonic_micros() - start_us);
   };
 
   // Batching requires the Fig. 7 restore: with it disabled, faulty swaps
@@ -118,7 +108,6 @@ CampaignReport CampaignRunner::run(
   // member through the on_read_mismatch channel, so entry verdicts and
   // mismatch counts come out exactly as the per-fault path computes them.
   const auto run_batch = [&](const std::vector<std::size_t>& members) {
-    const std::uint64_t start_us = obs::monotonic_micros();
     std::vector<faults::FaultSpec> specs;
     specs.reserve(members.size());
     for (const std::size_t m : members) specs.push_back(faults[m]);
@@ -147,11 +136,6 @@ CampaignReport CampaignRunner::run(
         }
       }
     }
-    // A batch amortizes one session pair over its members; the per-member
-    // average keeps the histogram unit "seconds per entry" either path.
-    if (!members.empty())
-      entry_seconds.observe_micros((obs::monotonic_micros() - start_us) /
-                                   members.size());
   };
 
   // Work items: batches first, then the per-fault fallbacks.  Every fault

@@ -1,8 +1,6 @@
 #include "core/sweep.h"
 
 #include "engine/parallel.h"
-#include "obs/clock.h"
-#include "obs/metrics.h"
 #include "util/error.h"
 
 namespace sramlp::core {
@@ -39,19 +37,8 @@ namespace {
 /// The single-point arithmetic shared by run() and run_indices(): whoever
 /// computes grid point @p index — whatever thread, whatever process —
 /// performs exactly these operations.
-/// Per-point wall-time histogram: the input to shard-size and backend-
-/// routing decisions.  Purely observational — the duration is measured
-/// around the arithmetic and never enters the result.
-obs::Histogram& point_seconds_histogram() {
-  static obs::Histogram& h = obs::Registry::global().histogram(
-      "sramlp_sweep_point_seconds", "Wall time evaluating one grid point",
-      obs::Histogram::exponential_bounds(1e-5, 4.0, 10));
-  return h;
-}
-
 SweepPointResult evaluate_grid_point(const SweepGrid& grid, std::size_t index,
                                      BackendChoice requested) {
-  const std::uint64_t start_us = obs::monotonic_micros();
   SweepPointResult point;
   point.index = index;
   grid.split(index, &point.geometry, &point.background, &point.algorithm);
@@ -65,8 +52,6 @@ SweepPointResult evaluate_grid_point(const SweepGrid& grid, std::size_t index,
                         config, grid.algorithms[point.algorithm])
                   : TestSession::compare_modes(
                         config, grid.algorithms[point.algorithm]);
-  point_seconds_histogram().observe_micros(obs::monotonic_micros() -
-                                           start_us);
   return point;
 }
 

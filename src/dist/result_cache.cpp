@@ -3,36 +3,11 @@
 #include <filesystem>
 
 #include "io/json.h"
-#include "obs/metrics.h"
 #include "util/error.h"
 
 namespace sramlp::dist {
 
 namespace {
-
-/// Registry-side mirror of Stats — the per-instance Stats struct keeps the
-/// exact protocol numbers; these feed the process-wide scrape.
-struct CacheMetrics {
-  obs::Counter& hits;
-  obs::Counter& spill_hits;
-  obs::Counter& misses;
-  obs::Counter& insertions;
-
-  static CacheMetrics& get() {
-    obs::Registry& r = obs::Registry::global();
-    static CacheMetrics m{
-        r.counter("sramlp_cache_hits_total",
-                  "Result-cache lookups served (memory + spill)"),
-        r.counter("sramlp_cache_spill_hits_total",
-                  "Result-cache hits re-read from the spill file"),
-        r.counter("sramlp_cache_misses_total",
-                  "Result-cache lookups that found nothing"),
-        r.counter("sramlp_cache_insertions_total",
-                  "Result-cache payloads inserted"),
-    };
-    return m;
-  }
-};
 
 io::JsonValue spill_record(std::uint64_t key, const std::string& payload) {
   io::JsonValue record = io::JsonValue::object();
@@ -107,7 +82,6 @@ std::optional<std::string> ResultCache::get(std::uint64_t key) {
   if (it != memory_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second);
     ++stats_.hits;
-    CacheMetrics::get().hits.inc();
     return it->second->second;
   }
   const auto spill_it = spill_index_.find(key);
@@ -123,8 +97,6 @@ std::optional<std::string> ResultCache::get(std::uint64_t key) {
           remember(key, payload);
           ++stats_.hits;
           ++stats_.spill_hits;
-          CacheMetrics::get().hits.inc();
-          CacheMetrics::get().spill_hits.inc();
           return payload;
         }
       } catch (const Error&) {
@@ -133,14 +105,12 @@ std::optional<std::string> ResultCache::get(std::uint64_t key) {
     }
   }
   ++stats_.misses;
-  CacheMetrics::get().misses.inc();
   return std::nullopt;
 }
 
 void ResultCache::put(std::uint64_t key, std::string payload) {
   std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.insertions;
-  CacheMetrics::get().insertions.inc();
   const bool new_for_spill =
       !options_.spill_path.empty() &&
       spill_index_.find(key) == spill_index_.end();

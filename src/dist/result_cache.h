@@ -18,7 +18,9 @@
 //     text, which a JSON string member round-trips exactly.
 //
 // Thread-safe (one mutex; the service calls it from every connection
-// thread).
+// thread).  Stats is the cache's only count of its lookups and
+// insertions: the service's `metrics` scrape reads it (kCacheCounters)
+// rather than keeping a second tally.
 #pragma once
 
 #include <cstdint>
@@ -86,6 +88,29 @@ class ResultCache {
   std::unordered_map<std::uint64_t, std::uint64_t> spill_index_;
   std::ofstream spill_out_;
   Stats stats_;
+};
+
+/// One ResultCache::Stats counter: its wire name, the help text of its
+/// scrape family (sramlp_cache_<name>_total) and its member.
+struct CacheCounter {
+  const char* name;
+  const char* help;
+  std::uint64_t ResultCache::Stats::*member;
+};
+
+/// Every ResultCache::Stats counter in wire order — what the `stats`
+/// reply's cache member, its decoder and the `metrics` scrape iterate.
+inline constexpr CacheCounter kCacheCounters[] = {
+    {"hits", "Result-cache lookups served (memory + spill)",
+     &ResultCache::Stats::hits},
+    {"spill_hits", "Result-cache hits re-read from the spill file",
+     &ResultCache::Stats::spill_hits},
+    {"misses", "Result-cache lookups that found nothing",
+     &ResultCache::Stats::misses},
+    {"insertions", "Result-cache payloads inserted",
+     &ResultCache::Stats::insertions},
+    {"loaded", "Result-cache entries indexed from the spill file at start",
+     &ResultCache::Stats::loaded},
 };
 
 }  // namespace sramlp::dist

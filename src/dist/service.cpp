@@ -27,81 +27,23 @@ const std::vector<double>& latency_bounds() {
 /// Re-runs granted to a failed shard before its job is failed.
 constexpr unsigned kShardRetries = 1;
 
-/// Service-side instruments, registered once and cached by reference —
-/// increments after that are single relaxed atomics.
-struct ServiceMetrics {
-  obs::Counter& jobs_submitted;
-  obs::Counter& jobs_completed;
-  obs::Counter& jobs_failed;
-  obs::Counter& jobs_deduplicated;
-  obs::Counter& job_cache_hits;
-  obs::Counter& point_cache_hits;
-  obs::Counter& points_executed;
-  obs::Counter& shards_executed;
-  obs::Counter& shard_requeues;
-  obs::Counter& workers_connected;
-  obs::Counter& workers_lost;
-  obs::Gauge& jobs_in_flight;
-  obs::Gauge& connections_active;
-  obs::Gauge& queue_depth;
+/// The two service timings, both measured by the daemon at its own
+/// protocol events (never by a worker process, which nothing scrapes).
+obs::Histogram& lease_latency() {
+  static obs::Histogram& h = obs::Registry::global().histogram(
+      "sramlp_lease_latency_seconds",
+      "Lease request received to shard (or stop) granted; includes idle "
+      "waits, excludes network transit",
+      latency_bounds());
+  return h;
+}
 
-  static ServiceMetrics& get() {
-    obs::Registry& r = obs::Registry::global();
-    static ServiceMetrics m{
-        r.counter("sramlp_jobs_submitted_total",
-                  "Jobs received by the sweep service"),
-        r.counter("sramlp_jobs_completed_total",
-                  "Jobs finished with a merged document"),
-        r.counter("sramlp_jobs_failed_total",
-                  "Jobs failed after exhausting shard retries"),
-        r.counter("sramlp_jobs_deduplicated_total",
-                  "Submissions attached to an identical in-flight job"),
-        r.counter("sramlp_job_cache_hits_total",
-                  "Submissions answered whole from the result cache"),
-        r.counter("sramlp_point_cache_hits_total",
-                  "Work items answered from the per-point cache"),
-        r.counter("sramlp_points_executed_total",
-                  "Work-item results received from workers"),
-        r.counter("sramlp_shards_executed_total",
-                  "Shards completed by workers"),
-        r.counter("sramlp_shard_requeues_total",
-                  "Shards requeued after a failure or lost worker"),
-        r.counter("sramlp_workers_connected_total",
-                  "Worker connections accepted"),
-        r.counter("sramlp_workers_lost_total",
-                  "Worker connections dropped while holding leases"),
-        r.gauge("sramlp_jobs_in_flight", "Jobs currently executing"),
-        r.gauge("sramlp_connections_active", "Open service connections"),
-        r.gauge("sramlp_queue_depth",
-                "Pending (unleased) shards across all active jobs"),
-    };
-    return m;
-  }
-};
-
-/// Worker-side instruments (lease round-trips, shard compute time).
-struct WorkerMetrics {
-  obs::Histogram& lease_latency;
-  obs::Histogram& shard_execution;
-  obs::Counter& points_computed;
-  obs::Counter& shards_failed;
-
-  static WorkerMetrics& get() {
-    obs::Registry& r = obs::Registry::global();
-    static WorkerMetrics m{
-        r.histogram("sramlp_lease_latency_seconds",
-                    "Lease request to shard grant (includes idle waits)",
-                    latency_bounds()),
-        r.histogram("sramlp_shard_execution_seconds",
-                    "Wall time computing one leased shard", latency_bounds()),
-        r.counter("sramlp_worker_points_computed_total",
-                  "Work items this worker computed and streamed"),
-        r.counter("sramlp_worker_shards_failed_total",
-                  "Shards this worker reported as failed"),
-    };
-    return m;
-  }
-};
+obs::Histogram& shard_execution() {
+  static obs::Histogram& h = obs::Registry::global().histogram(
+      "sramlp_shard_execution_seconds",
+      "Shard granted to its shard_done accepted", latency_bounds());
+  return h;
+}
 
 /// Per-submitter fairness instruments (satellite of the search PR): one
 /// labelled counter family per lifecycle stage, so `metrics` / Prometheus
@@ -154,11 +96,8 @@ io::JsonValue item_line(const JobSpec& job, std::uint64_t fingerprint,
 
 io::JsonValue to_json(const ResultCache::Stats& stats) {
   io::JsonValue v = io::JsonValue::object();
-  v.set("hits", io::JsonValue::integer(stats.hits));
-  v.set("spill_hits", io::JsonValue::integer(stats.spill_hits));
-  v.set("misses", io::JsonValue::integer(stats.misses));
-  v.set("insertions", io::JsonValue::integer(stats.insertions));
-  v.set("loaded", io::JsonValue::integer(stats.loaded));
+  for (const CacheCounter& counter : kCacheCounters)
+    v.set(counter.name, io::JsonValue::integer(stats.*counter.member));
   v.set("entries", io::JsonValue::integer(stats.entries));
   v.set("hit_rate", io::JsonValue::number(stats.hit_rate()));
   return v;
@@ -166,27 +105,24 @@ io::JsonValue to_json(const ResultCache::Stats& stats) {
 
 ResultCache::Stats cache_stats_from_json(const io::JsonValue& json) {
   ResultCache::Stats stats;
-  stats.hits = json.at("hits").as_uint();
-  stats.spill_hits = json.at("spill_hits").as_uint();
-  stats.misses = json.at("misses").as_uint();
-  stats.insertions = json.at("insertions").as_uint();
-  stats.loaded = json.at("loaded").as_uint();
+  for (const CacheCounter& counter : kCacheCounters)
+    stats.*counter.member = json.at(counter.name).as_uint();
   stats.entries = json.at("entries").as_size();
   return stats;
 }
 
 io::JsonValue to_json(const ServiceStats& stats) {
   io::JsonValue v = io::JsonValue::object();
-  for (const auto& [name, counter] : kServiceCounters)
-    v.set(name, io::JsonValue::integer(stats.*counter));
+  for (const ServiceCounter& counter : kServiceCounters)
+    v.set(counter.name, io::JsonValue::integer(stats.*counter.member));
   v.set("cache", to_json(stats.cache));
   return v;
 }
 
 ServiceStats service_stats_from_json(const io::JsonValue& json) {
   ServiceStats stats;
-  for (const auto& [name, counter] : kServiceCounters)
-    stats.*counter = json.at(name).as_uint();
+  for (const ServiceCounter& counter : kServiceCounters)
+    stats.*counter.member = json.at(counter.name).as_uint();
   stats.cache = cache_stats_from_json(json.at("cache"));
   return stats;
 }
@@ -226,11 +162,21 @@ struct Service::ActiveJob {
   /// no submitter) — the label on the per-submitter fairness counters.
   std::string submitter;
   bool finished = false;
-  bool failed = false;
-  /// Tracing bookkeeping (set only while the tracer is enabled; never read
-  /// by the result path).
-  std::uint64_t trace_start_us = 0;
-  std::map<std::size_t, std::uint64_t> shard_trace_start;  ///< shard -> ts
+  /// obs::monotonic_micros() at submit, and at each shard's latest grant
+  /// (the submit stamp until first leased): the job and shard spans and
+  /// sramlp_shard_execution_seconds.  Never read by the result path.
+  std::uint64_t submitted_us = 0;
+  std::vector<std::uint64_t> shard_granted_us;  ///< by shard id
+
+  /// Send job_accepted and every item filled so far to @p channel — what
+  /// a new submitter sees first, whether it opened the job or attached to
+  /// it in flight (Service::mutex_ held).
+  void replay(io::LineChannel& channel) const {
+    channel.send(accepted_message(fingerprint, total, cached_points, false));
+    for (std::size_t i = 0; i < total; ++i)
+      if (!items[i].is_null())
+        channel.send(item_line(job, fingerprint, i, items[i]));
+  }
 };
 
 struct Service::Connection {
@@ -330,7 +276,6 @@ void Service::accept_loop() {
 }
 
 void Service::handle_connection(std::shared_ptr<Connection> conn) {
-  ServiceMetrics::get().connections_active.add(1);
   for (;;) {
     const std::optional<io::JsonValue> message = conn->channel->receive();
     if (!message) break;
@@ -367,11 +312,7 @@ void Service::handle_connection(std::shared_ptr<Connection> conn) {
       reply.set("stats", to_json(stats()));
       conn->channel->send(reply);
     } else if (type == "metrics") {
-      io::JsonValue reply = make_message("metrics");
-      reply.set("prometheus", io::JsonValue::string(
-                                  obs::Registry::global().prometheus_text()));
-      reply.set("metrics", obs::Registry::global().to_json());
-      conn->channel->send(reply);
+      conn->channel->send(metrics_reply());
     } else if (type == "shutdown") {
       obs::log_info("service", "shutdown requested",
                     {obs::kv("conn", conn->id)});
@@ -389,14 +330,12 @@ void Service::handle_connection(std::shared_ptr<Connection> conn) {
   // service dropped (malformed or oversize frames) sees end-of-stream.
   conn->channel->shutdown();
   obs::log_debug("service", "connection closed", {obs::kv("conn", conn->id)});
-  ServiceMetrics::get().connections_active.sub(1);
   std::lock_guard<std::mutex> lock(mutex_);
   conn->done = true;
 }
 
 void Service::handle_submit(const std::shared_ptr<Connection>& conn,
                             const io::JsonValue& message) {
-  ServiceMetrics& metrics = ServiceMetrics::get();
   JobSpec job;
   std::string submitter = "anonymous";
   try {
@@ -419,30 +358,18 @@ void Service::handle_submit(const std::shared_ptr<Connection>& conn,
 
   std::unique_lock<std::mutex> lock(mutex_);
   ++stats_.jobs_submitted;
-  metrics.jobs_submitted.inc();
   submitter_queued(submitter).inc();
 
   // --- whole-job cache hit: replay the exact bytes, execute nothing ------
-  if (const std::optional<std::string> document = cache_.get(fingerprint)) {
+  if (std::optional<std::string> document = cache_.get(fingerprint)) {
     ++stats_.job_cache_hits;
-    ++stats_.jobs_completed;
-    metrics.job_cache_hits.inc();
-    metrics.jobs_completed.inc();
-    submitter_completed(submitter).inc();
     obs::log_debug("service", "job answered from cache",
                    {obs::kv("conn", conn->id),
                     obs::kv_hex("job", fingerprint)});
-    const io::JsonValue accepted =
-        accepted_message(fingerprint, total, total, true);
-    io::JsonValue complete = make_message("job_complete");
-    complete.set("fingerprint", io::JsonValue::integer(fingerprint));
-    complete.set("cache_hit", io::JsonValue::boolean(true));
-    complete.set("cached_points", io::JsonValue::integer(total));
-    complete.set("document", io::JsonValue::string(*document));
-    complete.set("cache_hit_rate",
-                 io::JsonValue::number(cache_.stats().hit_rate()));
+    const io::JsonValue complete = complete_locked(
+        fingerprint, submitter, total, nullptr, std::move(*document));
     lock.unlock();
-    conn->channel->send(accepted);
+    conn->channel->send(accepted_message(fingerprint, total, total, true));
     conn->channel->send(complete);
     return;
   }
@@ -452,27 +379,20 @@ void Service::handle_submit(const std::shared_ptr<Connection>& conn,
       it != active_jobs_.end()) {
     const std::shared_ptr<ActiveJob> active = it->second;
     ++stats_.jobs_deduplicated;
-    metrics.jobs_deduplicated.inc();
     obs::log_debug("service", "submit attached to in-flight twin",
                    {obs::kv("conn", conn->id),
                     obs::kv_hex("job", fingerprint)});
     // Register, then replay, under ONE lock hold: no live line can slip
     // between the replayed prefix and the forwarded suffix.
     active->listeners.push_back(conn->channel);
-    conn->channel->send(accepted_message(fingerprint, active->total,
-                                         active->cached_points, false));
-    for (std::size_t i = 0; i < active->total; ++i)
-      if (!active->items[i].is_null())
-        conn->channel->send(
-            item_line(active->job, fingerprint, i, active->items[i]));
+    active->replay(*conn->channel);
     state_cv_.wait(lock, [&] { return active->finished || stopping_; });
     return;
   }
 
   // --- new job ------------------------------------------------------------
   auto active = std::make_shared<ActiveJob>();
-  if (obs::Tracer::global().enabled())
-    active->trace_start_us = obs::monotonic_micros();
+  active->submitted_us = obs::monotonic_micros();
   active->fingerprint = fingerprint;
   active->job = std::move(job);
   active->job_json = dist::to_json(active->job);
@@ -509,18 +429,16 @@ void Service::handle_submit(const std::shared_ptr<Connection>& conn,
     ++active->filled_count;
     ++active->cached_points;
     ++stats_.point_cache_hits;
-    metrics.point_cache_hits.inc();
   }
 
   LeaseCut cut;
   active->queue = std::make_unique<StealQueue>(lease_units(
       active->job, uncached, options_.points_per_shard, &cut));
+  const std::size_t units = active->queue->stats().shard_count;
+  active->shard_granted_us.assign(units, active->submitted_us);
   active->listeners.push_back(conn->channel);
   active_jobs_[fingerprint] = active;
   job_order_.push_back(fingerprint);
-  metrics.jobs_in_flight.add(1);
-  update_queue_depth_locked();
-  const std::size_t units = active->queue->stats().shard_count;
   if (cut.planned)
     obs::log_info("service", "job enqueued",
                   {obs::kv("conn", conn->id), obs::kv_hex("job", fingerprint),
@@ -535,15 +453,9 @@ void Service::handle_submit(const std::shared_ptr<Connection>& conn,
                    obs::kv("cached_points", active->cached_points),
                    obs::kv("units", units)});
 
-  conn->channel->send(
-      accepted_message(fingerprint, total, active->cached_points, false));
-  for (std::size_t i = 0; i < total; ++i)
-    if (!active->items[i].is_null())
-      conn->channel->send(
-          item_line(active->job, fingerprint, i, active->items[i]));
-
+  active->replay(*conn->channel);
   if (active->filled_count == active->total) {
-    finalize_job_locked(lock, active);
+    finalize_job_locked(active);
     return;
   }
   state_cv_.notify_all();  // wake workers parked on empty lease queues
@@ -551,14 +463,12 @@ void Service::handle_submit(const std::shared_ptr<Connection>& conn,
 }
 
 void Service::handle_worker(const std::shared_ptr<Connection>& conn) {
-  ServiceMetrics& metrics = ServiceMetrics::get();
   std::uint64_t worker_id = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     worker_id = next_worker_id_++;
     ++stats_.workers_connected;
   }
-  metrics.workers_connected.inc();
   obs::log_info("service", "worker connected",
                 {obs::kv("conn", conn->id), obs::kv("worker", worker_id)});
   // Any malformed message drops the worker: the loop ends and its leases
@@ -580,9 +490,6 @@ void Service::handle_worker(const std::shared_ptr<Connection>& conn) {
   if (requeued > 0) {
     ++stats_.workers_lost;
     stats_.shard_requeues += requeued;
-    metrics.workers_lost.inc();
-    metrics.shard_requeues.inc(requeued);
-    update_queue_depth_locked();
     obs::log_warn("service", "worker lost with leased shards; requeued",
                   {obs::kv("conn", conn->id), obs::kv("worker", worker_id),
                    obs::kv("requeued", requeued)});
@@ -595,11 +502,11 @@ void Service::handle_worker(const std::shared_ptr<Connection>& conn) {
 
 bool Service::serve_worker_message(const std::shared_ptr<Connection>& conn,
                                    std::uint64_t worker_id) {
-  ServiceMetrics& metrics = ServiceMetrics::get();
   const std::optional<io::JsonValue> message = conn->channel->receive();
   if (!message) return false;
   const std::string& type = message->at("type").as_string();
   if (type == "lease") {
+    const std::uint64_t received_us = obs::monotonic_micros();
     // Fingerprints of jobs this worker already holds by value, so the job
     // document travels at most once per (worker, job).
     std::vector<std::uint64_t> known;
@@ -609,14 +516,15 @@ bool Service::serve_worker_message(const std::shared_ptr<Connection>& conn,
         known.push_back(list.at(i).as_uint());
     }
     io::JsonValue response;
+    std::uint64_t granted_us = 0;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       for (;;) {
         if (stopping_) {
           response = make_message("stop");
+          granted_us = obs::monotonic_micros();
           break;
         }
-        bool leased = false;
         for (const std::uint64_t fp : job_order_) {
           const std::shared_ptr<ActiveJob>& job = active_jobs_.at(fp);
           const std::optional<StealShard> shard = job->queue->lease(worker_id);
@@ -630,19 +538,16 @@ bool Service::serve_worker_message(const std::shared_ptr<Connection>& conn,
           response.set("indices", std::move(indices));
           if (std::find(known.begin(), known.end(), fp) == known.end())
             response.set("job", job->job_json);
-          if (obs::Tracer::global().enabled())
-            job->shard_trace_start[shard->id] = obs::monotonic_micros();
+          granted_us = obs::monotonic_micros();
+          job->shard_granted_us[shard->id] = granted_us;
           submitter_leased(job->submitter).inc();
-          leased = true;
           break;
         }
-        if (leased) {
-          update_queue_depth_locked();
-          break;
-        }
+        if (!response.is_null()) break;
         state_cv_.wait(lock);  // idle: block until work or shutdown
       }
     }
+    lease_latency().observe_micros(granted_us - received_us);
     return conn->channel->send(response) &&
            response.at("type").as_string() != "stop";
   }
@@ -667,24 +572,15 @@ bool Service::serve_worker_message(const std::shared_ptr<Connection>& conn,
                     " before its item " + std::to_string(index));
     job->queue->complete(shard_id);
     ++stats_.shards_executed;
-    metrics.shards_executed.inc();
-    if (const auto ts = job->shard_trace_start.find(shard_id);
-        ts != job->shard_trace_start.end()) {
-      const std::uint64_t end = obs::monotonic_micros();
-      obs::Tracer::Span span;
-      span.name = "shard";
-      span.category = "service";
-      span.ts_us = ts->second;
-      span.dur_us = end > ts->second ? end - ts->second : 0;
-      span.tid = obs::trace_thread_id();
-      span.args = {{"job", job->fingerprint},
-                   {"shard", shard_id},
-                   {"worker", worker_id}};
-      job->shard_trace_start.erase(ts);
-      obs::Tracer::global().record(std::move(span));
-    }
+    const std::uint64_t done_us = obs::monotonic_micros();
+    const std::uint64_t granted_us = job->shard_granted_us[shard_id];
+    shard_execution().observe_micros(done_us - granted_us);
+    obs::record_span("shard", "service", granted_us, done_us,
+                     {{"job", job->fingerprint},
+                      {"shard", shard_id},
+                      {"worker", worker_id}});
     if (job->queue->done() && job->filled_count == job->total)
-      finalize_job_locked(lock, job);
+      finalize_job_locked(job);
     return true;
   }
   if (type == "shard_failed") {
@@ -705,8 +601,6 @@ bool Service::serve_worker_message(const std::shared_ptr<Connection>& conn,
                    obs::kv("requeued", requeued)});
     if (requeued) {
       ++stats_.shard_requeues;
-      metrics.shard_requeues.inc();
-      update_queue_depth_locked();
       state_cv_.notify_all();
     } else {
       fail_job_locked(job, error);
@@ -735,20 +629,73 @@ void Service::deliver_result(const io::JsonValue& message) {
   job.items[index] = data;
   ++job.filled_count;
   ++stats_.points_executed;
-  ServiceMetrics::get().points_executed.inc();
   for (const auto& listener : job.listeners) listener->send(message);
 }
 
-void Service::update_queue_depth_locked() {
-  std::int64_t pending = 0;
-  for (const auto& [fp, job] : active_jobs_)
-    pending += static_cast<std::int64_t>(job->queue->stats().pending);
-  ServiceMetrics::get().queue_depth.set(pending);
+io::JsonValue Service::metrics_reply() const {
+  // This service's counters and gauges become families of a scrape-time
+  // registry, all read under one lock hold; the global registry adds what
+  // other layers count (framing, steal queues, submitters) and the two
+  // service timings.
+  obs::Registry scrape;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const ServiceCounter& counter : kServiceCounters)
+      scrape.counter(std::string("sramlp_") + counter.name + "_total",
+                     counter.help)
+          .inc(stats_.*counter.member);
+    const ResultCache::Stats cache = cache_.stats();
+    for (const CacheCounter& counter : kCacheCounters)
+      scrape.counter(std::string("sramlp_cache_") + counter.name + "_total",
+                     counter.help)
+          .inc(cache.*counter.member);
+    std::size_t pending = 0;
+    for (const auto& [fp, job] : active_jobs_)
+      pending += job->queue->stats().pending;
+    scrape.gauge("sramlp_jobs_in_flight", "Jobs currently executing")
+        .set(static_cast<std::int64_t>(active_jobs_.size()));
+    scrape.gauge("sramlp_connections_active", "Open service connections")
+        .set(std::count_if(connections_.begin(), connections_.end(),
+                           [](const auto& conn) { return !conn->done; }));
+    scrape.gauge("sramlp_queue_depth",
+                 "Pending (unleased) shards across all active jobs")
+        .set(static_cast<std::int64_t>(pending));
+  }
+  const obs::Registry& global = obs::Registry::global();
+  io::JsonValue metrics = scrape.to_json();
+  const io::JsonValue global_json = global.to_json();
+  for (const auto& [name, family] : global_json.members())
+    metrics.set(name, family);
+  io::JsonValue reply = make_message("metrics");
+  reply.set("prometheus", io::JsonValue::string(scrape.prometheus_text() +
+                                                global.prometheus_text()));
+  reply.set("metrics", std::move(metrics));
+  return reply;
 }
 
-void Service::finalize_job_locked(std::unique_lock<std::mutex>& lock,
-                                  const std::shared_ptr<ActiveJob>& job) {
-  (void)lock;  // held by the caller; sends go out under it by design
+io::JsonValue Service::complete_locked(std::uint64_t fingerprint,
+                                       const std::string& submitter,
+                                       std::size_t cached_points,
+                                       const StealQueue* shards,
+                                       std::string document) {
+  ++stats_.jobs_completed;
+  submitter_completed(submitter).inc();
+  io::JsonValue complete = make_message("job_complete");
+  complete.set("fingerprint", io::JsonValue::integer(fingerprint));
+  complete.set("cache_hit", io::JsonValue::boolean(shards == nullptr));
+  complete.set("cached_points", io::JsonValue::integer(cached_points));
+  if (shards != nullptr) {
+    const StealQueue::Stats queue = shards->stats();
+    complete.set("shards_executed", io::JsonValue::integer(queue.completed));
+    complete.set("shard_requeues", io::JsonValue::integer(queue.requeues));
+  }
+  complete.set("document", io::JsonValue::string(std::move(document)));
+  complete.set("cache_hit_rate",
+               io::JsonValue::number(cache_.stats().hit_rate()));
+  return complete;
+}
+
+void Service::finalize_job_locked(const std::shared_ptr<ActiveJob>& job) {
   obs::SpanGuard finalize_span("finalize", "service");
   finalize_span.arg("job", job->fingerprint);
   std::string document;
@@ -759,70 +706,44 @@ void Service::finalize_job_locked(std::unique_lock<std::mutex>& lock,
     return;
   }
   cache_.put(job->fingerprint, document);
-
-  const StealQueue::Stats queue_stats = job->queue->stats();
-  io::JsonValue complete = make_message("job_complete");
-  complete.set("fingerprint", io::JsonValue::integer(job->fingerprint));
-  complete.set("cache_hit", io::JsonValue::boolean(false));
-  complete.set("cached_points", io::JsonValue::integer(job->cached_points));
-  complete.set("shards_executed",
-               io::JsonValue::integer(queue_stats.completed));
-  complete.set("shard_requeues", io::JsonValue::integer(queue_stats.requeues));
-  complete.set("document", io::JsonValue::string(document));
-  complete.set("cache_hit_rate",
-               io::JsonValue::number(cache_.stats().hit_rate()));
-  for (const auto& listener : job->listeners) listener->send(complete);
-
-  job->finished = true;
-  ++stats_.jobs_completed;
-  ServiceMetrics& metrics = ServiceMetrics::get();
-  metrics.jobs_completed.inc();
-  submitter_completed(job->submitter).inc();
-  metrics.jobs_in_flight.sub(1);
-  active_jobs_.erase(job->fingerprint);
-  job_order_.erase(
-      std::find(job_order_.begin(), job_order_.end(), job->fingerprint));
-  update_queue_depth_locked();
-  obs::log_info("service", "job complete",
-                {obs::kv_hex("job", job->fingerprint),
-                 obs::kv("points", job->total),
-                 obs::kv("cached_points", job->cached_points),
-                 obs::kv("shards", queue_stats.completed),
-                 obs::kv("requeues", queue_stats.requeues)});
-  if (job->trace_start_us != 0) {
-    const std::uint64_t end = obs::monotonic_micros();
-    obs::Tracer::Span span;
-    span.name = "job";
-    span.category = "service";
-    span.ts_us = job->trace_start_us;
-    span.dur_us = end > job->trace_start_us ? end - job->trace_start_us : 0;
-    span.tid = obs::trace_thread_id();
-    span.args = {{"job", job->fingerprint},
-                 {"points", job->total},
-                 {"cached_points", job->cached_points}};
-    obs::Tracer::global().record(std::move(span));
-  }
-  state_cv_.notify_all();
+  close_job_locked(job, complete_locked(job->fingerprint, job->submitter,
+                                        job->cached_points, job->queue.get(),
+                                        std::move(document)));
+  obs::record_span("job", "service", job->submitted_us,
+                   obs::monotonic_micros(),
+                   {{"job", job->fingerprint},
+                    {"points", job->total},
+                    {"cached_points", job->cached_points}});
 }
 
 void Service::fail_job_locked(const std::shared_ptr<ActiveJob>& job,
                               const std::string& error) {
+  ++stats_.jobs_failed;
   io::JsonValue failed = error_message("job_failed", error);
   failed.set("fingerprint", io::JsonValue::integer(job->fingerprint));
-  for (const auto& listener : job->listeners) listener->send(failed);
+  close_job_locked(job, failed);
+}
+
+void Service::close_job_locked(const std::shared_ptr<ActiveJob>& job,
+                               const io::JsonValue& terminal) {
+  for (const auto& listener : job->listeners) listener->send(terminal);
   job->finished = true;
-  job->failed = true;
-  ++stats_.jobs_failed;
-  ServiceMetrics& metrics = ServiceMetrics::get();
-  metrics.jobs_failed.inc();
-  metrics.jobs_in_flight.sub(1);
   active_jobs_.erase(job->fingerprint);
   job_order_.erase(
       std::find(job_order_.begin(), job_order_.end(), job->fingerprint));
-  update_queue_depth_locked();
-  obs::log_error("service", "job failed",
-                 {obs::kv_hex("job", job->fingerprint),
-                  obs::kv("error", error)});
+  if (terminal.has("error")) {
+    obs::log_error("service", "job failed",
+                   {obs::kv_hex("job", job->fingerprint),
+                    obs::kv("error", terminal.at("error").as_string())});
+  } else {
+    const StealQueue::Stats queue = job->queue->stats();
+    obs::log_info("service", "job complete",
+                  {obs::kv_hex("job", job->fingerprint),
+                   obs::kv("points", job->total),
+                   obs::kv("cached_points", job->cached_points),
+                   obs::kv("shards", queue.completed),
+                   obs::kv("requeues", queue.requeues)});
+  }
   state_cv_.notify_all();
 }
 
@@ -830,7 +751,6 @@ void Service::fail_job_locked(const std::shared_ptr<ActiveJob>& job,
 
 std::size_t ServiceWorker::run(const std::string& address,
                                int connect_timeout_ms) {
-  WorkerMetrics& metrics = WorkerMetrics::get();
   io::LineChannel channel(io::connect_socket(address, connect_timeout_ms));
   io::JsonValue hello = make_message("hello");
   hello.set("role", io::JsonValue::string("worker"));
@@ -851,11 +771,8 @@ std::size_t ServiceWorker::run(const std::string& address,
     std::optional<io::JsonValue> response;
     {
       obs::SpanGuard lease_span("lease", "worker");
-      const std::uint64_t lease_sent_us = obs::monotonic_micros();
       if (!channel.send(lease)) return computed;
       response = channel.receive();
-      metrics.lease_latency.observe_micros(obs::monotonic_micros() -
-                                           lease_sent_us);
     }
     if (!response) return computed;
     std::string type;
@@ -882,7 +799,6 @@ std::size_t ServiceWorker::run(const std::string& address,
     }
     // Hand the shard back for another worker (or a bounded retry).
     const auto report_failure = [&](const std::string& error) {
-      metrics.shards_failed.inc();
       io::JsonValue failed = error_message("shard_failed", error);
       failed.set("fingerprint", io::JsonValue::integer(fingerprint));
       failed.set("shard", io::JsonValue::integer(shard_id));
@@ -902,7 +818,6 @@ std::size_t ServiceWorker::run(const std::string& address,
     execute_span.arg("job", fingerprint);
     execute_span.arg("shard", shard_id);
     execute_span.arg("points", indices.size());
-    const std::uint64_t execute_start_us = obs::monotonic_micros();
     try {
       // The exact single-process arithmetic on the stolen subset —
       // identical bits whichever worker steals which indices.
@@ -927,9 +842,6 @@ std::size_t ServiceWorker::run(const std::string& address,
       if (!report_failure(e.what())) return computed;
       continue;
     }
-    metrics.shard_execution.observe_micros(obs::monotonic_micros() -
-                                           execute_start_us);
-    metrics.points_computed.inc(indices.size());
     io::JsonValue done = make_message("shard_done");
     done.set("fingerprint", io::JsonValue::integer(fingerprint));
     done.set("shard", io::JsonValue::integer(shard_id));

@@ -30,6 +30,13 @@
 // Results are opaque here: the service forwards, caches and merges each
 // item's data document through dist/job.h and never decodes it.
 //
+// Observability: every service event is counted once, in ServiceStats (and
+// the cache's own ResultCache::Stats); the `stats` reply and the `metrics`
+// scrape both read those, and the scrape computes its gauges from the live
+// queues at request time.  Lease latency (lease received -> shard or stop
+// granted) and shard execution (grant -> accepted shard_done) are timed by
+// the daemon, since nothing scrapes a worker process.
+//
 // Topology: one Service process; any number of ServiceWorker processes or
 // threads connect and steal (`sramlp_dist serve` and `run` spawn N worker
 // subprocesses of their own binary; workers on other hosts join with
@@ -48,7 +55,6 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "dist/job.h"
@@ -73,21 +79,40 @@ struct ServiceStats {
   ResultCache::Stats cache;
 };
 
-/// Every ServiceStats counter under its wire name, in wire order — what
-/// the `stats` reply, its decoder and the CLI views all iterate.
-inline constexpr std::pair<const char*, std::uint64_t ServiceStats::*>
-    kServiceCounters[] = {
-        {"jobs_submitted", &ServiceStats::jobs_submitted},
-        {"jobs_completed", &ServiceStats::jobs_completed},
-        {"jobs_failed", &ServiceStats::jobs_failed},
-        {"jobs_deduplicated", &ServiceStats::jobs_deduplicated},
-        {"job_cache_hits", &ServiceStats::job_cache_hits},
-        {"point_cache_hits", &ServiceStats::point_cache_hits},
-        {"points_executed", &ServiceStats::points_executed},
-        {"shards_executed", &ServiceStats::shards_executed},
-        {"shard_requeues", &ServiceStats::shard_requeues},
-        {"workers_connected", &ServiceStats::workers_connected},
-        {"workers_lost", &ServiceStats::workers_lost},
+/// One ServiceStats counter: its wire name, the help text of its scrape
+/// family (sramlp_<name>_total) and its member.
+struct ServiceCounter {
+  const char* name;
+  const char* help;
+  std::uint64_t ServiceStats::*member;
+};
+
+/// Every ServiceStats counter in wire order — what the `stats` reply, its
+/// decoder, the CLI views and the `metrics` scrape all iterate.
+inline constexpr ServiceCounter kServiceCounters[] = {
+    {"jobs_submitted", "Jobs received by the sweep service",
+     &ServiceStats::jobs_submitted},
+    {"jobs_completed", "Jobs finished with a merged document",
+     &ServiceStats::jobs_completed},
+    {"jobs_failed", "Jobs failed after exhausting shard retries",
+     &ServiceStats::jobs_failed},
+    {"jobs_deduplicated",
+     "Submissions attached to an identical in-flight job",
+     &ServiceStats::jobs_deduplicated},
+    {"job_cache_hits", "Submissions answered whole from the result cache",
+     &ServiceStats::job_cache_hits},
+    {"point_cache_hits", "Work items answered from the per-point cache",
+     &ServiceStats::point_cache_hits},
+    {"points_executed", "Work-item results received from workers",
+     &ServiceStats::points_executed},
+    {"shards_executed", "Shards completed by workers",
+     &ServiceStats::shards_executed},
+    {"shard_requeues", "Shards requeued after a failure or lost worker",
+     &ServiceStats::shard_requeues},
+    {"workers_connected", "Worker connections accepted",
+     &ServiceStats::workers_connected},
+    {"workers_lost", "Worker connections dropped while holding leases",
+     &ServiceStats::workers_lost},
 };
 
 class Service {
@@ -147,13 +172,25 @@ class Service {
   /// malformed message.
   bool serve_worker_message(const std::shared_ptr<Connection>& conn,
                             std::uint64_t worker_id);
+  /// The `metrics` reply: this service's counters and live gauges, read
+  /// under mutex_, followed by obs::Registry::global().
+  io::JsonValue metrics_reply() const;
   void deliver_result(const io::JsonValue& message);
-  /// Refresh the pending-shard gauge from the live queues (mutex_ held).
-  void update_queue_depth_locked();
-  void finalize_job_locked(std::unique_lock<std::mutex>& lock,
-                           const std::shared_ptr<ActiveJob>& job);
+  /// Count a completion and build its job_complete message (mutex_ held).
+  /// @p shards is the executed job's queue; null for a whole-job cache hit.
+  io::JsonValue complete_locked(std::uint64_t fingerprint,
+                                const std::string& submitter,
+                                std::size_t cached_points,
+                                const StealQueue* shards,
+                                std::string document);
+  void finalize_job_locked(const std::shared_ptr<ActiveJob>& job);
   void fail_job_locked(const std::shared_ptr<ActiveJob>& job,
                        const std::string& error);
+  /// The one exit of an active job (mutex_ held): send @p terminal
+  /// (job_complete or job_failed) to its listeners, retire it, log, and
+  /// wake everyone waiting on it.
+  void close_job_locked(const std::shared_ptr<ActiveJob>& job,
+                        const io::JsonValue& terminal);
 
   Options options_;
   ResultCache cache_;

@@ -1,10 +1,14 @@
 // Metrics registry: lock-cheap counters, gauges and fixed-bucket
 // histograms with Prometheus text exposition.
 //
-// The service's ServiceStats RPC answers "how many so far"; tuning the
-// steal protocol, the cache tiers or a queueing policy needs the shape of
-// the distribution — lease latencies, shard execution times, queue depth
-// over time.  The registry holds those series:
+// Each event is counted once, by whoever sees it.  The sweep service keeps
+// its own counters in ServiceStats / ResultCache::Stats and, per `metrics`
+// request, renders them and its live gauges (jobs in flight, queue depth,
+// connections) into a scrape-time Registry, followed by global(): the
+// series no single service instance owns — framing bytes, steal-queue
+// churn, per-submitter counters — and the distributions the daemon
+// measures itself (lease latency, shard execution time).  A series
+// registered only in a worker process is never scraped.  A registry holds:
 //
 //   * Counter   — monotone uint64, one relaxed fetch_add per increment;
 //   * Gauge     — signed level (queue depth, jobs in flight), add/sub/set;
@@ -102,7 +106,7 @@ class Histogram {
 class Registry {
  public:
   /// The process-wide registry every subsystem registers into; the
-  /// service's `metrics` request exposes it.
+  /// service's `metrics` reply appends it to its own scrape-time families.
   static Registry& global();
 
   Registry() = default;

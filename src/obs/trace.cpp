@@ -98,6 +98,22 @@ std::uint32_t trace_thread_id() {
   return id;
 }
 
+void record_span(
+    const char* name, const char* category, std::uint64_t start_us,
+    std::uint64_t end_us,
+    std::initializer_list<std::pair<const char*, std::uint64_t>> args) {
+  Tracer& tracer = Tracer::global();
+  if (!tracer.enabled()) return;
+  Tracer::Span span;
+  span.name = name;
+  span.category = category;
+  span.ts_us = start_us;
+  span.dur_us = end_us > start_us ? end_us - start_us : 0;
+  span.tid = trace_thread_id();
+  span.args.assign(args.begin(), args.end());
+  tracer.record(std::move(span));
+}
+
 SpanGuard::SpanGuard(const char* name, const char* category) {
   Tracer& tracer = Tracer::global();
   if (!tracer.enabled()) return;

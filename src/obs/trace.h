@@ -22,6 +22,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -78,6 +79,15 @@ class Tracer {
 
 /// A stable small ordinal for the calling thread (trace "tid" field).
 std::uint32_t trace_thread_id();
+
+/// Record a span stamped at @p start_us and @p end_us (both
+/// obs::monotonic_micros()) — for spans that open and close in different
+/// scopes, where no SpanGuard can sit (the service's job and shard spans).
+/// No-op while the tracer is disabled.
+void record_span(
+    const char* name, const char* category, std::uint64_t start_us,
+    std::uint64_t end_us,
+    std::initializer_list<std::pair<const char*, std::uint64_t>> args);
 
 /// RAII span: stamps the start on construction, records on destruction.
 /// When the tracer is disabled at construction the guard is inert (no

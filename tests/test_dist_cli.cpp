@@ -1,12 +1,16 @@
 // tools/sramlp_dist CLI error paths, driven through the real binary: every
 // operator mistake must exit with a clear one-line diagnostic (exit code
-// 1), never a crash, a stack trace or a silent success.  The binary path
+// 1), never a crash, a stack trace or a silent success.  A real `serve`
+// daemon with worker subprocesses checks what its metrics scrape sees.  The binary path
 // arrives from CMake as SRAMLP_DIST_BIN; when the tools are not built the
 // suite skips.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <csignal>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -169,6 +173,71 @@ TEST_F(DistCli, ExampleJobTraceFlagEmitsTraceConfig) {
   EXPECT_NE(r.output.find("\"trace\""), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("\"window_cycles\""), std::string::npos)
       << r.output;
+}
+
+/// The whole line of @p text that starts with @p prefix, minus the
+/// prefix, as a number (fails the test when there is none).
+std::uint64_t number_after(const std::string& text,
+                           const std::string& prefix) {
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);)
+    if (line.rfind(prefix, 0) == 0)
+      return std::stoull(line.substr(prefix.size()));
+  ADD_FAILURE() << "no line starting with '" << prefix << "' in:\n" << text;
+  return 0;
+}
+
+TEST_F(DistCli, DaemonScrapeTimesEveryLeaseAndShard) {
+  // The real daemon with worker subprocesses: the lease and shard timings
+  // must be measured where the scrape can see them, not in the workers.
+  emit_example_job("search.json", "--search");
+  const std::string address = "unix:" + path("daemon.sock");
+  const std::string log = path("serve.log");
+  const pid_t daemon = ::fork();
+  ASSERT_GE(daemon, 0);
+  if (daemon == 0) {
+    std::FILE* out = std::freopen(log.c_str(), "w", stdout);
+    if (out != nullptr) ::dup2(::fileno(out), STDERR_FILENO);
+    ::execl(SRAMLP_DIST_BIN, SRAMLP_DIST_BIN, "serve", "--listen",
+            address.c_str(), "--workers", "2", static_cast<char*>(nullptr));
+    ::_exit(127);
+  }
+  // Reaps the daemon however the test ends; kills it if still serving.
+  struct Reaper {
+    pid_t pid;
+    int status = -1;
+    ~Reaper() {
+      if (status != -1) return;
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, nullptr, 0);
+    }
+  } reaper{daemon};
+
+  const std::string job = " --connect " + address + " --job " +
+                          path("search.json") + " --out ";
+  const CliResult cold = run_cli("submit" + job + path("cold.json"));
+  ASSERT_EQ(cold.exit_code, 0) << cold.output;
+  const CliResult hot =
+      run_cli("submit" + job + path("hot.json") + " --expect-cache-hit");
+  ASSERT_EQ(hot.exit_code, 0) << hot.output;
+  const CliResult prom =
+      run_cli("stats --connect " + address + " --format prom");
+  ASSERT_EQ(prom.exit_code, 0) << prom.output;
+  const CliResult stats = run_cli("stats --connect " + address);
+  ASSERT_EQ(stats.exit_code, 0) << stats.output;
+  const CliResult bye = run_cli("shutdown --connect " + address);
+  EXPECT_EQ(bye.exit_code, 0) << bye.output;
+  ASSERT_EQ(::waitpid(daemon, &reaper.status, 0), daemon);
+  EXPECT_TRUE(WIFEXITED(reaper.status) && WEXITSTATUS(reaper.status) == 0);
+
+  const std::uint64_t shards =
+      number_after(stats.output, "  \"shards_executed\": ");
+  EXPECT_GE(shards, 1u) << stats.output;
+  EXPECT_GE(number_after(prom.output, "sramlp_lease_latency_seconds_count "),
+            1u);
+  EXPECT_EQ(number_after(prom.output, "sramlp_shard_execution_seconds_count "),
+            shards);
+  EXPECT_EQ(number_after(prom.output, "sramlp_job_cache_hits_total "), 1u);
 }
 
 TEST_F(DistCli, ExampleJobRejectsCampaignTraceCombination) {

@@ -30,6 +30,7 @@
 #include "march/algorithms.h"
 #include "obs/log.h"
 #include "obs/trace.h"
+#include "power/trace.h"
 #include "search/serialize.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -692,46 +693,58 @@ TEST(Service, StatsQueryAndShutdownOverTheWire) {
 
 TEST(Service, TelemetryOnOffDocumentsAreByteIdentical) {
   // The telemetry contract: logging at the chattiest level plus span
-  // tracing must never perturb a single result byte.  Both runs compute
-  // the job from scratch (independent daemons, no shared spill file), so
-  // this is not answered by cache replay.
+  // tracing must never perturb a single result byte — for every job kind,
+  // traced sweeps included.  Both daemons compute every job from scratch
+  // (independent daemons, no shared spill file), so this is not answered
+  // by cache replay.
   TempDir dir("telemetry");
-  const JobSpec job = small_sweep_job();
-  const std::string reference = dist::single_document(job);
+  JobSpec traced = small_sweep_job();
+  traced.grid.base.trace =
+      power::TraceConfig{.window_cycles = 32, .keep_windows = true};
+  const std::vector<JobSpec> jobs = {small_sweep_job(), traced,
+                                     small_campaign_job(),
+                                     small_search_job(4)};
+  std::size_t items = 0;
+  for (const JobSpec& job : jobs) items += job.size();
+  const auto serve_all = [&] {
+    dist::Service::Options options;
+    options.points_per_shard = 2;
+    ServiceHarness harness(options, /*workers=*/2);
+    std::vector<std::string> documents;
+    for (const JobSpec& job : jobs)
+      documents.push_back(
+          dist::submit_job(harness.address(), job, 5000).document);
+    EXPECT_EQ(harness.service().stats().points_executed, items);
+    return documents;
+  };
 
   obs::Logger::global().configure(obs::LogLevel::kDebug,
                                   obs::Logger::Format::kJsonl,
                                   dir.str() + "/service.log");
   obs::Tracer::global().enable(1 << 12);
-  std::string with_telemetry;
-  {
-    dist::Service::Options options;
-    options.points_per_shard = 2;
-    ServiceHarness harness(options, /*workers=*/2);
-    with_telemetry = dist::submit_job(harness.address(), job, 5000).document;
-  }
+  const std::vector<std::string> with_telemetry = serve_all();
   const std::uint64_t spans = obs::Tracer::global().recorded();
+  const std::string trace = obs::Tracer::global().dump_chrome_json();
   obs::Tracer::global().disable();
   obs::Logger::global().configure(obs::LogLevel::kOff,
                                   obs::Logger::Format::kHuman, "");
-
-  std::string without_telemetry;
-  {
-    dist::Service::Options options;
-    options.points_per_shard = 2;
-    ServiceHarness harness(options, /*workers=*/2);
-    without_telemetry =
-        dist::submit_job(harness.address(), job, 5000).document;
-  }
+  const std::vector<std::string> without_telemetry = serve_all();
   obs::Logger::global().configure(obs::LogLevel::kInfo,
                                   obs::Logger::Format::kHuman, "");
 
   // The instrumented run actually instrumented something...
   EXPECT_GT(spans, 0u);
+  for (const char* name : {"job", "shard", "finalize", "lease", "execute"})
+    EXPECT_NE(trace.find(std::string("\"name\":\"") + name + "\""),
+              std::string::npos)
+        << name;
   EXPECT_FALSE(read_file(dir.str() + "/service.log").empty());
   // ...and neither telemetry state changed a single byte.
-  EXPECT_EQ(with_telemetry, reference);
-  EXPECT_EQ(without_telemetry, reference);
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const std::string reference = dist::single_document(jobs[j]);
+    EXPECT_EQ(with_telemetry[j], reference) << "job " << j;
+    EXPECT_EQ(without_telemetry[j], reference) << "job " << j;
+  }
 }
 
 TEST(Service, MetricsRequestServesPrometheusOverTheWire) {
@@ -753,6 +766,135 @@ TEST(Service, MetricsRequestServesPrometheusOverTheWire) {
                 .at("value")
                 .as_uint(),
             1u);
+}
+
+/// The value of the first instance of family @p name in @p snapshot's
+/// JSON lane, checked against its Prometheus text line.
+std::uint64_t scraped(const dist::MetricsSnapshot& snapshot,
+                      const std::string& name) {
+  const std::uint64_t value = snapshot.json.at(name)
+                                  .at("instances")
+                                  .at(std::size_t{0})
+                                  .at("value")
+                                  .as_uint();
+  EXPECT_NE(snapshot.prometheus.find("\n" + name + " " +
+                                     std::to_string(value) + "\n"),
+            std::string::npos)
+      << name;
+  return value;
+}
+
+/// Every ServiceStats and cache counter family of @p harness's scrape
+/// reads exactly its service's stats().
+void expect_scrape_matches_stats(ServiceHarness& harness) {
+  const dist::MetricsSnapshot snapshot =
+      dist::query_metrics(harness.address());
+  const dist::ServiceStats stats = harness.service().stats();
+  for (const dist::ServiceCounter& counter : dist::kServiceCounters)
+    EXPECT_EQ(scraped(snapshot, std::string("sramlp_") + counter.name +
+                                    "_total"),
+              stats.*counter.member)
+        << counter.name;
+  for (const dist::CacheCounter& counter : dist::kCacheCounters)
+    EXPECT_EQ(scraped(snapshot, std::string("sramlp_cache_") + counter.name +
+                                    "_total"),
+              stats.cache.*counter.member)
+        << counter.name;
+}
+
+TEST(Service, MetricsScrapeCountsEachServiceOnItsOwn) {
+  // Two daemons in one process: each scrape reads its own service, not a
+  // process-wide tally.
+  dist::Service::Options options;
+  options.points_per_shard = 2;
+  ServiceHarness first(options, /*workers=*/1);
+  ServiceHarness second(options, /*workers=*/1);
+  const JobSpec sweep = small_sweep_job();
+  dist::submit_job(first.address(), sweep, 5000);
+  dist::submit_job(second.address(), small_campaign_job(), 5000);
+  for (ServiceHarness* harness : {&first, &second}) {
+    EXPECT_EQ(scraped(dist::query_metrics(harness->address()),
+                      "sramlp_jobs_submitted_total"),
+              1u);
+    expect_scrape_matches_stats(*harness);
+  }
+
+  // A whole-job cache hit, point-cache hits and a rejected job on the
+  // first daemon; the scrape keeps reading its stats().
+  EXPECT_TRUE(dist::submit_job(first.address(), sweep, 5000).cache_hit);
+  JobSpec subset = sweep;
+  subset.grid.geometries.pop_back();
+  EXPECT_EQ(dist::submit_job(first.address(), subset, 5000).cached_points,
+            subset.size());
+  {
+    io::LineChannel channel(io::connect_socket(first.address(), 5000));
+    io::JsonValue bad = io::JsonValue::object();
+    bad.set("type", io::JsonValue::string("submit"));
+    bad.set("job", io::JsonValue::object());
+    ASSERT_TRUE(channel.send(bad));
+    const auto reply = channel.receive();
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(reply->at("type").as_string(), "job_failed");
+  }
+  const dist::ServiceStats stats = first.service().stats();
+  EXPECT_EQ(stats.jobs_submitted, 3u);
+  EXPECT_EQ(stats.job_cache_hits, 1u);
+  EXPECT_EQ(stats.point_cache_hits, subset.size());
+  expect_scrape_matches_stats(first);
+  EXPECT_EQ(scraped(dist::query_metrics(second.address()),
+                    "sramlp_jobs_submitted_total"),
+            1u);
+}
+
+/// Observations in histogram @p name of @p snapshot (0 before the first).
+std::uint64_t histogram_count(const dist::MetricsSnapshot& snapshot,
+                              const std::string& name) {
+  if (!snapshot.json.has(name)) return 0;
+  return snapshot.json.at(name)
+      .at("instances")
+      .at(std::size_t{0})
+      .at("count")
+      .as_uint();
+}
+
+TEST(Service, MetricsGaugesReadTheLiveQueues) {
+  // No worker yet: the job sits in flight with every shard pending.
+  dist::Service::Options options;
+  options.points_per_shard = 2;
+  ServiceHarness harness(options, /*workers=*/0);
+  const JobSpec job = small_sweep_job();  // 12 points: 6 shards
+  io::LineChannel submitter(io::connect_socket(harness.address(), 5000));
+  io::JsonValue submit = io::JsonValue::object();
+  submit.set("type", io::JsonValue::string("submit"));
+  submit.set("job", dist::to_json(job));
+  ASSERT_TRUE(submitter.send(submit));
+  const auto accepted = submitter.receive();
+  ASSERT_TRUE(accepted.has_value());
+  ASSERT_EQ(accepted->at("type").as_string(), "job_accepted");
+
+  const dist::MetricsSnapshot live = dist::query_metrics(harness.address());
+  EXPECT_EQ(scraped(live, "sramlp_jobs_in_flight"), 1u);
+  EXPECT_EQ(scraped(live, "sramlp_queue_depth"), 6u);
+  // The submitter and the scrape itself.
+  EXPECT_EQ(scraped(live, "sramlp_connections_active"), 2u);
+
+  harness.add_worker({});
+  std::optional<io::JsonValue> message;
+  do {
+    message = submitter.receive();
+    ASSERT_TRUE(message.has_value());
+  } while (message->at("type").as_string() != "job_complete");
+  EXPECT_EQ(message->at("document").as_string(), dist::single_document(job));
+  const dist::MetricsSnapshot idle = dist::query_metrics(harness.address());
+  EXPECT_EQ(scraped(idle, "sramlp_jobs_in_flight"), 0u);
+  EXPECT_EQ(scraped(idle, "sramlp_queue_depth"), 0u);
+  // The daemon timed each of the 6 grants and shard completions (the
+  // worker's next lease is parked, not granted).  The two histograms are
+  // process-wide, so read them as deltas.
+  for (const char* name :
+       {"sramlp_lease_latency_seconds", "sramlp_shard_execution_seconds"})
+    EXPECT_EQ(histogram_count(idle, name) - histogram_count(live, name), 6u)
+        << name;
 }
 
 TEST(Service, RejectsMalformedJobWithoutDying) {

@@ -360,8 +360,8 @@ int cmd_submit(Args& args) {
 
 void print_stats_json(const dist::ServiceStats& stats) {
   io::JsonValue doc = io::JsonValue::object();
-  for (const auto& [name, counter] : dist::kServiceCounters)
-    doc.set(name, io::JsonValue::integer(stats.*counter));
+  for (const dist::ServiceCounter& counter : dist::kServiceCounters)
+    doc.set(counter.name, io::JsonValue::integer(stats.*counter.member));
   doc.set("cache_entries", io::JsonValue::integer(stats.cache.entries));
   doc.set("cache_hit_rate", io::JsonValue::number(stats.cache.hit_rate()));
   std::fputs((doc.dump(2) + "\n").c_str(), stdout);
@@ -389,10 +389,11 @@ void watch_stats(const std::string& address, std::size_t interval_ms,
                 sample + 1, interval_ms);
     std::printf("  %-20s %12s %10s %12s\n", "counter", "total", "delta",
                 "rate");
-    for (const auto& [name, counter] : dist::kServiceCounters) {
-      const std::uint64_t value = stats.*counter;
+    for (const dist::ServiceCounter& counter : dist::kServiceCounters) {
+      const char* name = counter.name;
+      const std::uint64_t value = stats.*counter.member;
       if (prev && dt > 0.0) {
-        const std::uint64_t before = (*prev).*counter;
+        const std::uint64_t before = (*prev).*counter.member;
         const std::uint64_t delta = value >= before ? value - before : 0;
         std::printf("  %-20s %12llu %10llu %10.1f/s\n", name,
                     static_cast<unsigned long long>(value),
