@@ -270,8 +270,11 @@ void BM_MeterBulkAdd(benchmark::State& state) {
 BENCHMARK(BM_MeterBulkAdd)->Arg(512);
 
 // Fault-campaign throughput at the paper's full scale: one stuck-at fault
-// means two full cycle-accurate March C- runs (both modes) on a 512x512
-// array — the workload CampaignRunner fans out per library entry.
+// means two cycle-accurate March C- runs (both modes) on a 512x512 array —
+// the workload CampaignRunner fans out per library entry.  Each run
+// simulates only its row cone (the victim's row and the order's first and
+// last rows), so ci/compare_bench.py gates it against one whole-array
+// cycle-accurate point.
 void BM_Campaign512_PerFault(benchmark::State& state) {
   core::SessionConfig cfg;
   cfg.geometry = sram::Geometry::paper_512x512();
@@ -294,6 +297,9 @@ BENCHMARK(BM_Campaign512_PerFault)->Unit(benchmark::kMillisecond);
 // The batcher partitions victim-disjoint faults into shared sessions
 // (faults::plan_batches), so the same report costs a fraction of the
 // session pairs — the session_pairs counter records how many actually ran.
+// cone_rows is the share of array rows the sessions simulated: a batch's
+// cone is the union of its members' rows, so batching buys fewer sessions
+// with wider cones.
 void BM_Campaign256(benchmark::State& state, bool batched) {
   core::SessionConfig cfg;
   cfg.geometry = {256, 256, 1};
@@ -303,13 +309,17 @@ void BM_Campaign256(benchmark::State& state, bool batched) {
   opts.batched = batched;
   const core::CampaignRunner runner(opts);
   std::size_t session_pairs = 0;
+  double cone_rows = 0.0;
   for (auto _ : state) {
     const auto report = runner.run(cfg, test, library);
     session_pairs = report.session_pairs;
+    cone_rows = static_cast<double>(report.rows_simulated) /
+                static_cast<double>(report.array_rows);
     benchmark::DoNotOptimize(report);
   }
   state.counters["faults"] = static_cast<double>(library.size());
   state.counters["session_pairs"] = static_cast<double>(session_pairs);
+  state.counters["cone_rows"] = cone_rows;
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(library.size()));
   state.SetLabel(batched ? "256x256 March C- campaign (batched)"

@@ -49,6 +49,12 @@ RATIO_GATES = [
      "on a shared 4-core host (0.72-1.05 for the separate per-cycle "
      "executor it replaced); a per-call O(cols) scan would put the "
      "ratio far past 2 (6.4 measured)"),
+    ("BM_Campaign512_PerFault", "BM_SweepPoint512_CycleAccurate", 0.05,
+     "a one-fault campaign's session pair must simulate only its row cone "
+     "(the victim's row plus the order's first and last rows of 512), "
+     "not the whole array: 0.005-0.0074 measured with the cone on a "
+     "shared 4-core host, 0.76-1.17 when every campaign session ran "
+     "every row"),
     ("BM_SearchJob128", "BM_SearchVerify128", 12.0,
      "a schedule-search job must stay close to the cycle-accurate "
      "verification of its front: the exact per-order solver reads 3.9-5.4 "

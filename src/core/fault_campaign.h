@@ -10,12 +10,19 @@
 //     library into victim-disjoint batches, each wrapped in a
 //     faults::BatchFaultSet and run as ONE session pair; detections are
 //     attributed back per fault through the array's on_read_mismatch
-//     channel.  Faults the partitioner cannot prove independent (dynamic
-//     dRDF, aggressor-row collisions) run per-fault, as does everything
-//     when the Fig. 7 restore is disabled (faulty swaps break
-//     independence).  Verdicts and per-entry mismatch counts are
+//     channel.  Faults the partitioner cannot prove independent (an
+//     aggressor cell that is another fault's victim) run per-fault, as
+//     does everything when the Fig. 7 restore is disabled (faulty swaps
+//     break independence).  Verdicts and per-entry mismatch counts are
 //     regression-tested bit-identical to the per-fault path; only the
 //     session count (and wall time) changes.
+//
+// Either shape simulates each session on its row cone: with the restore
+// on, only the rows holding a victim or an aggressor plus the rows of the
+// order's first and last address run; with it off, every row does.  The
+// soundness argument sits on campaign_row_mask in fault_campaign.cpp, and
+// the cone oracle in tests/test_campaign_batch.cpp pins every entry to
+// the whole-array TestSession::run.
 //
 // Entry i always describes faults[i] and every work item is independent
 // and deterministic, so the report is identical whatever the worker
@@ -48,6 +55,11 @@ struct CampaignReport {
   /// batches.
   std::size_t session_pairs = 0;
   std::size_t batch_sessions = 0;
+  /// Row-cone accounting, summed over every session run (two per session
+  /// pair): rows the cycle-accurate engine simulated, and rows of the
+  /// array.  Not serialized.
+  std::size_t rows_simulated = 0;
+  std::size_t array_rows = 0;
 
   std::size_t detected_functional() const;
   std::size_t detected_low_power() const;

@@ -108,6 +108,8 @@ class TestSession {
   explicit TestSession(const SessionConfig& config);
 
   const SessionConfig& config() const { return config_; }
+  /// The resolved address order every run of this session walks.
+  const march::AddressOrder& order() const { return *order_; }
   sram::SramArray& array() { return array_; }
   const sram::SramArray& array() const { return array_; }
 

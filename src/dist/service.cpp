@@ -489,6 +489,7 @@ void Service::handle_worker(const std::shared_ptr<Connection>& conn) {
     requeued += job->queue->abandon(worker_id);
   if (requeued > 0) {
     ++stats_.workers_lost;
+    stats_.shards_abandoned += requeued;
     stats_.shard_requeues += requeued;
     obs::log_warn("service", "worker lost with leased shards; requeued",
                   {obs::kv("conn", conn->id), obs::kv("worker", worker_id),
@@ -529,6 +530,7 @@ bool Service::serve_worker_message(const std::shared_ptr<Connection>& conn,
           const std::shared_ptr<ActiveJob>& job = active_jobs_.at(fp);
           const std::optional<StealShard> shard = job->queue->lease(worker_id);
           if (!shard) continue;
+          ++stats_.shards_leased;
           response = make_message("shard");
           response.set("fingerprint", io::JsonValue::integer(fp));
           response.set("shard", io::JsonValue::integer(shard->id));
@@ -635,8 +637,7 @@ void Service::deliver_result(const io::JsonValue& message) {
 io::JsonValue Service::metrics_reply() const {
   // This service's counters and gauges become families of a scrape-time
   // registry, all read under one lock hold; the global registry adds what
-  // other layers count (framing, steal queues, submitters) and the two
-  // service timings.
+  // other layers count (framing, submitters) and the two service timings.
   obs::Registry scrape;
   {
     std::lock_guard<std::mutex> lock(mutex_);

@@ -73,6 +73,8 @@ struct ServiceStats {
   std::uint64_t point_cache_hits = 0;   ///< individual points answered
   std::uint64_t points_executed = 0;    ///< results received from workers
   std::uint64_t shards_executed = 0;
+  std::uint64_t shards_leased = 0;      ///< shards granted to workers
+  std::uint64_t shards_abandoned = 0;   ///< requeued from vanished workers
   std::uint64_t shard_requeues = 0;     ///< abandoned/failed shards requeued
   std::uint64_t workers_connected = 0;
   std::uint64_t workers_lost = 0;       ///< connections dropped with leases
@@ -107,6 +109,11 @@ inline constexpr ServiceCounter kServiceCounters[] = {
      &ServiceStats::points_executed},
     {"shards_executed", "Shards completed by workers",
      &ServiceStats::shards_executed},
+    {"shards_leased", "Shards stolen (leased) by workers",
+     &ServiceStats::shards_leased},
+    {"shards_abandoned",
+     "Leased shards requeued because their worker vanished",
+     &ServiceStats::shards_abandoned},
     {"shard_requeues", "Shards requeued after a failure or lost worker",
      &ServiceStats::shard_requeues},
     {"workers_connected", "Worker connections accepted",

@@ -2,27 +2,9 @@
 
 #include <utility>
 
-#include "obs/metrics.h"
 #include "util/error.h"
 
 namespace sramlp::dist {
-
-namespace {
-
-obs::Counter& leases_counter() {
-  static obs::Counter& c = obs::Registry::global().counter(
-      "sramlp_shards_leased_total", "Shards stolen (leased) by workers");
-  return c;
-}
-
-obs::Counter& abandons_counter() {
-  static obs::Counter& c = obs::Registry::global().counter(
-      "sramlp_shards_abandoned_total",
-      "Leased shards requeued because their worker vanished");
-  return c;
-}
-
-}  // namespace
 
 StealQueue::StealQueue(std::vector<std::vector<std::size_t>> units)
     : shards_(std::move(units)),
@@ -44,7 +26,6 @@ std::optional<StealShard> StealQueue::lease(std::uint64_t worker_id) {
   pending_.pop_front();
   leased_[id] = worker_id;
   ++attempts_[id];
-  leases_counter().inc();
   return StealShard{id, shards_[id]};
 }
 
@@ -77,7 +58,6 @@ std::size_t StealQueue::abandon(std::uint64_t worker_id) {
     }
   }
   requeues_ += requeued;
-  abandons_counter().inc(requeued);
   return requeued;
 }
 

@@ -1,7 +1,10 @@
 #include "engine/cycle_accurate_backend.h"
 
 #include <optional>
+#include <utility>
 #include <vector>
+
+#include "util/error.h"
 
 namespace sramlp::engine {
 
@@ -36,6 +39,14 @@ struct TeeSink final : power::MeterSink {
 };
 
 }  // namespace
+
+CycleAccurateBackend::CycleAccurateBackend(sram::SramArray& array,
+                                           std::vector<bool> row_mask)
+    : array_(&array), row_mask_(std::move(row_mask)) {
+  SRAMLP_REQUIRE(row_mask_.empty() ||
+                     row_mask_.size() == array.geometry().rows,
+                 "a row mask needs one flag per array row");
+}
 
 ExecutionResult CycleAccurateBackend::run(CommandStream& stream) {
   array_->reset_measurements();
@@ -79,6 +90,10 @@ ExecutionResult CycleAccurateBackend::run(CommandStream& stream) {
       if (trace) trace->begin_element(pause->element, array_->meter().cycles());
       array_->idle(pause->idle_cycles);
       stream.pop();
+      continue;
+    }
+    if (!row_mask_.empty() && !row_mask_[srun.row]) {
+      stream.skip_run(srun);
       continue;
     }
     if (trace) trace->begin_element(srun.element, array_->meter().cycles());

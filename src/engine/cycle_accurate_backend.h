@@ -8,7 +8,13 @@
 // operation list on any other), and the backend hands each to
 // SramArray::execute_run, which executes it in one tight loop.  Pause
 // elements become SramArray::idle() blocks.
+//
+// An optional row mask restricts a session to a cone of rows: runs on a
+// row outside it are passed over without executing.  Only fault campaigns
+// pass one (core/fault_campaign.cpp builds it and argues when it is sound).
 #pragma once
+
+#include <vector>
 
 #include "engine/backend.h"
 
@@ -18,7 +24,11 @@ class CycleAccurateBackend final : public ExecutionBackend {
  public:
   /// @param array borrowed; the caller keeps ownership (and can inspect
   ///   cell contents after the run).  Meters are reset when run() starts.
-  explicit CycleAccurateBackend(sram::SramArray& array) : array_(&array) {}
+  /// @param row_mask empty (every row runs) or one flag per array row: a
+  ///   StreamRun on a row whose flag is clear is skipped with skip_run and
+  ///   never reaches the array.  Pause idle blocks always execute.
+  explicit CycleAccurateBackend(sram::SramArray& array,
+                                std::vector<bool> row_mask = {});
 
   const char* name() const override { return "cycle-accurate"; }
   bool supports_faults() const override { return true; }
@@ -31,6 +41,7 @@ class CycleAccurateBackend final : public ExecutionBackend {
 
  private:
   sram::SramArray* array_;
+  std::vector<bool> row_mask_;
 };
 
 }  // namespace sramlp::engine

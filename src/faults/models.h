@@ -43,9 +43,13 @@ enum class FaultKind {
   kCouplingIdempotent,
   kCouplingState,
   /// Dynamic two-operation fault dRDF<w;r>: a read performed immediately
-  /// after a write to the same cell flips it and returns the flip.  Only
-  /// March tests with a write-then-read pair inside an element (March SS,
-  /// March SR, March G...) sensitise it; MATS+ and March C- miss it.
+  /// after a write to the same cell flips it and returns the flip.  March
+  /// tests with a write-then-read pair inside an element (March SS, March
+  /// SR, March G...) sensitise it everywhere.  MATS+ and March C- have no
+  /// such pair inside an element, but one crosses an element boundary
+  /// (⇑...w1 then ⇓r1...), and that only happens at the order's first or
+  /// last address: MATS+ detects dRDF at the last address, March C- at the
+  /// first and the last, and both miss it everywhere else.
   kDynamicReadDestructive,
   kResSensitive,
   /// Data-retention fault: after enough cumulative idle time (March "Del"

@@ -5,8 +5,8 @@
 // its own counters in ServiceStats / ResultCache::Stats and, per `metrics`
 // request, renders them and its live gauges (jobs in flight, queue depth,
 // connections) into a scrape-time Registry, followed by global(): the
-// series no single service instance owns — framing bytes, steal-queue
-// churn, per-submitter counters — and the distributions the daemon
+// series no single service instance owns — framing bytes, per-submitter
+// counters — and the distributions the daemon
 // measures itself (lease latency, shard execution time).  A series
 // registered only in a worker process is never scraped.  A registry holds:
 //

@@ -7,19 +7,27 @@
 //    CampaignReport verdicts (detection + mismatch counts per entry) to
 //    the per-fault path, across modes, algorithms with pauses, awkward
 //    geometries and word-oriented arrays — while running far fewer
-//    sessions.
+//    sessions;
+//  * the row-cone oracle: campaign sessions simulate only their row cone,
+//    and every CampaignEntry must equal the whole-array TestSession::run
+//    of the same FaultSet / BatchFaultSet on generated inputs; mutation
+//    checks through an explicit backend mask show a cone that drops an
+//    edge row or an aggressor row changes verdicts.
 #include <gtest/gtest.h>
 
 #include "core/fault_campaign.h"
 #include "core/session.h"
 #include "dist/job.h"
+#include "engine/cycle_accurate_backend.h"
 #include "faults/batch.h"
 #include "march/algorithms.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace {
 
 using namespace sramlp;
+using core::CampaignEntry;
 using core::CampaignReport;
 using core::CampaignRunner;
 using core::SessionConfig;
@@ -302,6 +310,249 @@ TEST(BatchedCampaign, LeasedBatchUnitRunsAsOneSessionPair) {
                                      std::to_string(seed));
       }
     }
+}
+
+// --- row-cone oracle ---------------------------------------------------------
+
+/// A random fault list over every kind; dRDF, the one fault that reads
+/// the global operation history, is drawn one time in three.  Victims sit
+/// on any cell, on the order's first or last address (where element
+/// boundaries put write-then-read pairs), or on the first or last word of
+/// a row (where a cone without the edge rows would move those pairs).
+/// Coupling aggressors are any other cell, usually on another row.
+std::vector<FaultSpec> random_faults(const sram::Geometry& geometry,
+                                     const march::AddressOrder& order,
+                                     util::Rng& rng, std::size_t count) {
+  const auto cell_of = [&](std::size_t row, std::size_t group) {
+    return sram::CellCoord{row, group * geometry.word_width +
+                                    rng.next_below(geometry.word_width)};
+  };
+  const auto victim = [&]() {
+    switch (rng.next_below(3)) {
+      case 0: {
+        const march::Address a = order.at(
+            rng.next_bool() ? 0 : order.size() - 1, march::Direction::kUp);
+        return cell_of(a.row, a.col);
+      }
+      case 1:
+        return cell_of(rng.next_below(geometry.rows),
+                       rng.next_bool() ? 0 : geometry.col_groups() - 1);
+      default:
+        return sram::CellCoord{rng.next_below(geometry.rows),
+                               rng.next_below(geometry.cols)};
+    }
+  };
+  const auto any_cell = [&]() {
+    return sram::CellCoord{rng.next_below(geometry.rows),
+                           rng.next_below(geometry.cols)};
+  };
+  std::vector<FaultSpec> faults;
+  for (std::size_t i = 0; i < count; ++i) {
+    FaultSpec f;
+    f.kind = rng.next_below(3) == 0
+                 ? FaultKind::kDynamicReadDestructive
+                 : static_cast<FaultKind>(rng.next_below(
+                       static_cast<std::uint64_t>(FaultKind::kDataRetention) +
+                       1));
+    f.victim = victim();
+    if (faults::is_coupling(f.kind)) {
+      do {
+        f.aggressor = any_cell();
+      } while (f.aggressor == f.victim);
+      f.aggressor_up = rng.next_bool();
+      f.aggressor_state = rng.next_bool();
+      f.forced_value = rng.next_bool();
+    }
+    if (f.kind == FaultKind::kResSensitive)
+      f.res_threshold = 3.0 * static_cast<double>(geometry.cols);
+    if (f.kind == FaultKind::kDataRetention) {
+      f.forced_value = rng.next_bool();
+      f.retention_idle_cycles = march::kDefaultPauseCycles * 3 / 4;
+    }
+    faults.push_back(f);
+  }
+  return faults;
+}
+
+/// Store a member's mismatch count of one mode run into @p entry.
+void record(CampaignEntry* entry, const FaultSpec& spec, sram::Mode mode,
+            std::uint64_t mismatches) {
+  entry->spec = spec;
+  if (mode == sram::Mode::kFunctional) {
+    entry->detected_functional = mismatches > 0;
+    entry->mismatches_functional = mismatches;
+  } else {
+    entry->detected_low_power = mismatches > 0;
+    entry->mismatches_low_power = mismatches;
+  }
+}
+
+/// The whole-array reference of a campaign: every session through the
+/// public TestSession::run (no row mask), grouped exactly as the runner
+/// groups them — per fault, or per plan_batches batch in a BatchFaultSet
+/// (batching needs the restore; without it the runner goes per fault).
+CampaignReport whole_array_campaign(const SessionConfig& config,
+                                    const march::MarchTest& test,
+                                    const std::vector<FaultSpec>& faults,
+                                    bool batched) {
+  faults::BatchPlan plan;
+  if (batched && config.row_transition_restore)
+    plan = faults::plan_batches(faults);
+  else
+    for (std::size_t i = 0; i < faults.size(); ++i) plan.fallback.push_back(i);
+  CampaignReport report;
+  report.entries.resize(faults.size());
+  for (const sram::Mode mode :
+       {sram::Mode::kFunctional, sram::Mode::kLowPowerTest}) {
+    SessionConfig cfg = config;
+    cfg.mode = mode;
+    for (const auto& members : plan.batches) {
+      std::vector<FaultSpec> specs;
+      for (const std::size_t m : members) specs.push_back(faults[m]);
+      faults::BatchFaultSet set(specs);
+      core::TestSession session(cfg);
+      session.attach_fault_model(&set);
+      session.run(test);
+      EXPECT_EQ(set.unattributed(), 0u);
+      for (std::size_t j = 0; j < members.size(); ++j)
+        record(&report.entries[members[j]], faults[members[j]], mode,
+               set.mismatches_of(j));
+    }
+    for (const std::size_t i : plan.fallback) {
+      faults::FaultSet set({faults[i]});
+      core::TestSession session(cfg);
+      session.attach_fault_model(&set);
+      record(&report.entries[i], faults[i], mode,
+             session.run(test).mismatches);
+    }
+  }
+  return report;
+}
+
+// The cone oracle: generated fault lists x {functional, low power} x
+// orders {word-line-after-word-line, fast-row, pseudo-random} x w {1, 4,
+// 8} x backgrounds x both column engines x restore on/off, per-fault and
+// batched.  Every entry must equal the whole-array reference, and the
+// cone must actually shrink restore-on sessions and keep every row
+// without the restore.
+TEST(ConeOracle, CampaignEntriesEqualTheWholeArrayRun) {
+  const std::vector<march::MarchTest> tests = {
+      march::algorithms::mats_plus(), march::algorithms::march_c_minus(),
+      march::algorithms::march_ss(), march::algorithms::march_g_with_delays()};
+  util::Rng rng(2023);
+  std::size_t cases = 0;
+  std::size_t skipped_rows = 0;
+  for (const std::size_t w : {1u, 4u, 8u})
+    for (const int order_kind : {0, 1, 2})
+      for (const sram::DataBackground background :
+           {sram::DataBackground::solid0(),
+            sram::DataBackground::checkerboard()})
+        for (const sram::ColumnModel model :
+             {sram::ColumnModel::kBitslicedCohort,
+              sram::ColumnModel::kPerColumnReference})
+          for (const bool restore : {true, false}) {
+            SessionConfig cfg;
+            cfg.geometry = {12 + rng.next_below(13), 24, w};
+            const std::size_t rows = cfg.geometry.rows;
+            const std::size_t groups = cfg.geometry.col_groups();
+            if (order_kind == 1)
+              cfg.order = march::AddressOrder::fast_row(rows, groups);
+            else if (order_kind == 2)
+              cfg.order = march::AddressOrder::pseudo_random(
+                  rows, groups, rng.next_u64());
+            cfg.background = background;
+            cfg.column_model = model;
+            cfg.row_transition_restore = restore;
+            const march::AddressOrder order =
+                cfg.order ? *cfg.order
+                          : march::AddressOrder::word_line_after_word_line(
+                                rows, groups);
+            const auto faults =
+                random_faults(cfg.geometry, order, rng, 3 + rng.next_below(6));
+            const march::MarchTest& test = tests[rng.next_below(tests.size())];
+            const std::string where =
+                test.name() + " " + std::to_string(rows) + "x24 w" +
+                std::to_string(w) + " order " + std::to_string(order_kind) +
+                (restore ? " restore" : " no-restore") +
+                (model == sram::ColumnModel::kPerColumnReference ? " ref"
+                                                                 : "");
+            for (const bool batched : {false, true}) {
+              CampaignRunner::Options opts;
+              opts.threads = 1;
+              opts.batched = batched;
+              const CampaignReport cone =
+                  CampaignRunner(opts).run(cfg, test, faults);
+              expect_reports_identical(
+                  whole_array_campaign(cfg, test, faults, batched), cone,
+                  where + (batched ? " batched" : " per-fault"));
+              EXPECT_EQ(cone.array_rows, 2 * cone.session_pairs * rows)
+                  << where;
+              if (restore)
+                EXPECT_LE(cone.rows_simulated, cone.array_rows) << where;
+              else
+                EXPECT_EQ(cone.rows_simulated, cone.array_rows) << where;
+              skipped_rows += cone.array_rows - cone.rows_simulated;
+            }
+            ++cases;
+          }
+  EXPECT_EQ(cases, 72u);
+  EXPECT_GT(skipped_rows, 0u);
+}
+
+/// Mismatches of one @p mode run of @p test with @p fault attached, on the
+/// rows of @p rows only (every row when empty).
+std::uint64_t masked_mismatches(const SessionConfig& config,
+                                const march::MarchTest& test,
+                                const FaultSpec& fault,
+                                const std::vector<std::size_t>& rows) {
+  std::vector<bool> mask;
+  if (!rows.empty()) {
+    mask.assign(config.geometry.rows, false);
+    for (const std::size_t r : rows) mask[r] = true;
+  }
+  faults::FaultSet set({fault});
+  core::TestSession session(config);
+  session.attach_fault_model(&set);
+  engine::CycleAccurateBackend backend(session.array(), std::move(mask));
+  return session.run(test, backend).mismatches;
+}
+
+// Mutation check: the cone keeps the rows of the order's first and last
+// address because a write-then-read pair crosses element boundaries there.
+// MATS+ misses dRDF at (64,127) of a 128x128 array; a cone that drops the
+// last row moves the ⇑(r0,w1);⇓(r1,w0) boundary onto (64,127) and reports
+// a detection the whole array never sees.
+TEST(ConeOracle, DroppingTheLastRowFakesADynamicReadDestructiveDetection) {
+  const auto test = march::algorithms::mats_plus();
+  const FaultSpec drdf = at(FaultKind::kDynamicReadDestructive, 64, 127);
+  for (const sram::Mode mode :
+       {sram::Mode::kFunctional, sram::Mode::kLowPowerTest}) {
+    SessionConfig cfg;
+    cfg.geometry = {128, 128, 1};
+    cfg.mode = mode;
+    EXPECT_EQ(masked_mismatches(cfg, test, drdf, {}), 0u);
+    EXPECT_EQ(masked_mismatches(cfg, test, drdf, {0, 64, 127}), 0u);
+    EXPECT_GT(masked_mismatches(cfg, test, drdf, {0, 64}), 0u);
+  }
+}
+
+// Mutation check: a coupling fault's aggressor row belongs to the cone.
+// Without it the aggressor never switches, so March C- no longer sees the
+// inversion its transitions cause on the victim.
+TEST(ConeOracle, DroppingAnAggressorRowChangesTheCouplingVerdict) {
+  const auto test = march::algorithms::march_c_minus();
+  FaultSpec cfin = at(FaultKind::kCouplingInversion, 5, 3);
+  cfin.aggressor = {9, 3};
+  for (const sram::Mode mode :
+       {sram::Mode::kFunctional, sram::Mode::kLowPowerTest}) {
+    SessionConfig cfg;
+    cfg.geometry = {16, 16, 1};
+    cfg.mode = mode;
+    const std::uint64_t whole = masked_mismatches(cfg, test, cfin, {});
+    EXPECT_GT(whole, 0u);
+    EXPECT_EQ(masked_mismatches(cfg, test, cfin, {0, 5, 9, 15}), whole);
+    EXPECT_EQ(masked_mismatches(cfg, test, cfin, {0, 5, 15}), 0u);
+  }
 }
 
 }  // namespace

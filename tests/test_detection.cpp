@@ -220,8 +220,10 @@ TEST(Detection, CampaignReportArithmetic) {
 }
 
 
-// The dynamic dRDF<w;r> fault needs a write-then-read pair inside a March
-// element: March SS and March SR have one, MATS+ and March C- do not.
+// The dynamic dRDF<w;r> fault needs a write-then-read pair on its cell:
+// March SS and March SR have one inside an element; MATS+ and March C-
+// only across an element boundary, at the order's first or last address
+// (pinned in test_faults.cpp), so they miss a victim inside the array.
 TEST(Detection, DynamicReadDestructiveSeparatesAlgorithms) {
   std::vector<FaultSpec> drdf{
       FaultSpec{.kind = FaultKind::kDynamicReadDestructive,

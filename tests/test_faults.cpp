@@ -2,7 +2,9 @@
 // small array (detection-level properties live in test_detection.cpp).
 #include <gtest/gtest.h>
 
+#include "core/fault_campaign.h"
 #include "faults/models.h"
+#include "march/algorithms.h"
 #include "sram/array.h"
 #include "util/error.h"
 
@@ -382,6 +384,34 @@ TEST(FaultModels, DynamicReadDestructiveResetWithState) {
   set.reset_state();  // forget the pending write
   const auto r = a.cycle(rd(1, 1, true));
   EXPECT_FALSE(r.mismatch);
+}
+
+// MATS+ and March C- have no write-then-read pair inside an element, but
+// one crosses each boundary where a write element and the next read
+// element meet on one address: the order's first or last address.  On a
+// 128x128 word-line-after-word-line array MATS+ ({⇕(w0); ⇑(r0,w1);
+// ⇓(r1,w0)}) meets only at (127,127); March C- meets at (127,127) and
+// (0,0).  Anywhere else, both miss the fault.
+TEST(FaultModels, DynamicReadDestructiveAtTheOrdersEdgeAddresses) {
+  core::SessionConfig config;
+  config.geometry = {128, 128, 1};
+  const auto detects = [&](const march::MarchTest& test, std::size_t row,
+                           std::size_t col) {
+    return core::detects_fault(
+        config, test,
+        FaultSpec{.kind = FaultKind::kDynamicReadDestructive,
+                  .victim = {row, col}});
+  };
+  const auto mats_plus = march::algorithms::mats_plus();
+  const auto march_c_minus = march::algorithms::march_c_minus();
+  EXPECT_TRUE(detects(mats_plus, 127, 127));
+  EXPECT_FALSE(detects(mats_plus, 0, 0));
+  EXPECT_TRUE(detects(march_c_minus, 0, 0));
+  EXPECT_TRUE(detects(march_c_minus, 127, 127));
+  for (const auto& test : {mats_plus, march_c_minus}) {
+    EXPECT_FALSE(detects(test, 64, 5)) << test.name();
+    EXPECT_FALSE(detects(test, 64, 127)) << test.name();
+  }
 }
 
 }  // namespace

@@ -768,6 +768,9 @@ TEST(Service, MetricsRequestServesPrometheusOverTheWire) {
             1u);
 }
 
+/// A protocol message from its JSON text.
+io::JsonValue frame(const char* text) { return io::JsonValue::parse(text); }
+
 /// The value of the first instance of family @p name in @p snapshot's
 /// JSON lane, checked against its Prometheus text line.
 std::uint64_t scraped(const dist::MetricsSnapshot& snapshot,
@@ -808,14 +811,42 @@ TEST(Service, MetricsScrapeCountsEachServiceOnItsOwn) {
   dist::Service::Options options;
   options.points_per_shard = 2;
   ServiceHarness first(options, /*workers=*/1);
-  ServiceHarness second(options, /*workers=*/1);
+  ServiceHarness second(options, /*workers=*/0);
   const JobSpec sweep = small_sweep_job();
   dist::submit_job(first.address(), sweep, 5000);
-  dist::submit_job(second.address(), small_campaign_job(), 5000);
+  // On the second daemon a worker vanishes holding a leased shard before
+  // a healthy one runs the job: one abandoned shard, leased twice.
+  const JobSpec campaign = small_campaign_job();
+  std::string campaign_document;
+  std::thread submitter([&] {
+    campaign_document =
+        dist::submit_job(second.address(), campaign, 5000).document;
+  });
+  {
+    io::LineChannel peer(io::connect_socket(second.address(), 5000));
+    ASSERT_TRUE(peer.send(frame(R"({"type":"hello","role":"worker"})")));
+    ASSERT_TRUE(peer.send(frame(R"({"type":"lease"})")));
+    const std::optional<io::JsonValue> shard = peer.receive();
+    ASSERT_TRUE(shard.has_value());
+    ASSERT_EQ(shard->at("type").as_string(), "shard");
+  }
+  for (int waited_ms = 0; second.service().stats().workers_lost == 0;
+       ++waited_ms) {
+    ASSERT_LT(waited_ms, 10000) << "the leasing peer was never dropped";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  second.add_worker({});
+  submitter.join();
+  EXPECT_EQ(campaign_document, dist::single_document(campaign));
   for (ServiceHarness* harness : {&first, &second}) {
-    EXPECT_EQ(scraped(dist::query_metrics(harness->address()),
-                      "sramlp_jobs_submitted_total"),
-              1u);
+    const dist::MetricsSnapshot snapshot =
+        dist::query_metrics(harness->address());
+    EXPECT_EQ(scraped(snapshot, "sramlp_jobs_submitted_total"), 1u);
+    const dist::ServiceStats stats = harness->service().stats();
+    const std::uint64_t abandoned = harness == &second ? 1 : 0;
+    EXPECT_EQ(scraped(snapshot, "sramlp_shards_abandoned_total"), abandoned);
+    EXPECT_EQ(scraped(snapshot, "sramlp_shards_leased_total"),
+              stats.shards_executed + abandoned);
     expect_scrape_matches_stats(*harness);
   }
 
@@ -960,9 +991,6 @@ TEST(Service, SpillFromTheJsonObjectKeyBuilderStillAnswersEveryPoint) {
   EXPECT_TRUE(original.cache_hit);
   EXPECT_EQ(original.document, dist::single_document(spill_fixture_job()));
 }
-
-/// A protocol message from its JSON text.
-io::JsonValue frame(const char* text) { return io::JsonValue::parse(text); }
 
 TEST(Service, MalformedPeerMessagesDropThePeerNotTheDaemon) {
   dist::Service::Options options;
