@@ -196,8 +196,8 @@ BENCHMARK(BM_SweepPoint256_Traced)->Unit(benchmark::kMillisecond);
 
 // One fixed schedule-search job: 128x128 March C- at 0.95x the base
 // peak, with the repository benchmark's schedule_search knobs (window
-// 8 x words, idle quantum words / 2, at most 256 quanta, 24 items capped
-// to the 4 valid orders, each verifying its lowest-peak winner).
+// 8 x words, idle quantum words / 2, at most 256 quanta, one reported
+// point: the job's answer).
 dist::JobSpec search_job_128() {
   search::SearchSpec spec;
   spec.config.geometry = {128, 128, 1};
@@ -205,7 +205,6 @@ dist::JobSpec search_job_128() {
   spec.window_cycles = 8 * spec.config.geometry.words();
   spec.idle_quantum = spec.config.geometry.words() / 2;
   spec.max_idle_quanta = 256;
-  spec.restarts = 24;
   spec.max_front = 1;
   const search::ScheduleEvaluator evaluator(spec.config, *spec.base,
                                             spec.window_cycles);
@@ -219,8 +218,8 @@ dist::JobSpec search_job_128() {
   return job;
 }
 
-// The whole job, single-threaded: every order solved, every item's winner
-// verified, merged into the document.
+// The whole job, single-threaded: every order solved, the reported front
+// (here the answer alone) verified, merged into the document.
 void BM_SearchJob128(benchmark::State& state) {
   const dist::JobSpec job = search_job_128();
   for (auto _ : state) benchmark::DoNotOptimize(dist::single_document(job, 1));
@@ -230,7 +229,8 @@ BENCHMARK(BM_SearchJob128)->Unit(benchmark::kMillisecond);
 
 // Only the traced cycle-accurate runs of that job's reported front: the
 // floor BM_SearchJob128 cannot go under.  Their ratio
-// (ci/compare_bench.py) fails if scoring ever dominates the job again.
+// (ci/compare_bench.py) fails if scoring, or verifying points the job
+// does not report, ever dominates the job again.
 void BM_SearchVerify128(benchmark::State& state) {
   const dist::JobSpec job = search_job_128();
   const io::JsonValue front =

@@ -55,11 +55,12 @@ RATIO_GATES = [
      "not the whole array: 0.005-0.0074 measured with the cone on a "
      "shared 4-core host, 0.76-1.17 when every campaign session ran "
      "every row"),
-    ("BM_SearchJob128", "BM_SearchVerify128", 12.0,
+    ("BM_SearchJob128", "BM_SearchVerify128", 2.0,
      "a schedule-search job must stay close to the cycle-accurate "
-     "verification of its front: the exact per-order solver reads 3.9-5.4 "
-     "on a shared 4-core host (4 verified order optima, 1 on the front); "
-     "the seeded beam search it replaced read 17-33 there"),
+     "verification of its reported front: one job solves every order and "
+     "verifies only the reported answer, ~1 on a shared 4-core host; 3.6-"
+     "5.4 when each order's optimum was verified (4 verifications, 1 "
+     "reported), 17-33 for the seeded beam search before that"),
 ]
 
 UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}

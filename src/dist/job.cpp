@@ -4,7 +4,6 @@
 #include <numeric>
 #include <utility>
 
-#include "engine/parallel.h"
 #include "faults/batch.h"
 #include "search/serialize.h"
 #include "util/error.h"
@@ -22,6 +21,12 @@ struct JobKind {
   JobSpec::Kind kind;
   const char* slug;       ///< "kind" of job specs and merged documents
   const char* item_type;  ///< "type" of a streamed result line
+  /// Revision of the kind's document, hashed into the job fingerprint
+  /// after the spec ("" for the first, which leaves it unchanged).  Bump
+  /// it when the merged document changes shape, so a whole-job record a
+  /// spill file holds from before the change misses instead of replaying
+  /// the old shape.
+  const char* revision;
   std::size_t (*size)(const JobSpec&);
   void (*validate)(const JobSpec&);
   /// Spec members after "kind": written by to_json, read by job_from_json.
@@ -239,11 +244,9 @@ void campaign_merge(const JobSpec& job, std::vector<io::JsonValue> payloads,
   doc.set("entries", array_of(std::move(payloads)));
 }
 
-// --- search: one group of element orders per item ----------------------------
+// --- search: the whole job as one item --------------------------------------
 
-std::size_t search_size(const JobSpec& job) {
-  return job.search ? job.search->size() : 0;
-}
+std::size_t search_size(const JobSpec& job) { return job.search ? 1 : 0; }
 
 void search_validate(const JobSpec& job) {
   SRAMLP_REQUIRE(job.search.has_value(), "search job needs a SearchSpec");
@@ -260,67 +263,47 @@ void search_read(const io::JsonValue& json, JobSpec& job) {
 }
 
 KeyFn search_keys(const JobSpec& job) {
-  // An item is a pure function of (whole spec, item index), so the key
-  // covers the entire SearchSpec — two jobs share a cached item only when
-  // every search knob matches.
+  // The item is a pure function of the whole SearchSpec, so the key covers
+  // all of it: two jobs share the cached item only when every knob matches.
   SRAMLP_REQUIRE(job.search.has_value(), "search job needs a SearchSpec");
-  std::uint64_t s = fnv1a64("{\"kind\":\"search_restart\",\"search\":");
-  s = fnv1a64(io::to_json(*job.search).dump(), s);
-  const std::uint64_t prefix = fnv1a64(",\"restart\":", s);
-  return [prefix](std::size_t index) {
-    return fnv1a64(std::to_string(index) + '}', prefix);
+  std::uint64_t s = fnv1a64("{\"kind\":\"search_job\",\"search\":");
+  const std::uint64_t key = fnv1a64(io::to_json(*job.search).dump() + '}', s);
+  return [key](std::size_t index) {
+    SRAMLP_REQUIRE(index == 0, "search job item index out of range");
+    return key;
   };
 }
 
 bool search_execute(const JobSpec& job, const std::vector<std::size_t>& indices,
                     unsigned threads, const EmitItem& emit) {
-  // run_restart(spec, r) is pure, so each item reproduces the exact bytes
-  // of its slot in a single-process run_search.
-  std::vector<search::RestartResult> results(indices.size());
-  engine::parallel_for(indices.size(), threads, [&](std::size_t j) {
-    results[j] = search::run_restart(*job.search, indices[j]);
-  });
+  std::vector<search::SearchOutcome> results;
+  for (const std::size_t index : indices) {
+    SRAMLP_REQUIRE(index == 0, "search job item index out of range");
+    results.push_back(search::run_search(*job.search, threads));
+  }
   return emit_all(indices, results, emit);
-}
-
-Units search_lease_units(const JobSpec&,
-                         const std::vector<std::size_t>& uncached,
-                         std::size_t, LeaseCut&) {
-  // An item is one exact order solve plus its cycle-accurate verification:
-  // each is worth a steal on its own.
-  Units units;
-  append_runs(uncached, 1, units);
-  return units;
 }
 
 void search_merge(const JobSpec&, std::vector<io::JsonValue> payloads,
                   io::JsonValue& doc) {
-  // The global Pareto front depends only on the per-item results, so this
-  // is byte-identical whoever computed the items.
-  std::vector<search::RestartResult> restarts;
-  restarts.reserve(payloads.size());
-  for (const io::JsonValue& payload : payloads)
-    restarts.push_back(io::restart_result_from_json(payload));
-  doc.set("restarts", array_of(std::move(payloads)));
-  io::JsonValue front = io::JsonValue::array();
-  for (const search::ScheduleResult& point : search::merge_front(restarts))
-    front.push_back(io::to_json(point));
-  doc.set("front", std::move(front));
+  doc.set("front", payloads.front().at("front"));
 }
 
 // --- the table ---------------------------------------------------------------
 
 const JobKind kJobKinds[] = {
-    {JobSpec::Kind::kSweep, "sweep", "sweep_point", sweep_size,
+    {JobSpec::Kind::kSweep, "sweep", "sweep_point", "", sweep_size,
      sweep_validate, sweep_write, sweep_read, sweep_keys, sweep_execute,
      nullptr, sweep_neutralize, sweep_rebind, sweep_merge},
-    {JobSpec::Kind::kCampaign, "campaign", "campaign_entry", campaign_size,
-     campaign_validate, campaign_write, campaign_read, campaign_keys,
-     campaign_execute, campaign_lease_units, nullptr, nullptr,
+    {JobSpec::Kind::kCampaign, "campaign", "campaign_entry", "",
+     campaign_size, campaign_validate, campaign_write, campaign_read,
+     campaign_keys, campaign_execute, campaign_lease_units, nullptr, nullptr,
      campaign_merge},
-    {JobSpec::Kind::kSearch, "search", "search_restart", search_size,
+    // Revision "1": one front from one item (was per-order items and
+    // their "restarts" array).
+    {JobSpec::Kind::kSearch, "search", "search_job", "1", search_size,
      search_validate, search_write, search_read, search_keys, search_execute,
-     search_lease_units, nullptr, nullptr, search_merge},
+     nullptr, nullptr, nullptr, search_merge},
 };
 
 const JobKind& kind_of(JobSpec::Kind kind) {
@@ -351,8 +334,9 @@ std::size_t JobSpec::size() const { return kind_of(kind).size(*this); }
 void JobSpec::validate() const { kind_of(kind).validate(*this); }
 
 std::uint64_t JobSpec::fingerprint() const {
-  // FNV-1a over the canonical (compact, insertion-ordered) JSON form.
-  return fnv1a64(to_json(*this).dump());
+  // FNV-1a over the canonical (compact, insertion-ordered) JSON form, then
+  // the kind's document revision.
+  return fnv1a64(kind_of(kind).revision, fnv1a64(to_json(*this).dump()));
 }
 
 io::JsonValue to_json(const JobSpec& job) {

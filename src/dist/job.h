@@ -15,9 +15,8 @@
 // single-process reference.  How a job is cut into steal units is a table
 // entry too (lease_units): a fault campaign is cut along its plan_batches
 // batches, so each leased unit is one multi-fault session pair instead of
-// a slice across several, and a search is leased one item (one group of
-// element orders) per unit.  job.cpp's table is the only code that branches
-// on JobSpec::Kind.
+// a slice across several; a search is one item (the whole job), so one
+// unit.  job.cpp's table is the only code that branches on JobSpec::Kind.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +44,7 @@ std::uint64_t fnv1a64(std::string_view text,
                       std::uint64_t state = kFnv1a64Basis);
 
 /// One distributed job: a sweep grid, a fault campaign, or a schedule
-/// search (one work item per seeded restart).
+/// search (one work item: search::run_search of the whole spec).
 struct JobSpec {
   enum class Kind { kSweep, kCampaign, kSearch };
 
@@ -62,13 +61,14 @@ struct JobSpec {
   // --- kind == kSearch ---------------------------------------------------
   std::optional<search::SearchSpec> search; ///< schedule-search spec
 
-  /// Flat work items: grid points, faults, or search restarts.
+  /// Flat work items: grid points, faults, or 1 for a search.
   std::size_t size() const;
 
   void validate() const;
 
-  /// Stable digest (FNV-1a over the canonical JSON form): the whole-job
-  /// cache key, and what ties a streamed result line to its job.
+  /// Stable digest (FNV-1a over the canonical JSON form, then the kind's
+  /// document revision): the whole-job cache key, and what ties a
+  /// streamed result line to its job.
   std::uint64_t fingerprint() const;
 };
 
@@ -76,12 +76,12 @@ io::JsonValue to_json(const JobSpec& job);
 JobSpec job_from_json(const io::JsonValue& json);
 
 /// Canonical cache keys of a job's work items: grid points of a sweep job,
-/// faults of a campaign job, restarts of a search job.  key(i) is FNV-1a
+/// faults of a campaign job, the one item of a search job.  key(i) is FNV-1a
 /// over the compact canonical document
 ///
 ///   {"kind":"sweep_point","config":C,"test":T}
 ///   {"kind":"campaign_entry","config":C,"test":T,"fault":F}
-///   {"kind":"search_restart","search":S,"restart":i}
+///   {"kind":"search_job","search":S}
 ///
 /// so two jobs that contain the same point (same session config +
 /// algorithm (+ fault)) produce the same key whatever the rest of their
@@ -104,7 +104,7 @@ class PointKeys {
 std::uint64_t point_fingerprint(const JobSpec& job, std::size_t index);
 
 /// The "type" of a streamed result line of @p job's items
-/// ("sweep_point", "campaign_entry" or "search_restart").
+/// ("sweep_point", "campaign_entry" or "search_job").
 const char* item_type(const JobSpec& job);
 
 /// True when @p type names a result line of some job kind.
@@ -116,7 +116,7 @@ using EmitItem = std::function<bool(std::size_t index, io::JsonValue data)>;
 
 /// Compute @p indices of @p job on @p threads (0 = hardware count) through
 /// the single-process entry points (SweepRunner::run_indices, batched
-/// CampaignRunner::run_subset, search::run_restart), then emit each item in
+/// CampaignRunner::run_subset, search::run_search), then emit each item in
 /// @p indices order.  Items are pure functions of (job, index), so any
 /// partition of the index space reassembles bit-identically.  Returns
 /// false when @p emit stopped it.
@@ -157,8 +157,8 @@ struct LeaseCut {
 ///     into that same single session pair.  Fallback faults — and every
 ///     fault when row_transition_restore is off, where CampaignRunner does
 ///     not batch — go out in consecutive runs of @p unit.
-///   * search: one item per unit, whatever @p unit says;
-///   * sweep: consecutive runs of @p unit (0 reads as 1).
+///   * sweep, and a search's one item: consecutive runs of @p unit (0
+///     reads as 1).
 /// Past kMaxLeaseUnits units, neighbouring units are merged (k at a time)
 /// until the count fits.  Execution shape never changes an item, so the
 /// cut only moves wall time.  @p cut (optional) says how the job was cut.

@@ -27,23 +27,6 @@ const std::vector<double>& latency_bounds() {
 /// Re-runs granted to a failed shard before its job is failed.
 constexpr unsigned kShardRetries = 1;
 
-/// The two service timings, both measured by the daemon at its own
-/// protocol events (never by a worker process, which nothing scrapes).
-obs::Histogram& lease_latency() {
-  static obs::Histogram& h = obs::Registry::global().histogram(
-      "sramlp_lease_latency_seconds",
-      "Lease request received to shard (or stop) granted; includes idle "
-      "waits, excludes network transit",
-      latency_bounds());
-  return h;
-}
-
-obs::Histogram& shard_execution() {
-  static obs::Histogram& h = obs::Registry::global().histogram(
-      "sramlp_shard_execution_seconds",
-      "Shard granted to its shard_done accepted", latency_bounds());
-  return h;
-}
 
 /// Per-submitter fairness instruments (satellite of the search PR): one
 /// labelled counter family per lifecycle stage, so `metrics` / Prometheus
@@ -187,7 +170,16 @@ struct Service::Connection {
 };
 
 Service::Service(const Options& options)
-    : options_(options), cache_(options.cache) {}
+    : options_(options),
+      cache_(options.cache),
+      lease_latency_(timings_.histogram(
+          "sramlp_lease_latency_seconds",
+          "Lease request received to shard (or stop) granted; includes "
+          "idle waits, excludes network transit",
+          latency_bounds())),
+      shard_execution_(timings_.histogram(
+          "sramlp_shard_execution_seconds",
+          "Shard granted to its shard_done accepted", latency_bounds())) {}
 
 Service::~Service() {
   request_stop();
@@ -549,7 +541,7 @@ bool Service::serve_worker_message(const std::shared_ptr<Connection>& conn,
         state_cv_.wait(lock);  // idle: block until work or shutdown
       }
     }
-    lease_latency().observe_micros(granted_us - received_us);
+    lease_latency_.observe_micros(granted_us - received_us);
     return conn->channel->send(response) &&
            response.at("type").as_string() != "stop";
   }
@@ -576,7 +568,7 @@ bool Service::serve_worker_message(const std::shared_ptr<Connection>& conn,
     ++stats_.shards_executed;
     const std::uint64_t done_us = obs::monotonic_micros();
     const std::uint64_t granted_us = job->shard_granted_us[shard_id];
-    shard_execution().observe_micros(done_us - granted_us);
+    shard_execution_.observe_micros(done_us - granted_us);
     obs::record_span("shard", "service", granted_us, done_us,
                      {{"job", job->fingerprint},
                       {"shard", shard_id},
@@ -636,8 +628,9 @@ void Service::deliver_result(const io::JsonValue& message) {
 
 io::JsonValue Service::metrics_reply() const {
   // This service's counters and gauges become families of a scrape-time
-  // registry, all read under one lock hold; the global registry adds what
-  // other layers count (framing, submitters) and the two service timings.
+  // registry, all read under one lock hold; then come its own two timings
+  // and the global registry: what other layers count (framing,
+  // submitters).
   obs::Registry scrape;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -664,12 +657,16 @@ io::JsonValue Service::metrics_reply() const {
   }
   const obs::Registry& global = obs::Registry::global();
   io::JsonValue metrics = scrape.to_json();
-  const io::JsonValue global_json = global.to_json();
-  for (const auto& [name, family] : global_json.members())
-    metrics.set(name, family);
+  for (const obs::Registry* registry : {&timings_, &global}) {
+    const io::JsonValue families = registry->to_json();
+    for (const auto& [name, family] : families.members())
+      metrics.set(name, family);
+  }
   io::JsonValue reply = make_message("metrics");
-  reply.set("prometheus", io::JsonValue::string(scrape.prometheus_text() +
-                                                global.prometheus_text()));
+  reply.set("prometheus",
+            io::JsonValue::string(scrape.prometheus_text() +
+                                  timings_.prometheus_text() +
+                                  global.prometheus_text()));
   reply.set("metrics", std::move(metrics));
   return reply;
 }

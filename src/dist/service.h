@@ -8,9 +8,9 @@
 //     work item's result line goes back to the submitter LIVE as workers
 //     finish it;
 //   * dynamic shard stealing — each job is cut into StealQueue shards
-//     (dist::lease_units: small runs of a sweep, one item of a search,
-//     one plan_batches batch per shard of a fault campaign) that idle workers
-//     pull; a deliberately slow worker just steals fewer shards (see
+//     (dist::lease_units: small runs of a sweep, the one item of a
+//     search, one plan_batches batch per shard of a fault campaign) that
+//     idle workers pull; a deliberately slow worker just steals fewer shards (see
 //     tests/test_service_soak.cpp for the one-shard-per-worker
 //     comparison).  A worker that dies mid-shard, or sends a malformed
 //     message (including a shard_done before all of that shard's items),
@@ -61,6 +61,7 @@
 #include "dist/result_cache.h"
 #include "dist/steal_queue.h"
 #include "io/framing.h"
+#include "obs/metrics.h"
 
 namespace sramlp::dist {
 
@@ -131,9 +132,8 @@ class Service {
     /// Steal-unit size for job kinds without a cost-aware cut (sweeps and
     /// a campaign's fallback faults): flat indices per shard.  Small
     /// shards are what lets idle workers steal around a slow one.  A
-    /// campaign's batched faults and a search's items ignore it: each
-    /// plan_batches batch, and each search item, is one shard
-    /// (dist::lease_units).
+    /// campaign's batched faults ignore it: each plan_batches batch is one
+    /// shard (dist::lease_units).  A search job is one item, so one shard.
     std::size_t points_per_shard = 4;
     /// Result cache tiers (capacity + optional spill file).
     ResultCache::Options cache;
@@ -180,7 +180,7 @@ class Service {
   bool serve_worker_message(const std::shared_ptr<Connection>& conn,
                             std::uint64_t worker_id);
   /// The `metrics` reply: this service's counters and live gauges, read
-  /// under mutex_, followed by obs::Registry::global().
+  /// under mutex_, its timings_, then obs::Registry::global().
   io::JsonValue metrics_reply() const;
   void deliver_result(const io::JsonValue& message);
   /// Count a completion and build its job_complete message (mutex_ held).
@@ -201,6 +201,12 @@ class Service {
 
   Options options_;
   ResultCache cache_;
+  /// The daemon's own timings, measured at its protocol events: one
+  /// registry per instance, so services sharing a process never read
+  /// each other's.  The two histograms live in it.
+  obs::Registry timings_;
+  obs::Histogram& lease_latency_;
+  obs::Histogram& shard_execution_;
 
   io::Socket listener_;
   std::string address_;

@@ -4,8 +4,8 @@
 // runs; one slow host then stretches the whole job to its own pace.  The
 // steal queue inverts ownership: the job arrives cut into MANY shards
 // (each just a list of flat indices — dist::lease_units decides the cut:
-// small runs for sweeps and searches, one plan_batches batch per shard
-// for fault campaigns), and idle workers pull ("steal") the next one the
+// small runs for sweeps, a search's one item, one plan_batches batch per
+// shard for fault campaigns), and idle workers pull ("steal") the next one the
 // moment they finish their last — a slow worker simply ends up holding
 // fewer shards, and heterogeneous workers stay saturated without anyone
 // planning for them.  A shard is never split: the queue leases exactly

@@ -4,11 +4,11 @@
 // Each event is counted once, by whoever sees it.  The sweep service keeps
 // its own counters in ServiceStats / ResultCache::Stats and, per `metrics`
 // request, renders them and its live gauges (jobs in flight, queue depth,
-// connections) into a scrape-time Registry, followed by global(): the
-// series no single service instance owns — framing bytes, per-submitter
-// counters — and the distributions the daemon
-// measures itself (lease latency, shard execution time).  A series
-// registered only in a worker process is never scraped.  A registry holds:
+// connections) into a scrape-time Registry, followed by its own Registry
+// of the distributions it measures itself (lease latency, shard execution
+// time) and by global(): the series no single service instance owns —
+// framing bytes, per-submitter counters.  A series registered only in a
+// worker process is never scraped.  A registry holds:
 //
 //   * Counter   — monotone uint64, one relaxed fetch_add per increment;
 //   * Gauge     — signed level (queue depth, jobs in flight), add/sub/set;

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <utility>
@@ -40,7 +41,6 @@ void SearchSpec::validate() const {
                  "no element order satisfies the base test's read-state "
                  "chain");
   SRAMLP_REQUIRE(window_cycles >= 1, "window_cycles must be >= 1");
-  SRAMLP_REQUIRE(restarts > 0, "search needs at least one work item");
   SRAMLP_REQUIRE(idle_quantum > 0, "idle_quantum must be >= 1");
   SRAMLP_REQUIRE(max_idle_quanta <= kMaxIdleQuanta,
                  "max_idle_quanta must be <= " +
@@ -54,10 +54,6 @@ void SearchSpec::validate() const {
                  "waveform sinks cannot cross the search/job boundary");
 }
 
-std::size_t SearchSpec::size() const {
-  return std::min(restarts, orders_of(*this).size());
-}
-
 double verify_tolerance(const core::SessionConfig& config) {
   // The PR 5 analytic-vs-measured trace parity bounds (test_engine.cpp):
   // the closed-form per-element attribution tracks the cycle-accurate
@@ -67,50 +63,10 @@ double verify_tolerance(const core::SessionConfig& config) {
 
 namespace {
 
-/// Dominance on the reported front: minimise (peak power, test time), of
-/// Scores or ScheduleResults (integer-valued cycles either way).
-template <typename Point>
-bool dominates(const Point& a, const Point& b) {
+/// Dominance on the front: minimise (peak power, test time).
+bool dominates(const Score& a, const Score& b) {
   return a.peak_power_w <= b.peak_power_w && a.cycles <= b.cycles &&
          (a.peak_power_w < b.peak_power_w || a.cycles < b.cycles);
-}
-
-struct Entry {
-  Candidate candidate;
-  Score score;
-  std::string key;
-};
-
-/// Build the winner's runnable schedule, then hold it to the
-/// cycle-accurate standard: re-run it traced on the parity-locked engine
-/// and require zero read mismatches (the validity chain held), the exact
-/// analytic cycle count, and an analytic peak within the trace-parity
-/// tolerance of the measured one.
-ScheduleResult verify_winner(const SearchSpec& spec,
-                             const Candidate& candidate,
-                             const Score& score) {
-  march::MarchTest schedule = build_schedule(
-      *spec.base, candidate, spec.base->name() + " [scheduled]");
-  core::SessionConfig config = spec.config;
-  power::TraceConfig trace;
-  trace.window_cycles = spec.window_cycles;
-  config.trace = trace;
-  core::TestSession session(config);
-  const core::SessionResult run = session.run(schedule);
-
-  ScheduleResult result{std::move(schedule)};
-  result.cycles = static_cast<std::uint64_t>(score.cycles);
-  result.energy_j = score.energy_j;
-  result.peak_power_w = score.peak_power_w;
-  result.verified_peak_w = run.trace ? run.trace->peak_power_w : 0.0;
-  const double tolerance = verify_tolerance(spec.config);
-  const bool peak_ok =
-      result.verified_peak_w > 0.0 &&
-      std::abs(result.peak_power_w - result.verified_peak_w) <=
-          tolerance * result.verified_peak_w;
-  result.verified =
-      run.mismatches == 0 && run.cycles == result.cycles && peak_ok;
-  return result;
 }
 
 /// The program of search.h's file comment over at most @p q quanta: the
@@ -236,106 +192,152 @@ OrderOptimum solve_order(const ScheduleEvaluator& evaluator,
   return *at_hi;
 }
 
-RestartResult run_restart(const SearchSpec& spec, std::size_t restart) {
+ScheduleResult verify_schedule(const SearchSpec& spec,
+                               const Candidate& candidate,
+                               const Score& score) {
+  march::MarchTest schedule = build_schedule(
+      *spec.base, candidate, spec.base->name() + " [scheduled]");
+  core::SessionConfig config = spec.config;
+  power::TraceConfig trace;
+  trace.window_cycles = spec.window_cycles;
+  config.trace = trace;
+  core::TestSession session(config);
+  const core::SessionResult run = session.run(schedule);
+
+  ScheduleResult result{std::move(schedule)};
+  result.cycles = static_cast<std::uint64_t>(score.cycles);
+  result.energy_j = score.energy_j;
+  result.peak_power_w = score.peak_power_w;
+  result.verified_peak_w = run.trace ? run.trace->peak_power_w : 0.0;
+  const double tolerance = verify_tolerance(spec.config);
+  const bool peak_ok =
+      result.verified_peak_w > 0.0 &&
+      std::abs(result.peak_power_w - result.verified_peak_w) <=
+          tolerance * result.verified_peak_w;
+  result.verified =
+      run.mismatches == 0 && run.cycles == result.cycles && peak_ok;
+  return result;
+}
+
+namespace {
+
+/// One order's optimum, with its candidate key for the tie-breaks.
+struct Entry {
+  Candidate candidate;
+  Score score;
+  bool meets_budget = false;
+  std::string key;
+};
+
+/// The front's reporting order: (peak, cycles, energy, key).
+bool peak_first(const Entry* a, const Entry* b) {
+  if (a->score.peak_power_w != b->score.peak_power_w)
+    return a->score.peak_power_w < b->score.peak_power_w;
+  if (a->score.cycles != b->score.cycles)
+    return a->score.cycles < b->score.cycles;
+  if (a->score.energy_j != b->score.energy_j)
+    return a->score.energy_j < b->score.energy_j;
+  return a->key < b->key;
+}
+
+/// The answer's ranking within budget: (cycles, peak, energy, key).
+bool cycles_first(const Entry* a, const Entry* b) {
+  if (a->score.cycles != b->score.cycles)
+    return a->score.cycles < b->score.cycles;
+  return peak_first(a, b);
+}
+
+}  // namespace
+
+SearchOutcome detail::run_search_with(const SearchSpec& spec,
+                                      unsigned threads,
+                                      const Verify& verify) {
   spec.validate();
   const ScheduleEvaluator evaluator(spec.config, *spec.base,
                                     spec.window_cycles);
   const std::vector<std::vector<std::size_t>> orders = orders_of(spec);
-  const std::size_t items = std::min(spec.restarts, orders.size());
-  SRAMLP_REQUIRE(restart < items, "search item index out of range");
+  std::vector<Entry> optima(orders.size());
+  engine::parallel_for(orders.size(), threads, [&](std::size_t o) {
+    OrderOptimum optimum = solve_order(evaluator, spec, orders[o]);
+    std::string key = optimum.candidate.key();
+    optima[o] = Entry{std::move(optimum.candidate), optimum.score,
+                      optimum.meets_budget, std::move(key)};
+  });
 
-  std::vector<Entry> optima;
-  for (std::size_t o = restart; o < orders.size(); o += items) {
-    const OrderOptimum optimum = solve_order(evaluator, spec, orders[o]);
-    optima.push_back(
-        Entry{optimum.candidate, optimum.score, optimum.candidate.key()});
-  }
-  // Their Pareto set over (peak, cycles); each order is one distinct
-  // candidate, so there are no duplicates to drop.
-  std::vector<Entry> archive;
+  // The answer's ranking: the optima within budget by cycles, or, when no
+  // order meets the budget, every optimum by peak.  Its head is the answer.
+  const bool feasible =
+      std::any_of(optima.begin(), optima.end(),
+                  [](const Entry& entry) { return entry.meets_budget; });
+  std::vector<const Entry*> ranking;
   for (const Entry& entry : optima)
-    if (std::none_of(optima.begin(), optima.end(), [&](const Entry& other) {
+    if (entry.meets_budget || !feasible) ranking.push_back(&entry);
+  std::sort(ranking.begin(), ranking.end(),
+            feasible ? cycles_first : peak_first);
+  const Entry* answer = ranking.front();
+
+  // The rest of the Pareto front over (peak, cycles) in reporting order:
+  // one point per exact (peak, cycles, energy), none alike the answer.
+  std::vector<const Entry*> others;
+  for (const Entry& entry : optima)
+    if (&entry != answer &&
+        std::none_of(optima.begin(), optima.end(), [&](const Entry& other) {
           return dominates(other.score, entry.score);
         }))
-      archive.push_back(entry);
+      others.push_back(&entry);
+  std::sort(others.begin(), others.end(), peak_first);
+  const auto same_point = [](const Entry* a, const Entry* b) {
+    return a->score.peak_power_w == b->score.peak_power_w &&
+           a->score.cycles == b->score.cycles &&
+           a->score.energy_j == b->score.energy_j;
+  };
+  others.erase(std::unique(others.begin(), others.end(), same_point),
+               others.end());
+  std::erase_if(others,
+                [&](const Entry* entry) { return same_point(entry, answer); });
 
-  // Reduce the archive to the reported front: sort by (peak, cycles,
-  // energy, key), then keep at most max_front points spread evenly across
-  // it so both front endpoints survive the cap.
-  std::stable_sort(archive.begin(), archive.end(),
-                   [](const Entry& a, const Entry& b) {
-                     if (a.score.peak_power_w != b.score.peak_power_w)
-                       return a.score.peak_power_w < b.score.peak_power_w;
-                     if (a.score.cycles != b.score.cycles)
-                       return a.score.cycles < b.score.cycles;
-                     if (a.score.energy_j != b.score.energy_j)
-                       return a.score.energy_j < b.score.energy_j;
-                     return a.key < b.key;
-                   });
-  std::vector<const Entry*> winners;
-  if (archive.size() <= spec.max_front) {
-    for (const Entry& entry : archive) winners.push_back(&entry);
-  } else if (spec.max_front == 1) {
-    winners.push_back(&archive.front());
-  } else {
-    for (std::size_t i = 0; i < spec.max_front; ++i) {
-      const std::size_t index =
-          (i * (archive.size() - 1)) / (spec.max_front - 1);
-      if (!winners.empty() && winners.back() == &archive[index]) continue;
-      winners.push_back(&archive[index]);
+  // The answer plus max_front - 1 others spread evenly along the front.
+  std::vector<const Entry*> reported{answer};
+  const std::size_t spread = std::min(spec.max_front - 1, others.size());
+  for (std::size_t i = 0; i < spread; ++i)
+    reported.push_back(
+        others[spread == 1 ? 0 : i * (others.size() - 1) / (spread - 1)]);
+
+  std::vector<std::optional<ScheduleResult>> results(reported.size());
+  engine::parallel_for(reported.size(), threads, [&](std::size_t i) {
+    results[i] = verify(spec, reported[i]->candidate, reported[i]->score);
+  });
+  // A failed answer: verify down its ranking until a point passes.
+  for (const Entry* entry : ranking) {
+    const auto i = static_cast<std::size_t>(
+        std::find(reported.begin(), reported.end(), entry) - reported.begin());
+    if (i == reported.size()) {
+      reported.push_back(entry);
+      results.push_back(verify(spec, entry->candidate, entry->score));
     }
+    if (results[i]->verified) break;
   }
 
-  RestartResult result;
-  result.restart = restart;
-  result.front.reserve(winners.size());
-  for (const Entry* winner : winners)
-    result.front.push_back(
-        verify_winner(spec, winner->candidate, winner->score));
-  return result;
-}
-
-SearchOutcome run_search(const SearchSpec& spec, unsigned threads) {
-  spec.validate();
+  std::vector<std::size_t> by_peak(reported.size());
+  std::iota(by_peak.begin(), by_peak.end(), std::size_t{0});
+  std::sort(by_peak.begin(), by_peak.end(),
+            [&](std::size_t a, std::size_t b) {
+              return peak_first(reported[a], reported[b]);
+            });
   SearchOutcome outcome;
-  outcome.restarts.resize(spec.size());
-  engine::parallel_for(outcome.restarts.size(), threads, [&](std::size_t i) {
-    outcome.restarts[i] = run_restart(spec, i);
-  });
-  outcome.front = merge_front(outcome.restarts);
+  outcome.front.reserve(by_peak.size());
+  for (const std::size_t i : by_peak)
+    outcome.front.push_back(std::move(*results[i]));
   return outcome;
 }
 
-std::vector<ScheduleResult> merge_front(
-    const std::vector<RestartResult>& restarts) {
-  std::vector<const ScheduleResult*> all;
-  for (const RestartResult& restart : restarts)
-    for (const ScheduleResult& result : restart.front)
-      all.push_back(&result);
+SearchOutcome run_search(const SearchSpec& spec, unsigned threads) {
+  return detail::run_search_with(spec, threads, verify_schedule);
+}
 
-  std::vector<ScheduleResult> front;
-  for (const ScheduleResult* candidate : all) {
-    // dominates() is strict, so a point never drops itself.
-    if (std::any_of(all.begin(), all.end(), [&](const ScheduleResult* other) {
-          return dominates(*other, *candidate);
-        }))
-      continue;
-    if (std::none_of(front.begin(), front.end(),
-                     [&](const ScheduleResult& kept) {
-                       return kept.peak_power_w == candidate->peak_power_w &&
-                              kept.cycles == candidate->cycles &&
-                              kept.energy_j == candidate->energy_j;
-                     }))
-      front.push_back(*candidate);
-  }
-  std::stable_sort(front.begin(), front.end(),
-                   [](const ScheduleResult& a, const ScheduleResult& b) {
-                     if (a.peak_power_w != b.peak_power_w)
-                       return a.peak_power_w < b.peak_power_w;
-                     if (a.cycles != b.cycles) return a.cycles < b.cycles;
-                     return a.energy_j < b.energy_j;
-                   });
-  return front;
+RestartResult run_restart(const SearchSpec& spec, std::size_t restart) {
+  SRAMLP_REQUIRE(restart == 0, "a search job is one work item (index 0)");
+  return run_search(spec, 1);
 }
 
 PaddedBaseline naive_idle_padding(const SearchSpec& spec) {
@@ -353,9 +355,10 @@ PaddedBaseline naive_idle_padding(const SearchSpec& spec) {
   }
   const std::size_t slots = n > 1 ? n - 1 : 0;
   double previous_peak = best.score.peak_power_w;
-  // Uniform padding is deliberately NOT bounded by max_idle_quanta: it is
-  // the naive competitor, free to burn as much test time as it needs.
-  for (std::uint64_t quanta = 1; slots > 0 && quanta <= 1u << 14; ++quanta) {
+  // The solver's idle budget bounds the padding too: at most
+  // max_idle_quanta quanta over all slots.
+  const std::size_t most = slots > 0 ? spec.max_idle_quanta / slots : 0;
+  for (std::uint64_t quanta = 1; quanta <= most; ++quanta) {
     Candidate padded = identity_candidate(n);
     for (std::size_t s = 0; s < slots; ++s)
       padded.idle_after[s] = quanta * spec.idle_quantum;

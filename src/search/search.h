@@ -18,18 +18,30 @@
 // it) and the exact minimum-peak placement is reported, over budget.  With
 // no budget (0), an order's optimum is its zero-idle schedule.
 //
-// Item r of size() = min(restarts, valid orders) solves orders r,
-// r + size(), …; its front is the Pareto set of their optima, cut to
-// max_front points, each verified cycle-accurate (zero read mismatches,
-// exact cycle count, analytic peak within verify_tolerance).
-// run_restart(spec, r) is a pure function of (spec, r): no random
-// numbers, fixed-order double arithmetic (no FMA contraction), the
-// parity-locked engine.  run_search reduces items in item order, so a spec
-// serializes byte-identically at any thread count, shard count or host —
-// the dist/ 'search' job kind rides on exactly this.
+// The job.  run_search solves every valid order once, keeps the Pareto
+// front of their optima over (peak, cycles), and reports at most
+// max_front points of it, each verified cycle-accurate (zero read
+// mismatches, exact cycle count, analytic peak within verify_tolerance).
+// The reported front always holds the job's answer: the fewest-cycle
+// optimum within budget (ties: less peak, less energy, smaller key), or,
+// when no order meets the budget, the least-peak one (ties: fewer cycles,
+// less energy, smaller key).  With max_front 1 the front is the answer
+// alone; with more, it is the answer plus max_front - 1 other front points
+// spread evenly from the least-peak end to the fewest-cycle end.  Should
+// the answer fail verification, the next optimum in the answer's ranking
+// is verified, and so on until one passes; the failed points stay on the
+// front, flagged unverified.  A job whose answer verifies costs one
+// verification per reported point.
+//
+// run_search is a pure function of the spec: no random numbers,
+// fixed-order double arithmetic (no FMA contraction), the parity-locked
+// engine, one result slot per order and per reported point.  A spec
+// serializes byte-identically at any thread count or host — the dist/
+// 'search' job kind runs it as one work item.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -59,21 +71,20 @@ struct SearchSpec {
   /// element spans (e.g. 4 * geometry.words()): idle only has leverage on
   /// windows that straddle element boundaries.
   std::uint64_t window_cycles = 65536;
-  /// Unused by the solver.  Kept on the wire and in the job fingerprint,
-  /// so specs that differ only here stay distinct jobs.
+  /// seed, restarts and steps are unused by the search.  They stay on the
+  /// wire and in the job fingerprint, so specs that differ only here stay
+  /// distinct jobs.
   std::uint64_t seed = 1;
-  /// Most work items: size() = min(restarts, valid orders).
   std::size_t restarts = 8;
-  std::size_t steps = 96;  ///< unused by the solver; kept on the wire
+  std::size_t steps = 96;
   std::uint64_t idle_quantum = 1024;
   std::size_t max_idle_quanta = 16;  ///< idle budget over the schedule
-  std::size_t max_front = 8;   ///< verified winners kept per item
+  std::size_t max_front = 8;  ///< most points reported (file comment)
 
   void validate() const;
-  std::size_t size() const;
 };
 
-/// One verified point of an item's Pareto front.
+/// One verified point of the reported front.
 struct ScheduleResult {
   march::MarchTest schedule;      ///< runnable (both engines, serializable)
   std::uint64_t cycles = 0;       ///< test time in cycles
@@ -84,18 +95,15 @@ struct ScheduleResult {
                                   ///< within the trace-parity tolerance
 };
 
-/// Everything one work item reports.  Default-constructible (dist/ merge
-/// slots); `front` is sorted by (peak asc, cycles asc, energy asc).
-struct RestartResult {
-  std::size_t restart = 0;  ///< the item index
+/// What a search job reports: the points of the file comment, sorted by
+/// (peak, cycles, energy, candidate key), all ascending.
+struct SearchOutcome {
   std::vector<ScheduleResult> front;
 };
 
-/// The whole search: per-item results plus the merged global front.
-struct SearchOutcome {
-  std::vector<RestartResult> restarts;
-  std::vector<ScheduleResult> front;
-};
+/// The job's one work item carries the whole outcome; RestartResult is the
+/// name the repository benchmark's replay still calls it by.
+using RestartResult = SearchOutcome;
 
 /// The optimum of one element order (see the file comment).
 struct OrderOptimum {
@@ -112,27 +120,39 @@ OrderOptimum solve_order(const ScheduleEvaluator& evaluator,
                          const SearchSpec& spec,
                          const std::vector<std::size_t>& order);
 
-/// Work item @p restart of @p spec — a pure function of its arguments
-/// (see the file comment).
-RestartResult run_restart(const SearchSpec& spec, std::size_t restart);
-
-/// All items over engine::parallel_for (0 threads = hardware count),
-/// merged with merge_front.  Byte-identical results at any thread count.
+/// The whole job (see the file comment): orders solved and reported
+/// points verified over engine::parallel_for (0 threads = hardware count).
+/// Byte-identical results at any thread count.
 SearchOutcome run_search(const SearchSpec& spec, unsigned threads = 0);
 
-/// Deterministic global Pareto front over per-item fronts: item-order
-/// scan, (peak_power_w, cycles) dominance, exact-duplicate dedup, sorted by
-/// (peak asc, cycles asc, energy asc).  This is the reduction the dist/
-/// job-kind merge (dist/job.h) and run_search share — the merged front
-/// depends only on the per-item results, never on who merged them.
-std::vector<ScheduleResult> merge_front(
-    const std::vector<RestartResult>& restarts);
+/// The job as its one work item: run_search(spec, 1).  @p restart must be
+/// 0; the name and index are what the repository benchmark's replay calls.
+RestartResult run_restart(const SearchSpec& spec, std::size_t restart);
+
+/// Build @p candidate's runnable schedule and hold it to the cycle-accurate
+/// standard: re-run it traced at spec.window_cycles on the parity-locked
+/// engine, then require zero read mismatches (the validity chain held),
+/// the exact analytic cycle count of @p score, and an analytic peak within
+/// verify_tolerance of the measured one.
+ScheduleResult verify_schedule(const SearchSpec& spec,
+                               const Candidate& candidate, const Score& score);
+
+namespace detail {
+/// run_search with the verification step swapped (verify_schedule in
+/// production) — how tests drive the fallback walk with a failing check.
+using Verify = std::function<ScheduleResult(
+    const SearchSpec&, const Candidate&, const Score&)>;
+SearchOutcome run_search_with(const SearchSpec& spec, unsigned threads,
+                              const Verify& verify);
+}  // namespace detail
 
 /// The naive baseline the search must beat: keep the base order and pad a
 /// uniform idle quantum count after every element (growing until the peak
 /// budget is met or padding stops helping), so its length moves in steps
-/// of (elements - 1) x idle_quantum.  Used by the march_search tool and
-/// tests to report "search time vs naive-padding time at the same budget".
+/// of (elements - 1) x idle_quantum.  Its total padding is capped at
+/// max_idle_quanta quanta, the solver's own idle budget, so both compete
+/// on the same grid.  Used by the march_search tool and tests to report
+/// "search time vs naive-padding time at the same budget".
 struct PaddedBaseline {
   Candidate candidate;
   Score score;

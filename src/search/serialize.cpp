@@ -57,19 +57,17 @@ search::ScheduleResult schedule_result_from_json(const JsonValue& json) {
   return result;
 }
 
-JsonValue to_json(const search::RestartResult& result) {
+JsonValue to_json(const search::SearchOutcome& outcome) {
   JsonValue v = JsonValue::object();
-  v.set("restart", JsonValue::integer(result.restart));
   JsonValue front = JsonValue::array();
-  for (const search::ScheduleResult& point : result.front)
+  for (const search::ScheduleResult& point : outcome.front)
     front.push_back(to_json(point));
   v.set("front", std::move(front));
   return v;
 }
 
-search::RestartResult restart_result_from_json(const JsonValue& json) {
-  search::RestartResult result;
-  result.restart = json.at("restart").as_size();
+search::SearchOutcome restart_result_from_json(const JsonValue& json) {
+  search::SearchOutcome result;
   const JsonValue& front = json.at("front");
   result.front.reserve(front.size());
   for (std::size_t i = 0; i < front.size(); ++i)

@@ -8,13 +8,16 @@
 // (non-square, word width 1/4/8, traced), campaign and search jobs, plus
 // the point-cache payload round trip — and the steal cut (lease_units): on
 // generated libraries it partitions the uncached indices, every campaign
-// batch unit is one session pair, every search item is its own unit,
+// batch unit is one session pair, a search job is one item in one unit,
 // executing the units (partly cached, with the Fig. 7 restore on and off)
-// merges to single, and the 512-unit cap holds on large jobs.
+// merges to single, and the 512-unit cap holds on large jobs.  Generated
+// search jobs (every search-legal algorithm, word width 1 and 4, budgets
+// none / feasible / infeasible) serialize identically at 1 and 4 threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -78,7 +81,6 @@ JobSpec search_job(std::uint64_t seed) {
   spec.base = march::algorithms::march_c_minus();
   spec.window_cycles = 512;
   spec.seed = seed;
-  spec.restarts = 3;  // under March C-'s 4 orders: item 0 solves two
   spec.idle_quantum = 128;
   spec.max_idle_quanta = 8;
   spec.max_front = 4;
@@ -126,10 +128,6 @@ std::string search_reference(const JobSpec& job) {
   const search::SearchOutcome outcome = search::run_search(*job.search, 2);
   io::JsonValue doc = io::JsonValue::object();
   doc.set("kind", io::JsonValue::string("search"));
-  io::JsonValue restarts = io::JsonValue::array();
-  for (const search::RestartResult& r : outcome.restarts)
-    restarts.push_back(io::to_json(r));
-  doc.set("restarts", std::move(restarts));
   io::JsonValue front = io::JsonValue::array();
   for (const search::ScheduleResult& point : outcome.front)
     front.push_back(io::to_json(point));
@@ -209,6 +207,66 @@ TEST(JobKindTable, SearchJobsMergeByteIdenticalToSingle) {
     const std::string single = dist::single_document(job, 1);
     EXPECT_EQ(single, search_reference(job)) << "seed " << seed;
     EXPECT_EQ(partitioned_document(job, seed), single) << "seed " << seed;
+  }
+}
+
+/// Seeded search jobs over every search-legal library algorithm (one that
+/// validates: at most kMaxSearchElements elements, a valid order), on a
+/// word-width-1 or -4 geometry, with no budget, a budget between the
+/// least reachable peak and the base peak, and one under that least peak.
+std::vector<JobSpec> generated_search_jobs(std::uint64_t seed) {
+  util::Rng rng(seed);
+  const std::vector<sram::Geometry> geometries = {{8, 8, 1}, {4, 32, 4}};
+  std::vector<JobSpec> jobs;
+  for (const march::MarchTest& test : march::algorithms::all()) {
+    JobSpec job;
+    job.kind = JobSpec::Kind::kSearch;
+    search::SearchSpec spec;
+    spec.config.geometry = geometries[rng.next_below(geometries.size())];
+    spec.base = test;
+    spec.window_cycles = 2 + rng.next_below(4 * spec.config.geometry.words());
+    spec.idle_quantum = 1 + rng.next_below(spec.config.geometry.words());
+    spec.max_idle_quanta = 1 + rng.next_below(8);
+    spec.max_front = 1 + rng.next_below(8);
+    try {
+      spec.validate();
+    } catch (const Error&) {
+      continue;  // not search-legal
+    }
+    const search::ScheduleEvaluator evaluator(spec.config, test,
+                                              spec.window_cycles);
+    double least = std::numeric_limits<double>::infinity();
+    spec.peak_budget_w = 1e-30;  // under everything: each order's minimum
+    for (const std::vector<std::size_t>& order :
+         search::valid_orders(evaluator.conds()))
+      least = std::min(least,
+                       search::solve_order(evaluator, spec, order)
+                           .score.peak_power_w);
+    const double top =
+        evaluator.score_one(search::identity_candidate(evaluator.elements()))
+            .peak_power_w;
+    for (const double budget :
+         {0.0, least + (top - least) * rng.next_double(), 0.999 * least}) {
+      spec.peak_budget_w = budget;
+      job.search = spec;
+      jobs.push_back(job);
+    }
+  }
+  return jobs;
+}
+
+TEST(JobKindTable, GeneratedSearchJobsAreByteIdenticalAtAnyThreadCount) {
+  const std::vector<JobSpec> jobs = generated_search_jobs(2024);
+  ASSERT_GE(jobs.size(), 30u);
+  for (const JobSpec& job : jobs) {
+    const std::string single = dist::single_document(job, 1);
+    SCOPED_TRACE(job.search->base->name() + " budget " +
+                 std::to_string(job.search->peak_budget_w));
+    EXPECT_EQ(dist::single_document(job, 4), single);
+    EXPECT_EQ(search_reference(job), single);
+    const io::JsonValue front = io::JsonValue::parse(single).at("front");
+    EXPECT_GE(front.size(), 1u);
+    EXPECT_LE(front.size(), job.search->max_front);
   }
 }
 
@@ -322,20 +380,19 @@ TEST(LeaseUnits, PartitionTheUncachedIndicesOfGeneratedJobs) {
                                                     uncached.size()))));
     }
   }
-  // A search item (one group of element orders) is one unit, whatever
-  // the unit size.
+  // A search job is one item, so one unit (none once it is cached),
+  // whatever the unit size and the wire-only restarts say.
   for (const std::size_t restarts : {1u, 3u, 24u}) {
     JobSpec job = search_job(1);
     job.search->restarts = restarts;
-    const std::vector<std::size_t> uncached =
-        random_subset(job.size(), 70, rng);
-    dist::LeaseCut cut;
-    const auto units = dist::lease_units(job, uncached, 3, &cut);
-    expect_partition(units, uncached, dist::item_type(job));
-    EXPECT_FALSE(cut.planned);
-    ASSERT_EQ(units.size(), uncached.size());
-    for (std::size_t u = 0; u < units.size(); ++u)
-      EXPECT_EQ(units[u], std::vector<std::size_t>{uncached[u]});
+    ASSERT_EQ(job.size(), 1u);
+    for (const std::size_t unit : {0u, 1u, 3u}) {
+      dist::LeaseCut cut;
+      const auto units = dist::lease_units(job, {0}, unit, &cut);
+      EXPECT_FALSE(cut.planned);
+      EXPECT_EQ(units, (std::vector<std::vector<std::size_t>>{{0}}));
+      EXPECT_TRUE(dist::lease_units(job, {}, unit).empty());
+    }
   }
 }
 
@@ -410,12 +467,9 @@ TEST(LeaseUnits, ExecutingTheUnitsMergesToSingle) {
   const JobSpec sweep = generated_sweep_job(5, false);
   EXPECT_EQ(leased_document(sweep, random_subset(sweep.size(), 50, rng), 2),
             dist::single_document(sweep));
-  JobSpec search = search_job(4);
-  search.search->restarts = 24;  // one order per item
-  std::vector<std::size_t> items(search.size());
-  std::iota(items.begin(), items.end(), std::size_t{0});
-  EXPECT_EQ(leased_document(search, {1, 3}, 2), dist::single_document(search));
-  EXPECT_EQ(leased_document(search, items, 2), dist::single_document(search));
+  const JobSpec search = search_job(4);
+  EXPECT_EQ(leased_document(search, {}, 2), dist::single_document(search));
+  EXPECT_EQ(leased_document(search, {0}, 2), dist::single_document(search));
 }
 
 TEST(LeaseUnits, LargeJobsStayWithinTheUnitCap) {
@@ -490,14 +544,15 @@ TEST(JobKindTable, SweepCachePayloadIsGridNeutralAndRebinds) {
 
 TEST(JobKindTable, CampaignAndSearchCachePayloadsPassThrough) {
   for (const JobSpec& job : {campaign_job(7), search_job(7)}) {
+    const std::size_t index = job.size() - 1;
     io::JsonValue data;
-    dist::execute(job, {1}, 1, [&](std::size_t, io::JsonValue d) {
+    dist::execute(job, {index}, 1, [&](std::size_t, io::JsonValue d) {
       data = std::move(d);
       return true;
     });
     const std::string payload = dist::cache_payload(job, data);
     EXPECT_EQ(payload, data.dump());
-    EXPECT_EQ(dist::from_cache(job, 1, payload).dump(), payload);
+    EXPECT_EQ(dist::from_cache(job, index, payload).dump(), payload);
   }
   EXPECT_THROW(dist::from_cache(campaign_job(7), 0, "[1,2]"), Error);
   EXPECT_THROW(dist::from_cache(campaign_job(7), 0, "{\"torn\":"), Error);

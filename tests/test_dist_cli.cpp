@@ -70,6 +70,13 @@ class DistCli : public ::testing::Test {
     out << content;
   }
 
+  std::string read_file(const std::string& name) const {
+    std::ifstream in(dir_ / name);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
+  }
+
   /// Emit the demo sweep job spec to @p name inside the scratch dir.
   void emit_example_job(const std::string& name,
                         const std::string& flags = "") const {
@@ -101,21 +108,19 @@ TEST_F(DistCli, UnreadableJobFileFailsCleanly) {
 }
 
 TEST_F(DistCli, RunMatchesSingleByteForByte) {
-  emit_example_job("campaign.json", "--campaign");
-  const CliResult run = run_cli("run --job " + path("campaign.json") +
-                                " --workers 2 --out " + path("run.json"));
-  ASSERT_EQ(run.exit_code, 0) << run.output;
-  const CliResult single = run_cli("single --job " + path("campaign.json") +
-                                   " --out " + path("single.json"));
-  ASSERT_EQ(single.exit_code, 0) << single.output;
-  const auto read = [&](const std::string& name) {
-    std::ifstream in(dir_ / name);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
-  };
-  EXPECT_FALSE(read("run.json").empty());
-  EXPECT_EQ(read("run.json"), read("single.json"));
+  for (const std::string kind : {"campaign", "search"}) {
+    emit_example_job(kind + ".json", "--" + kind);
+    const CliResult run =
+        run_cli("run --job " + path(kind + ".json") + " --workers 4 --out " +
+                path(kind + "_run.json"));
+    ASSERT_EQ(run.exit_code, 0) << run.output;
+    const CliResult single = run_cli("single --job " + path(kind + ".json") +
+                                     " --out " + path(kind + "_single.json"));
+    ASSERT_EQ(single.exit_code, 0) << single.output;
+    EXPECT_FALSE(read_file(kind + "_run.json").empty()) << kind;
+    EXPECT_EQ(read_file(kind + "_run.json"), read_file(kind + "_single.json"))
+        << kind;
+  }
 }
 
 TEST_F(DistCli, MissingRequiredOptionIsNamed) {
@@ -229,6 +234,13 @@ TEST_F(DistCli, DaemonScrapeTimesEveryLeaseAndShard) {
   EXPECT_EQ(bye.exit_code, 0) << bye.output;
   ASSERT_EQ(::waitpid(daemon, &reaper.status, 0), daemon);
   EXPECT_TRUE(WIFEXITED(reaper.status) && WEXITSTATUS(reaper.status) == 0);
+  // Served cold and from the cache, the document is single's.
+  const CliResult single = run_cli("single --job " + path("search.json") +
+                                   " --out " + path("single.json"));
+  ASSERT_EQ(single.exit_code, 0) << single.output;
+  EXPECT_FALSE(read_file("single.json").empty());
+  EXPECT_EQ(read_file("cold.json"), read_file("single.json"));
+  EXPECT_EQ(read_file("hot.json"), read_file("single.json"));
 
   const std::uint64_t shards =
       number_after(stats.output, "  \"shards_executed\": ");

@@ -1,13 +1,17 @@
 // The peak-constrained schedule search (src/search/): the memoized
 // evaluator against the traced analytic engine, the read-state order
 // enumeration, the hand-checked peak-window walk, the exact per-order
-// solver against brute force (every order x every idle split), end-to-end
-// determinism (threads / service), cycle-accurate winner verification,
-// and the acceptance anchor — a budget the base March C- violates, met by
-// the search at no more test time than naive uniform idle padding.
+// solver against brute force (every order x every idle split), the job's
+// answer against brute force over every order's optimum (generated specs,
+// max_front 1 and 8, 1 and 4 threads), the verification fallback walk
+// under a failing check, end-to-end determinism (threads / service),
+// cycle-accurate winner verification, and the acceptance anchor — a
+// budget the base March C- violates, met by the search at no more test
+// time than naive uniform idle padding on the same idle grid.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -15,6 +19,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/session.h"
@@ -60,7 +65,6 @@ SearchSpec small_spec() {
   spec.config = small_config();
   spec.base = march::algorithms::march_c_minus();
   spec.window_cycles = 512;
-  spec.restarts = 3;
   spec.idle_quantum = 128;
   spec.max_idle_quanta = 8;
   spec.max_front = 4;
@@ -90,13 +94,7 @@ std::string single_document(const SearchSpec& spec, unsigned threads = 1) {
 
 /// run_search's outcome, serialized.
 std::string outcome_json(const SearchSpec& spec, unsigned threads) {
-  const search::SearchOutcome outcome = search::run_search(spec, threads);
-  io::JsonValue json = io::JsonValue::array();
-  for (const search::RestartResult& r : outcome.restarts)
-    json.push_back(io::to_json(r));
-  for (const search::ScheduleResult& point : outcome.front)
-    json.push_back(io::to_json(point));
-  return json.dump();
+  return io::to_json(search::run_search(spec, threads)).dump();
 }
 
 /// A candidate the test draws itself: enumerated order @p order plus
@@ -254,14 +252,6 @@ TEST(ScheduleOrders, ValidOrderCountsOfTheTable1Tests) {
       EXPECT_TRUE(search::order_is_valid(conds, order));
       EXPECT_EQ(order.front(), 0u);
       EXPECT_EQ(order.back(), conds.size() - 1);
-    }
-
-    // One work item per order, capped by restarts.
-    SearchSpec spec = small_spec();
-    spec.base = test;
-    for (const std::size_t restarts : {1u, 3u, 24u}) {
-      spec.restarts = restarts;
-      EXPECT_EQ(spec.size(), std::min(restarts, count)) << test.name();
     }
   }
 }
@@ -446,41 +436,261 @@ TEST(SearchSolver, ExactAgainstBruteForceOnGeneratedInstances) {
 }
 
 TEST(SearchSolver, WinnersAreBitIdenticalToScoreOne) {
-  // With one order per item, each item reports exactly its order's
-  // optimum, carrying the solver's own Score — score_one's, to the bit.
+  // With max_front past the order count, the front is every distinct
+  // Pareto optimum, each carrying the solver's own Score — score_one's,
+  // to the bit — and the schedule built from its candidate.
   SearchSpec spec = small_spec();
-  spec.restarts = 24;
+  spec.max_front = 8;
   const ScheduleEvaluator evaluator(spec.config, *spec.base,
                                     spec.window_cycles);
-  const std::vector<std::vector<std::size_t>> orders =
-      search::valid_orders(evaluator.conds());
-  ASSERT_EQ(spec.size(), orders.size());
-  for (std::size_t r = 0; r < orders.size(); ++r) {
-    const search::OrderOptimum optimum =
-        search::solve_order(evaluator, spec, orders[r]);
-    const search::Score score = evaluator.score_one(optimum.candidate);
-    expect_same_score(optimum.score, score);
-    const search::RestartResult item = search::run_restart(spec, r);
-    ASSERT_EQ(item.front.size(), 1u) << "item " << r;
-    EXPECT_EQ(item.front[0].cycles, static_cast<std::uint64_t>(score.cycles));
-    EXPECT_EQ(item.front[0].energy_j, score.energy_j);
-    EXPECT_EQ(item.front[0].peak_power_w, score.peak_power_w);
-    EXPECT_EQ(io::to_json(item.front[0].schedule).dump(),
-              io::to_json(search::build_schedule(
-                              *spec.base, optimum.candidate,
-                              spec.base->name() + " [scheduled]"))
-                  .dump());
+  std::vector<search::OrderOptimum> optima;
+  for (const std::vector<std::size_t>& order :
+       search::valid_orders(evaluator.conds()))
+    optima.push_back(search::solve_order(evaluator, spec, order));
+  const search::SearchOutcome outcome = search::run_search(spec, 1);
+  ASSERT_FALSE(outcome.front.empty());
+  for (const search::ScheduleResult& point : outcome.front) {
+    const std::string schedule = io::to_json(point.schedule).dump();
+    const auto it = std::find_if(
+        optima.begin(), optima.end(), [&](const search::OrderOptimum& o) {
+          return io::to_json(search::build_schedule(
+                                 *spec.base, o.candidate,
+                                 spec.base->name() + " [scheduled]"))
+                     .dump() == schedule;
+        });
+    ASSERT_NE(it, optima.end()) << schedule;
+    const search::Score score = evaluator.score_one(it->candidate);
+    expect_same_score(it->score, score);
+    EXPECT_EQ(point.cycles, static_cast<std::uint64_t>(score.cycles));
+    EXPECT_EQ(point.energy_j, score.energy_j);
+    EXPECT_EQ(point.peak_power_w, score.peak_power_w);
+  }
+}
+
+// --- the job's answer against brute force over every order's optimum -------
+
+/// The job's answer by definition (search.h): the fewest-cycle optimum
+/// within budget (then less peak, less energy, smaller key), or the
+/// least-peak one (then fewer cycles, less energy, smaller key) when no
+/// order meets the budget — and the whole ranking it heads.
+std::vector<search::OrderOptimum> answer_ranking(const SearchSpec& spec) {
+  const ScheduleEvaluator evaluator(spec.config, *spec.base,
+                                    spec.window_cycles);
+  std::vector<search::OrderOptimum> optima;
+  for (const std::vector<std::size_t>& order :
+       search::valid_orders(evaluator.conds()))
+    optima.push_back(search::solve_order(evaluator, spec, order));
+  const bool feasible =
+      std::any_of(optima.begin(), optima.end(),
+                  [](const search::OrderOptimum& o) { return o.meets_budget; });
+  std::erase_if(optima, [&](const search::OrderOptimum& o) {
+    return feasible && !o.meets_budget;
+  });
+  const auto rank = [&](const search::OrderOptimum& o) {
+    const search::Score& s = o.score;
+    return feasible ? std::make_tuple(s.cycles, s.peak_power_w, s.energy_j,
+                                      o.candidate.key())
+                    : std::make_tuple(s.peak_power_w, s.cycles, s.energy_j,
+                                      o.candidate.key());
+  };
+  std::sort(optima.begin(), optima.end(),
+            [&](const search::OrderOptimum& a, const search::OrderOptimum& b) {
+              return rank(a) < rank(b);
+            });
+  return optima;
+}
+
+/// The schedule JSON run_search reports for @p optimum.
+std::string schedule_of(const SearchSpec& spec,
+                        const search::OrderOptimum& optimum) {
+  return io::to_json(search::build_schedule(*spec.base, optimum.candidate,
+                                            spec.base->name() +
+                                                " [scheduled]"))
+      .dump();
+}
+
+bool is_point(const search::ScheduleResult& point, const SearchSpec& spec,
+              const search::OrderOptimum& optimum) {
+  return point.cycles == static_cast<std::uint64_t>(optimum.score.cycles) &&
+         point.peak_power_w == optimum.score.peak_power_w &&
+         point.energy_j == optimum.score.energy_j &&
+         io::to_json(point.schedule).dump() == schedule_of(spec, optimum);
+}
+
+TEST(SearchAnswer, EqualsBruteForceBestOnGeneratedSpecs) {
+  // Every search-legal library algorithm on word width 1 and 4, with no
+  // budget, a feasible one and one under the least reachable peak.
+  const std::vector<sram::Geometry> geometries = {
+      {8, 8, 1}, {4, 32, 4}, {8, 16, 4}};
+  util::Rng rng(24);
+  std::size_t checked = 0, feasible = 0, infeasible = 0;
+  for (const march::MarchTest& test : march::algorithms::all())
+    for (const sram::Geometry& geometry : geometries) {
+      SearchSpec spec;
+      spec.config.geometry = geometry;
+      spec.base = test;
+      spec.window_cycles = 2 + rng.next_below(4 * geometry.words());
+      spec.idle_quantum = 1 + rng.next_below(geometry.words());
+      spec.max_idle_quanta = 1 + rng.next_below(8);
+      try {
+        spec.validate();
+      } catch (const Error&) {
+        continue;  // too many elements, or no valid order
+      }
+      spec.peak_budget_w = 1e-30;  // each order's exact minimum peak
+      double least = std::numeric_limits<double>::infinity();
+      for (const search::OrderOptimum& o : answer_ranking(spec))
+        least = std::min(least, o.score.peak_power_w);
+      const double top = base_peak(spec);
+      for (const double budget :
+           {0.0, least + (top - least) * rng.next_double(), 0.999 * least}) {
+        spec.peak_budget_w = budget;
+        const std::vector<search::OrderOptimum> ranking = answer_ranking(spec);
+        const search::OrderOptimum& answer = ranking.front();
+        SCOPED_TRACE(test.name() + " " + std::to_string(geometry.rows) + "x" +
+                     std::to_string(geometry.cols) + "/" +
+                     std::to_string(geometry.word_width) + " budget " +
+                     std::to_string(budget));
+        ++checked;
+        if (budget > 0.0) ++(answer.meets_budget ? feasible : infeasible);
+
+        spec.max_front = 1;
+        const search::SearchOutcome alone = search::run_search(spec, 1);
+        ASSERT_EQ(alone.front.size(), 1u);
+        EXPECT_TRUE(alone.front[0].verified);
+        EXPECT_TRUE(is_point(alone.front[0], spec, answer));
+        EXPECT_EQ(outcome_json(spec, 4), io::to_json(alone).dump());
+
+        spec.max_front = 8;
+        const search::SearchOutcome wide = search::run_search(spec, 1);
+        EXPECT_EQ(outcome_json(spec, 4), io::to_json(wide).dump());
+        ASSERT_GE(wide.front.size(), 1u);
+        ASSERT_LE(wide.front.size(), 8u);
+        EXPECT_EQ(std::count_if(wide.front.begin(), wide.front.end(),
+                                [&](const search::ScheduleResult& point) {
+                                  return is_point(point, spec, answer);
+                                }),
+                  1);
+        // The answer's figures again, whatever else the front reports.
+        for (const search::ScheduleResult& point : wide.front) {
+          EXPECT_TRUE(point.verified);
+          if (answer.meets_budget && budget > 0.0 &&
+              point.peak_power_w <= budget) {
+            EXPECT_GE(point.cycles,
+                      static_cast<std::uint64_t>(answer.score.cycles));
+          }
+          if (!answer.meets_budget) {
+            EXPECT_GE(point.peak_power_w, answer.score.peak_power_w);
+          }
+        }
+        // Sorted by (peak, cycles), mutually non-dominated, no two alike.
+        for (std::size_t i = 1; i < wide.front.size(); ++i) {
+          const search::ScheduleResult& a = wide.front[i - 1];
+          const search::ScheduleResult& b = wide.front[i];
+          EXPECT_LE(a.peak_power_w, b.peak_power_w);
+          EXPECT_GE(a.cycles, b.cycles);
+          EXPECT_TRUE(a.peak_power_w < b.peak_power_w ||
+                      a.cycles > b.cycles || a.energy_j != b.energy_j);
+        }
+      }
+    }
+  EXPECT_GE(checked, 90u);
+  EXPECT_GE(feasible, 20u);
+  EXPECT_GE(infeasible, 20u);
+}
+
+// --- the verification fallback walk -------------------------------------------
+
+TEST(SearchAnswer, FailedAnswerWalksItsRankingToTheFirstPass) {
+  // March G has 8 valid orders; at 0.97x the base peak several meet the
+  // budget at different lengths.
+  SearchSpec spec = small_spec();
+  spec.base = march::algorithms::march_g();
+  spec.max_idle_quanta = 16;
+  spec.peak_budget_w = 0.97 * base_peak(spec);
+  spec.max_front = 1;
+  const std::vector<search::OrderOptimum> ranking = answer_ranking(spec);
+  ASSERT_GE(ranking.size(), 3u);
+  ASSERT_TRUE(ranking.front().meets_budget);
+  std::set<std::string> schedules;
+  for (const search::OrderOptimum& optimum : ranking)
+    schedules.insert(schedule_of(spec, optimum));
+  ASSERT_EQ(schedules.size(), ranking.size());
+
+  for (std::size_t failing = 0; failing <= ranking.size(); ++failing) {
+    // The first `failing` points of the ranking fail their check.
+    std::set<std::string> fail;
+    for (std::size_t i = 0; i < failing; ++i)
+      fail.insert(schedule_of(spec, ranking[i]));
+    std::atomic<std::size_t> calls{0};
+    const search::SearchOutcome outcome = search::detail::run_search_with(
+        spec, 2,
+        [&](const SearchSpec& s, const Candidate& candidate,
+            const search::Score& score) {
+          ++calls;
+          search::ScheduleResult result =
+              search::verify_schedule(s, candidate, score);
+          if (fail.count(io::to_json(result.schedule).dump()))
+            result.verified = false;
+          return result;
+        });
+    SCOPED_TRACE("failing " + std::to_string(failing));
+    // One check per walked point: the failed ones and the first pass.
+    const std::size_t walked = std::min(failing + 1, ranking.size());
+    EXPECT_EQ(calls.load(), walked);
+    ASSERT_EQ(outcome.front.size(), walked);
+    for (std::size_t i = 0; i < walked; ++i) {
+      const auto it = std::find_if(
+          outcome.front.begin(), outcome.front.end(),
+          [&](const search::ScheduleResult& p) {
+            return is_point(p, spec, ranking[i]);
+          });
+      ASSERT_NE(it, outcome.front.end()) << "ranking point " << i;
+      EXPECT_EQ(it->verified, i >= failing) << "ranking point " << i;
+    }
+    // Reported in (peak, cycles) order, failed points included.
+    EXPECT_TRUE(std::is_sorted(
+        outcome.front.begin(), outcome.front.end(),
+        [](const search::ScheduleResult& a, const search::ScheduleResult& b) {
+          return std::make_pair(a.peak_power_w, a.cycles) <
+                 std::make_pair(b.peak_power_w, b.cycles);
+        }));
+  }
+}
+
+TEST(SearchAnswer, AVerifiedAnswerCostsOneCheckPerReportedPoint) {
+  SearchSpec spec = small_spec();
+  spec.base = march::algorithms::march_g();
+  spec.peak_budget_w = 0.97 * base_peak(spec);
+  for (const std::size_t max_front : {1u, 2u, 8u}) {
+    spec.max_front = max_front;
+    std::atomic<std::size_t> calls{0};
+    const search::SearchOutcome outcome = search::detail::run_search_with(
+        spec, 4,
+        [&](const SearchSpec& s, const Candidate& candidate,
+            const search::Score& score) {
+          ++calls;
+          return search::verify_schedule(s, candidate, score);
+        });
+    EXPECT_EQ(calls.load(), outcome.front.size()) << max_front;
+    EXPECT_LE(outcome.front.size(), max_front);
+    if (max_front == 1) {
+      EXPECT_EQ(calls.load(), 1u);
+    }
+    EXPECT_EQ(io::to_json(outcome).dump(), outcome_json(spec, 1));
   }
 }
 
 // --- determinism -------------------------------------------------------------
 
-TEST(SearchDeterminism, RestartIsPureFunctionOfSpecAndIndex) {
+TEST(SearchDeterminism, TheOneItemIsAPureFunctionOfTheSpec) {
   const SearchSpec spec = small_spec();
-  const search::RestartResult a = search::run_restart(spec, 1);
-  const search::RestartResult b = search::run_restart(spec, 1);
+  const search::RestartResult a = search::run_restart(spec, 0);
+  const search::RestartResult b = search::run_restart(spec, 0);
   EXPECT_EQ(io::to_json(a).dump(), io::to_json(b).dump());
+  EXPECT_EQ(io::to_json(a).dump(), outcome_json(spec, 4));
   EXPECT_FALSE(a.front.empty());
+  EXPECT_THROW(search::run_restart(spec, 1), Error);
 }
 
 TEST(SearchDeterminism, ByteIdenticalAcrossThreadCounts) {
@@ -514,7 +724,6 @@ TEST(SearchVerification, EveryFrontPointIsCycleAccurateVerified) {
 
 TEST(SearchBudget, BeatsNaiveIdlePaddingAtTheSameBudget) {
   SearchSpec spec = small_spec();
-  spec.restarts = 4;
   spec.max_idle_quanta = 16;
   // small_spec's budget is 0.97x the base peak: one the base violates.
   ASSERT_LT(spec.peak_budget_w, base_peak(spec));
@@ -532,6 +741,29 @@ TEST(SearchBudget, BeatsNaiveIdlePaddingAtTheSameBudget) {
   ASSERT_NE(best, nullptr) << "search found no verified schedule under the "
                               "budget the naive padding meets";
   EXPECT_LE(best->cycles, static_cast<std::uint64_t>(naive.score.cycles));
+}
+
+TEST(SearchBudget, NaivePaddingStaysOnTheSolversIdleGrid) {
+  // The naive competitor gets the solver's idle allowance: at most
+  // max_idle_quanta quanta over all slots, so with too few quanta for one
+  // uniform step it keeps the base schedule and misses the budget.
+  SearchSpec spec = small_spec();
+  const std::size_t slots = spec.base->elements().size() - 1;
+  for (const std::size_t quanta : {0u, 4u, 5u, 16u, 64u}) {
+    spec.max_idle_quanta = quanta;
+    const search::PaddedBaseline naive = search::naive_idle_padding(spec);
+    std::uint64_t idle = 0;
+    for (const std::uint64_t cycles : naive.candidate.idle_after)
+      idle += cycles;
+    EXPECT_LE(idle, quanta * spec.idle_quantum) << quanta;
+    EXPECT_EQ(naive.meets_budget,
+              naive.score.peak_power_w <= spec.peak_budget_w)
+        << quanta;
+    if (quanta < slots) {
+      EXPECT_EQ(idle, 0u) << quanta;
+      EXPECT_FALSE(naive.meets_budget) << quanta;
+    }
+  }
 }
 
 // --- dist: job spec and the service ------------------------------------------
@@ -625,8 +857,8 @@ TEST(SearchSpec, ValidateRejectsBrokenSpecs) {
   spec.base.reset();
   EXPECT_THROW(spec.validate(), Error);
   spec = small_spec();
-  spec.restarts = 0;
-  EXPECT_THROW(spec.validate(), Error);
+  spec.restarts = 0;  // wire-only: the search never reads it
+  EXPECT_NO_THROW(spec.validate());
   spec = small_spec();
   spec.base = march::parse_march("read first", "{ U(r0); U(r0,w1) }");
   EXPECT_THROW(spec.validate(), Error);  // no order satisfies the chain
@@ -659,7 +891,7 @@ TEST(SearchSpec, ValidateBoundsTheSolverInputs) {
     elements.insert(elements.end() - 1, pause);
   spec.base = march::MarchTest("too long", elements);
   EXPECT_THROW(spec.validate(), Error);
-  EXPECT_THROW((void)spec.size(), Error);
+  EXPECT_THROW(search::run_search(spec, 1), Error);
 }
 
 }  // namespace

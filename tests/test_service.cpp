@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -382,7 +383,9 @@ TEST(Fingerprints, Fnv1a64MatchesKnownVector) {
 
 /// The per-point key as it was built before PointKeys: one JSON object per
 /// index, dumped and hashed whole.  Frozen here so that every key a spill
-/// file already holds provably stays valid.
+/// file already holds provably stays valid — except a search item's: the
+/// job became one item under a new "kind", so per-order items miss
+/// (SpillFromPerOrderSearchItemsAnswersNothing).
 std::uint64_t reference_point_fingerprint(const JobSpec& job,
                                           std::size_t index) {
   io::JsonValue key = io::JsonValue::object();
@@ -398,9 +401,8 @@ std::uint64_t reference_point_fingerprint(const JobSpec& job,
     key.set("test", io::to_json(*job.test));
     key.set("fault", io::to_json(job.faults[index]));
   } else {
-    key.set("kind", io::JsonValue::string("search_restart"));
+    key.set("kind", io::JsonValue::string("search_job"));
     key.set("search", io::to_json(*job.search));
-    key.set("restart", io::JsonValue::integer(index));
   }
   return dist::fnv1a64(key.dump());
 }
@@ -436,7 +438,6 @@ JobSpec small_search_job(std::uint64_t seed) {
   spec.base = march::algorithms::march_c_minus();
   spec.window_cycles = 4 * spec.config.geometry.words();
   spec.seed = seed;
-  spec.restarts = 5;
   spec.idle_quantum = 512;
   job.search = std::move(spec);
   return job;
@@ -487,6 +488,17 @@ class ServiceHarness {
       threads_.emplace_back([this, worker_options] {
         dist::ServiceWorker(worker_options).run(service_->address());
       });
+    // A worker still connecting when a short test ends would find the
+    // listener closed, retry for its connect timeout and then terminate
+    // the process: start timing only once every worker is in.
+    for (int waited_ms = 0; service_->stats().workers_connected < workers;
+         ++waited_ms) {
+      if (waited_ms == 10000) {
+        ADD_FAILURE() << "workers never connected";
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
   }
 
   ~ServiceHarness() {
@@ -570,7 +582,7 @@ TEST(Service, CampaignJobByteIdenticalToSingle) {
   EXPECT_EQ(again.document, reference);
 }
 
-TEST(Service, SearchJobLeasesOneShardPerItem) {
+TEST(Service, SearchJobIsOneShard) {
   JobSpec job = small_search_job(3);
   job.search->max_idle_quanta = 8;
   job.search->peak_budget_w = 1e-3;  // under any reachable peak: bisected
@@ -580,9 +592,9 @@ TEST(Service, SearchJobLeasesOneShardPerItem) {
   const io::JsonValue complete = job_complete_of(harness.address(), job);
   ASSERT_FALSE(complete.is_null());
   EXPECT_EQ(complete.at("document").as_string(), reference);
-  // One shard per item: each element order is its own steal unit.
-  ASSERT_EQ(job.size(), 4u);  // March C-'s 4 valid orders
-  EXPECT_EQ(complete.at("shards_executed").as_uint(), job.size());
+  // The whole job, all 4 of March C-'s orders, is one item and one shard.
+  ASSERT_EQ(job.size(), 1u);
+  EXPECT_EQ(complete.at("shards_executed").as_uint(), 1u);
 }
 
 TEST(Service, HostileSearchJobIsRejectedAndWorkersServeOn) {
@@ -805,6 +817,17 @@ void expect_scrape_matches_stats(ServiceHarness& harness) {
         << counter.name;
 }
 
+/// Observations in histogram @p name of @p snapshot (0 before the first).
+std::uint64_t histogram_count(const dist::MetricsSnapshot& snapshot,
+                              const std::string& name) {
+  if (!snapshot.json.has(name)) return 0;
+  return snapshot.json.at(name)
+      .at("instances")
+      .at(std::size_t{0})
+      .at("count")
+      .as_uint();
+}
+
 TEST(Service, MetricsScrapeCountsEachServiceOnItsOwn) {
   // Two daemons in one process: each scrape reads its own service, not a
   // process-wide tally.
@@ -847,6 +870,12 @@ TEST(Service, MetricsScrapeCountsEachServiceOnItsOwn) {
     EXPECT_EQ(scraped(snapshot, "sramlp_shards_abandoned_total"), abandoned);
     EXPECT_EQ(scraped(snapshot, "sramlp_shards_leased_total"),
               stats.shards_executed + abandoned);
+    // The timings too: every grant so far (parked leases are not), every
+    // accepted shard_done, of this service alone.
+    EXPECT_EQ(histogram_count(snapshot, "sramlp_lease_latency_seconds"),
+              stats.shards_leased);
+    EXPECT_EQ(histogram_count(snapshot, "sramlp_shard_execution_seconds"),
+              stats.shards_executed);
     expect_scrape_matches_stats(*harness);
   }
 
@@ -875,17 +904,6 @@ TEST(Service, MetricsScrapeCountsEachServiceOnItsOwn) {
   EXPECT_EQ(scraped(dist::query_metrics(second.address()),
                     "sramlp_jobs_submitted_total"),
             1u);
-}
-
-/// Observations in histogram @p name of @p snapshot (0 before the first).
-std::uint64_t histogram_count(const dist::MetricsSnapshot& snapshot,
-                              const std::string& name) {
-  if (!snapshot.json.has(name)) return 0;
-  return snapshot.json.at(name)
-      .at("instances")
-      .at(std::size_t{0})
-      .at("count")
-      .as_uint();
 }
 
 TEST(Service, MetricsGaugesReadTheLiveQueues) {
@@ -920,12 +938,13 @@ TEST(Service, MetricsGaugesReadTheLiveQueues) {
   EXPECT_EQ(scraped(idle, "sramlp_jobs_in_flight"), 0u);
   EXPECT_EQ(scraped(idle, "sramlp_queue_depth"), 0u);
   // The daemon timed each of the 6 grants and shard completions (the
-  // worker's next lease is parked, not granted).  The two histograms are
-  // process-wide, so read them as deltas.
+  // worker's next lease is parked, not granted), and nothing before them:
+  // the two histograms belong to this service, not to the process.
   for (const char* name :
-       {"sramlp_lease_latency_seconds", "sramlp_shard_execution_seconds"})
-    EXPECT_EQ(histogram_count(idle, name) - histogram_count(live, name), 6u)
-        << name;
+       {"sramlp_lease_latency_seconds", "sramlp_shard_execution_seconds"}) {
+    EXPECT_EQ(histogram_count(live, name), 0u) << name;
+    EXPECT_EQ(histogram_count(idle, name), 6u) << name;
+  }
 }
 
 TEST(Service, RejectsMalformedJobWithoutDying) {
@@ -990,6 +1009,46 @@ TEST(Service, SpillFromTheJsonObjectKeyBuilderStillAnswersEveryPoint) {
       dist::submit_job(harness.address(), spill_fixture_job(), 5000);
   EXPECT_TRUE(original.cache_hit);
   EXPECT_EQ(original.document, dist::single_document(spill_fixture_job()));
+}
+
+TEST(Service, SpillFromPerOrderSearchItemsAnswersNothing) {
+  // tests/data/search_per_order_*: a daemon that still cut a search into
+  // per-order items ("search_restart", restarts = 4) served this job with
+  // `serve --spill`; the spill holds those items and the merged document
+  // with its "restarts" array.  None of them may answer the one-item job.
+  TempDir dir("search_fixture");
+  const std::string data = std::string(SRAMLP_TEST_DATA_DIR);
+  const std::string spill = dir.str() + "/spill.jsonl";
+  fs::copy_file(data + "/search_per_order_spill.jsonl", spill);
+  const JobSpec job = dist::job_from_json(
+      io::JsonValue::parse(read_file(data + "/search_per_order_job.json")));
+
+  // The records sit under the old keys: the bare spec digest for the
+  // document, the "search_restart" document for item 0.
+  std::set<std::uint64_t> keys;
+  std::ifstream records(spill);
+  for (std::string line; std::getline(records, line);)
+    keys.insert(io::JsonValue::parse(line).at("key").as_uint());
+  ASSERT_EQ(keys.size(), 5u);
+  const std::string spec = io::to_json(*job.search).dump();
+  EXPECT_TRUE(keys.count(dist::fnv1a64(dist::to_json(job).dump())));
+  EXPECT_TRUE(keys.count(dist::fnv1a64(
+      "{\"kind\":\"search_restart\",\"search\":" + spec +
+      ",\"restart\":0}")));
+  EXPECT_FALSE(keys.count(job.fingerprint()));
+  EXPECT_FALSE(keys.count(dist::point_fingerprint(job, 0)));
+
+  dist::Service::Options options;
+  options.cache.spill_path = spill;
+  ServiceHarness harness(options, /*workers=*/1);
+  const dist::SubmitResult result = dist::submit_job(harness.address(), job);
+  EXPECT_FALSE(result.cache_hit);
+  EXPECT_EQ(result.cached_points, 0u);
+  EXPECT_EQ(result.document, dist::single_document(job));
+  EXPECT_FALSE(io::JsonValue::parse(result.document).has("restarts"));
+  const dist::ServiceStats stats = harness.service().stats();
+  EXPECT_EQ(stats.cache.loaded, 5u);
+  EXPECT_EQ(stats.points_executed, 1u);
 }
 
 TEST(Service, MalformedPeerMessagesDropThePeerNotTheDaemon) {

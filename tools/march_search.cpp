@@ -2,30 +2,34 @@
 //
 // Solves, for every valid element order of a base March test, the
 // shortest idle placement (search/schedule.h) under a peak-window power
-// budget, exactly (search/search.h), and reports the Pareto front over
-// (peak-window power, test cycles) of those optima, every winner
-// re-verified cycle-accurate.  Two execution modes producing
+// budget, exactly (search/search.h), and reports up to --max-front points
+// of the Pareto front over (peak-window power, test cycles) of those
+// optima — always including the answer, the fewest-cycle point within
+// budget — each re-verified cycle-accurate.  Two execution modes producing
 // byte-identical output:
 //
 //   march_search [knobs] --out front.json            local (engine::
-//                                                    parallel_for items)
+//                                                    parallel_for over
+//                                                    orders and points)
 //   march_search [knobs] --connect A --out front.json
 //                                                    via a running
 //                                                    `sramlp_dist serve`
-//                                                    daemon (items are
-//                                                    stolen by its workers
-//                                                    and cached per index)
+//                                                    daemon (the job is
+//                                                    one work item, run by
+//                                                    one of its workers
+//                                                    and cached)
 //
 // The emitted document is exactly `sramlp_dist single` on the equivalent
-// search job: {"kind":"search","restarts":[...],"front":[...]} with
-// exact-round-trip doubles, so fronts can be diffed byte for byte across
-// hosts, thread counts and worker splits.
+// search job: {"kind":"search","front":[...]} with exact-round-trip
+// doubles, so fronts can be diffed byte for byte across hosts, thread
+// counts and services.
 //
 // The human summary lists each order's optimum, and compares the best
 // against the naive alternative at the same budget — keeping the base
 // order and padding uniform idle after every element — which is the "how
 // much test time does peak shaping actually cost" question the tool exists
-// to answer.  When no order meets the budget it prints the exact minimum
+// to answer.  The padding gets the same idle allowance as the solver
+// (--max-idle-quanta quanta in total).  When no order meets the budget it prints the exact minimum
 // peak any schedule on the idle grid can reach.
 #include <algorithm>
 #include <cstdio>
@@ -73,13 +77,17 @@ using cli::write_file;
       "  --budget-scale S              budget = S x the BASE schedule's\n"
       "                                peak (e.g. 0.97; overrides --budget)\n"
       "  --window N                    peak-window cycles (4 x words)\n"
-      "  --restarts R (8)              most work items; each solves every\n"
-      "                                R-th valid element order\n"
-      "  --max-front F (8)             verified winners kept per item\n"
+      "  --max-front F (8)             most front points reported: the\n"
+      "                                answer (fewest cycles within\n"
+      "                                budget, else least peak) plus F-1\n"
+      "                                others spread along the front\n"
       "  --idle-quantum Q (1024)  --max-idle-quanta M (16, at most 4096)\n"
+      "                                idle grid of the solver and of the\n"
+      "                                naive padding it is compared with\n"
       "\n"
       "execution:\n"
-      "  --threads N         local item fan-out (0 = hardware)\n"
+      "  --threads N         local fan-out over orders and front points\n"
+      "                      (0 = hardware)\n"
       "  --connect A         submit to a sweep service instead\n"
       "  --submitter NAME    fairness label with --connect\n"
       "  --out F             write the Pareto JSON document (byte-identical\n"
@@ -120,7 +128,6 @@ search::SearchSpec spec_from_args(Args& args) {
   spec.peak_budget_w = args.real("--budget", 0.0);
   spec.window_cycles =
       args.number("--window", 4 * spec.config.geometry.words());
-  spec.restarts = args.number("--restarts", spec.restarts);
   spec.idle_quantum = args.number("--idle-quantum", spec.idle_quantum);
   spec.max_idle_quanta =
       args.number("--max-idle-quanta", spec.max_idle_quanta);
@@ -198,7 +205,7 @@ int run(Args& args) {
       std::printf("budget %.6f W (%.1f%% of base peak)\n", spec.peak_budget_w,
                   100.0 * spec.peak_budget_w / base.peak_power_w);
     // Each order's optimum, re-solved here (a millisecond each): the
-    // document keeps only the Pareto set of them.
+    // document reports at most max_front points of their Pareto set.
     const std::vector<std::vector<std::size_t>> orders =
         search::valid_orders(evaluator.conds());
     bool any_meets = false;

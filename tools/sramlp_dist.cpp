@@ -125,16 +125,15 @@ int cmd_example_job(Args& args) {
                 "internally by their cycle-accurate verification");
   dist::JobSpec job;
   if (search_job) {
-    // A small peak-constrained schedule search: one element order per
-    // work item (March C- has 4), at a budget the base schedule misses,
-    // so every item places idle and verifies its winner.
+    // A small peak-constrained schedule search: March C-'s 4 element
+    // orders at a budget the base schedule misses, so every order places
+    // idle; the front reports up to 4 verified points.
     job.kind = dist::JobSpec::Kind::kSearch;
     search::SearchSpec spec;
     spec.config.geometry = {16, 32, 1};
     spec.base = march::algorithms::march_c_minus();
     spec.window_cycles = 4 * spec.config.geometry.words();
     spec.seed = 7;
-    spec.restarts = 4;
     spec.idle_quantum = 512;
     spec.max_idle_quanta = 8;
     spec.max_front = 4;
