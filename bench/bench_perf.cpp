@@ -251,10 +251,30 @@ void BM_SearchVerify128(benchmark::State& state) {
 }
 BENCHMARK(BM_SearchVerify128)->Unit(benchmark::kMillisecond);
 
+// The schedule search's largest verification: one fault-free functional
+// 512x512 March SS session, traced at 8 x words windows.  Every run of it
+// advances all addresses but its last in one step, so it costs
+// O(rows x elements), not O(cycles): ci/compare_bench.py gates it against
+// one cycle() call (BM_FunctionalCycle/512).
+void BM_FunctionalSession512_Traced(benchmark::State& state) {
+  core::SessionConfig cfg;
+  cfg.geometry = sram::Geometry::paper_512x512();
+  cfg.mode = Mode::kFunctional;
+  cfg.trace = power::TraceConfig{.window_cycles = 8 * cfg.geometry.words()};
+  const auto test = march::algorithms::march_ss();
+  for (auto _ : state) {
+    core::TestSession session(cfg);
+    benchmark::DoNotOptimize(session.run(test).trace->peak_power_w);
+  }
+  state.SetLabel("512x512 March SS functional session, traced at 8 x words");
+}
+BENCHMARK(BM_FunctionalSession512_Traced)->Unit(benchmark::kMillisecond);
+
 // The cohort engines' bulk meter accumulation: add(source, joules, count)
-// must stay a repeated-addition loop (bit-identity with the per-column
-// reference path), so its throughput bounds the cohort bulk paths.  The
-// arg is the column count of one bulk event.
+// returns the bits of count repeated additions (bit-identity with the
+// per-column reference path), computed by power::repeat_add in
+// O(binades crossed) rather than O(count).  The arg is the column count
+// of one bulk event.
 void BM_MeterBulkAdd(benchmark::State& state) {
   power::EnergyMeter meter;
   const auto count = static_cast<std::uint64_t>(state.range(0));

@@ -55,6 +55,13 @@ RATIO_GATES = [
      "not the whole array: 0.005-0.0074 measured with the cone on a "
      "shared 4-core host, 0.76-1.17 when every campaign session ran "
      "every row"),
+    ("BM_FunctionalSession512_Traced", "BM_FunctionalCycle/512", 5e5,
+     "a fault-free functional session must cost O(rows x elements), not "
+     "O(cycles): every run advances all addresses but its last in one "
+     "exact repeated-addition step.  The 512x512 March SS session traced "
+     "at 8 x words windows (5.77M cycles) read ~1.4e5 cycle() calls' "
+     "worth on a shared 4-core host, ~1.5e6 when every cycle ran through "
+     "the batch loop"),
     ("BM_SearchJob128", "BM_SearchVerify128", 2.0,
      "a schedule-search job must stay close to the cycle-accurate "
      "verification of its reported front: one job solves every order and "

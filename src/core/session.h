@@ -61,7 +61,11 @@ struct SessionConfig {
   /// power::TraceSummary (peak-window power, per-March-element breakdown)
   /// in SessionResult::trace.  Energy totals are bit-identical to an
   /// untraced run; the cycle-accurate array folds the trace's windows in
-  /// its batched runs, at ~1.2-1.3x the untraced run time.
+  /// its batched runs.  A low-power run costs ~1.1-1.5x its untraced
+  /// twin; a fault-free functional run advances each window's chains
+  /// with power::repeat_add (short windows: their additions one by one,
+  /// or a stretch replayed from an earlier row), ~2x an untraced run that
+  /// itself costs O(rows x elements).
   std::optional<power::TraceConfig> trace;
   /// Opt-in per-cycle waveform export (borrowed, may be nullptr): a
   /// power::WaveformWriter (or any raw-event MeterSink) subscribed to

@@ -28,27 +28,30 @@ const std::vector<double>& latency_bounds() {
 constexpr unsigned kShardRetries = 1;
 
 
-/// Per-submitter fairness instruments (satellite of the search PR): one
-/// labelled counter family per lifecycle stage, so `metrics` / Prometheus
-/// scrapes show who is queueing, leasing and completing work.  Labelled
-/// instances are register-or-fetch, so these helpers are cheap after the
-/// first call per submitter.
-obs::Counter& submitter_queued(const std::string& submitter) {
-  return obs::Registry::global().counter(
-      "sramlp_submitter_jobs_queued_total",
-      "Jobs submitted to the service, by submitter",
-      {{"submitter", submitter}});
+/// Per-submitter fairness instruments: one labelled counter family per
+/// lifecycle stage, so `metrics` / Prometheus scrapes show who is
+/// queueing, leasing and completing work.  They live in the service's own
+/// registry (services sharing a process count apart); labelled instances
+/// are register-or-fetch, so these helpers are cheap after the first call
+/// per submitter.
+obs::Counter& submitter_queued(obs::Registry& registry,
+                               const std::string& submitter) {
+  return registry.counter("sramlp_submitter_jobs_queued_total",
+                          "Jobs submitted to the service, by submitter",
+                          {{"submitter", submitter}});
 }
 
-obs::Counter& submitter_leased(const std::string& submitter) {
-  return obs::Registry::global().counter(
+obs::Counter& submitter_leased(obs::Registry& registry,
+                               const std::string& submitter) {
+  return registry.counter(
       "sramlp_submitter_shards_leased_total",
       "Shards leased to workers, by the owning job's submitter",
       {{"submitter", submitter}});
 }
 
-obs::Counter& submitter_completed(const std::string& submitter) {
-  return obs::Registry::global().counter(
+obs::Counter& submitter_completed(obs::Registry& registry,
+                                  const std::string& submitter) {
+  return registry.counter(
       "sramlp_submitter_jobs_completed_total",
       "Jobs finished with a merged document, by submitter",
       {{"submitter", submitter}});
@@ -350,7 +353,7 @@ void Service::handle_submit(const std::shared_ptr<Connection>& conn,
 
   std::unique_lock<std::mutex> lock(mutex_);
   ++stats_.jobs_submitted;
-  submitter_queued(submitter).inc();
+  submitter_queued(timings_, submitter).inc();
 
   // --- whole-job cache hit: replay the exact bytes, execute nothing ------
   if (std::optional<std::string> document = cache_.get(fingerprint)) {
@@ -534,7 +537,7 @@ bool Service::serve_worker_message(const std::shared_ptr<Connection>& conn,
             response.set("job", job->job_json);
           granted_us = obs::monotonic_micros();
           job->shard_granted_us[shard->id] = granted_us;
-          submitter_leased(job->submitter).inc();
+          submitter_leased(timings_, job->submitter).inc();
           break;
         }
         if (!response.is_null()) break;
@@ -628,9 +631,9 @@ void Service::deliver_result(const io::JsonValue& message) {
 
 io::JsonValue Service::metrics_reply() const {
   // This service's counters and gauges become families of a scrape-time
-  // registry, all read under one lock hold; then come its own two timings
-  // and the global registry: what other layers count (framing,
-  // submitters).
+  // registry, all read under one lock hold; then come its own registry
+  // (the two timings, the per-submitter counters) and the global
+  // registry: what other layers count (framing).
   obs::Registry scrape;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -677,7 +680,7 @@ io::JsonValue Service::complete_locked(std::uint64_t fingerprint,
                                        const StealQueue* shards,
                                        std::string document) {
   ++stats_.jobs_completed;
-  submitter_completed(submitter).inc();
+  submitter_completed(timings_, submitter).inc();
   io::JsonValue complete = make_message("job_complete");
   complete.set("fingerprint", io::JsonValue::integer(fingerprint));
   complete.set("cache_hit", io::JsonValue::boolean(shards == nullptr));

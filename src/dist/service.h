@@ -180,7 +180,8 @@ class Service {
   bool serve_worker_message(const std::shared_ptr<Connection>& conn,
                             std::uint64_t worker_id);
   /// The `metrics` reply: this service's counters and live gauges, read
-  /// under mutex_, its timings_, then obs::Registry::global().
+  /// under mutex_, its timings_ (timings, per-submitter counters), then
+  /// obs::Registry::global().
   io::JsonValue metrics_reply() const;
   void deliver_result(const io::JsonValue& message);
   /// Count a completion and build its job_complete message (mutex_ held).
@@ -201,9 +202,9 @@ class Service {
 
   Options options_;
   ResultCache cache_;
-  /// The daemon's own timings, measured at its protocol events: one
-  /// registry per instance, so services sharing a process never read
-  /// each other's.  The two histograms live in it.
+  /// The daemon's own timings and per-submitter counters, measured at
+  /// its protocol events: one registry per instance, so services sharing
+  /// a process never read each other's.  The two histograms live in it.
   obs::Registry timings_;
   obs::Histogram& lease_latency_;
   obs::Histogram& shard_execution_;

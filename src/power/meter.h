@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "power/energy_source.h"
+#include "power/repeat_add.h"
 #include "util/error.h"
 
 namespace sramlp::power {
@@ -55,9 +56,10 @@ class MeterSink {
   // the current window/element blocks in registers — exactly like it holds
   // the meter's raw totals — performs on each copy the additions on_add
   // would have performed, and writes the blocks back at window boundaries
-  // and spill points.  Because each (source, window/element) accumulator
-  // receives the identical addition sequence, the folded result is
-  // bit-identical to the per-event stream.  Sinks that need the events
+  // and spill points (a fault-free functional run advances the blocks
+  // directly, each chain by power::repeat_add).  Because each
+  // (source, window/element) accumulator receives the identical addition
+  // sequence, the folded result is bit-identical to the per-event stream.  Sinks that need the events
   // themselves (waveform writers) simply keep the default: the executor
   // then sends every event through add().
 
@@ -122,21 +124,22 @@ class EnergyMeter {
 
   /// Attribute @p joules to @p source, @p count times.
   ///
-  /// The accumulation is performed as @p count successive additions — NOT
-  /// as a single `joules * count` fused product.  IEEE-754 addition is not
-  /// distributive: 0.1 added ten times is 0.9999999999999999, 10 * 0.1 is
-  /// 1.0.  The bitsliced SramArray engine meters whole decay cohorts with
-  /// one bulk add where the per-column reference engine performs one add
-  /// per column; the repeated-addition identity is what keeps the two
-  /// engines' totals bit-identical (the parity contract of
+  /// The total equals @p count successive additions — NOT a single
+  /// `joules * count` product.  IEEE-754 addition is not distributive: 0.1
+  /// added ten times is 0.9999999999999999, 10 * 0.1 is 1.0.  The
+  /// bitsliced SramArray engine meters whole decay cohorts with one bulk
+  /// add where the per-column reference engine performs one add per
+  /// column; the repeated-addition identity is what keeps the two engines'
+  /// totals bit-identical (the parity contract of
   /// test_bitsliced_parity.cpp, pinned directly by
-  /// test_power.cpp:BulkAddBitIdenticalToScalarAdds).  Do not "optimise"
-  /// this into a multiplication.
+  /// test_power.cpp:BulkAddBitIdenticalToScalarAdds).  power::repeat_add
+  /// computes those additions' exact result in O(binades crossed) rather
+  /// than O(count).
   void add(EnergySource source, double joules, std::uint64_t count) {
     SRAMLP_REQUIRE(source != EnergySource::kCount, "not a real source");
     SRAMLP_REQUIRE(joules >= 0.0, "energy contributions must be non-negative");
     double& total = totals_[static_cast<std::size_t>(source)];
-    for (std::uint64_t i = 0; i < count; ++i) total += joules;
+    total = repeat_add(total, joules, count);
     if (sink_ != nullptr) sink_->on_add(source, joules, count, cycles_);
   }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "power/repeat_add.h"
 #include "util/error.h"
 
 namespace sramlp::power {
@@ -90,10 +91,8 @@ void PowerTrace::on_add(EnergySource source, double joules,
   // Repeated additions, not joules * count: the same identity the meter's
   // bulk add maintains, so both column engines — one emitting count events
   // of 1, the other one event of count — accumulate the same bits.
-  for (std::uint64_t i = 0; i < count; ++i) {
-    window += joules;
-    element += joules;
-  }
+  window = repeat_add(window, joules, count);
+  element = repeat_add(element, joules, count);
 }
 
 double* PowerTrace::bulk_window_slots(std::uint64_t window) {

@@ -15,9 +15,10 @@
 //
 // Determinism contract: every accumulator is per (source, window) or
 // (source, element), and bulk events accumulate as repeated additions —
-// the same identity EnergyMeter::add(source, joules, count) maintains —
-// so the two SramArray column engines, which emit identical per-source
-// event sequences at identical cycles, produce bit-identical traces
+// the same identity EnergyMeter::add(source, joules, count) maintains,
+// computed exactly in O(binades) by power::repeat_add — so the two
+// SramArray column engines, which emit identical per-source event
+// sequences at identical cycles, produce bit-identical traces
 // (regression-tested in test_bitsliced_parity.cpp).  Energy lands at the
 // cycle the SUPPLY delivers it: a lazily-settled cohort's recharge lands
 // in the window of the recharge cycle (that is when the pre-charge circuit
@@ -97,8 +98,10 @@ class PowerTrace final : public MeterSink {
   // or (source, element) chain of repeated additions, so the batch
   // executor may fold whole runs directly into the slot blocks — the
   // addition sequences (and therefore the bits) match per-event on_add
-  // delivery exactly.  This is what keeps traced runs on the engine's
-  // register-accumulator policy instead of metering every event.
+  // delivery exactly, whether the executor performs them one by one or
+  // advances a whole run's chain with power::repeat_add.  This is what
+  // keeps traced runs on the engine's register-accumulator policy
+  // instead of metering every event.
   bool bulk_fold_supported() const override { return true; }
   std::uint64_t bulk_window_cycles() const override {
     return config_.window_cycles;

@@ -1,5 +1,6 @@
 #include "power/waveform.h"
 
+#include "power/repeat_add.h"
 #include "util/error.h"
 
 namespace sramlp::power {
@@ -63,9 +64,10 @@ void WaveformWriter::on_add(EnergySource source, double joules,
     pending_span_ = 1;
     for (double& v : pending_) v = 0.0;
   }
-  // Repeated addition, matching the meter's accumulation identity.
+  // Repeated addition (exact, in O(binades)), matching the meter's
+  // accumulation identity.
   double& slot = pending_[static_cast<std::size_t>(source)];
-  for (std::uint64_t i = 0; i < count; ++i) slot += joules;
+  slot = repeat_add(slot, joules, count);
 }
 
 void WaveformWriter::on_spread(EnergySource source, double joules,

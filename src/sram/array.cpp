@@ -4,24 +4,16 @@
 #include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
+#include <span>
 
+#include "power/repeat_add.h"
 #include "sram/bits.h"
 #include "util/error.h"
 
 namespace sramlp::sram {
 
 using power::EnergySource;
-
-namespace {
-
-/// Accumulate @p value into @p acc @p count times.  Like
-/// EnergyMeter::add(source, joules, count), the loop keeps the
-/// floating-point result bit-identical to per-column accumulation.
-inline void accumulate(double& acc, double value, std::uint64_t count) {
-  for (std::uint64_t i = 0; i < count; ++i) acc += value;
-}
-
-}  // namespace
 
 double ArrayStats::alpha_post_op() const {
   if (cycles == 0) return 0.0;
@@ -616,9 +608,11 @@ void SramArray::cohort_settle_bulk(const CohortEval& eval, bool pre_op,
                                    std::uint64_t count) {
   if (eval.stress_j > 0.0)
     meter_.add(EnergySource::kBitlineDecayStress, eval.stress_j, count);
-  accumulate(pre_op ? stats_.decay_stress_equiv_pre_op
-                    : stats_.decay_stress_equiv_post_op,
-             eval.equiv, count);
+  // Repeated addition, like EnergyMeter::add(source, joules, count): the
+  // same bits as per-column accumulation.
+  double& equiv = pre_op ? stats_.decay_stress_equiv_pre_op
+                         : stats_.decay_stress_equiv_post_op;
+  equiv = power::repeat_add(equiv, eval.equiv, count);
 }
 
 void SramArray::cohort_recharge_bulk(const CohortEval& eval,
@@ -842,10 +836,23 @@ RunResult SramArray::execute_run(const RunCommand& run) {
   // totals and traces stay bit-identical to per-event delivery (pinned by
   // test_bitsliced_parity.cpp).  Any other sink (waveform writers) gets
   // every event through the meter.
-  if (!meter_.has_sink()) return fast_run_impl<Accumulation::kTotals>(run);
-  if (meter_.sink()->bulk_fold_supported())
-    return fast_run_impl<Accumulation::kBulkSink>(run);
-  return fast_run_impl<Accumulation::kEvents>(run);
+  if (meter_.has_sink() && !meter_.sink()->bulk_fold_supported())
+    return fast_run_impl<Accumulation::kEvents>(run);
+  // A fault-free functional run advances every address but the last in
+  // one step; the last runs through the loop, which reports its reads.
+  RunCommand last;
+  const RunCommand* rest = &run;
+  if (run.group_count > 2 &&
+      run.group_count * run.op_count >= kMinInteriorCycles &&
+      functional_interior(run)) {
+    last = run;
+    last.first_group = run.descending ? run.first_group - (run.group_count - 1)
+                                      : run.first_group + (run.group_count - 1);
+    last.group_count = 1;
+    rest = &last;
+  }
+  if (!meter_.has_sink()) return fast_run_impl<Accumulation::kTotals>(*rest);
+  return fast_run_impl<Accumulation::kBulkSink>(*rest);
 }
 
 RunResult SramArray::reference_run(const RunCommand& run) {
@@ -1416,6 +1423,205 @@ RunResult SramArray::fast_run_impl(const RunCommand& run) {
     }
   }
   return rr;
+}
+
+bool SramArray::functional_interior(const RunCommand& run) {
+  // Only where nothing per column can happen: no materialized column, no
+  // hook on the row, no RES-sensitive cell to notify.
+  const bool hooked =
+      faults_ != nullptr && (all_rows_hooked_ || hooked_rows_[run.row]);
+  if (run.group_count < 3 || config_.mode != Mode::kFunctional ||
+      materialized_count_ != 0 || hooked ||
+      !sensitive_by_row_[run.row].empty())
+    return false;
+  const Geometry& g = config_.geometry;
+  const std::size_t w = g.word_width;
+  const std::size_t ops = run.op_count;
+  const std::size_t count = run.group_count - 1;
+  // The interior's columns are contiguous whichever way the run scans.
+  const std::size_t first_col =
+      (run.descending ? run.first_group + 1 - count : run.first_group) * w;
+  const std::size_t cols = count * w;
+
+  // --- data path, op-major, decided before anything changes -------------
+  // Every address applies the same operations to its own cells, which
+  // nothing else touches here (unhooked row, no RES-sensitive cell): a
+  // read before the address's first write senses the run's initial data,
+  // a read after a write senses what that write stored.  Any mismatch
+  // sends the whole run back to the loop, which attributes it.
+  const std::uint64_t background = run.background.bits(run.row, first_col, 64);
+  const auto pattern = [&](bool value) {
+    return (value ? ~std::uint64_t{0} : std::uint64_t{0}) ^ background;
+  };
+  std::optional<bool> written;
+  std::vector<bool> kinds(ops);  // is_read per operation
+  std::uint64_t reads = 0;
+  for (std::size_t o = 0; o < ops; ++o) {
+    const RunOp op = run.ops[o];
+    kinds[o] = op.is_read;
+    if (!op.is_read) {
+      written = op.value;
+      continue;
+    }
+    ++reads;
+    const bool clean =
+        written ? *written == op.value
+                : cells_.row_matches_pattern(run.row, first_col, cols,
+                                             pattern(op.value));
+    if (!clean) return false;
+  }
+  if (written)
+    cells_.fill_row_pattern(run.row, first_col, cols, pattern(*written));
+  if (!active_row_ || *active_row_ != run.row) fast_enter_row(run.row);
+
+  // --- energy: one address's addition chain per source --------------------
+  // One operation's metered additions, per source in fast_run_impl's
+  // order: peripheral, the w selected columns, the unselected columns.
+  // Source s's chain sits at chain_terms_[s * 2 * ops], at most two terms
+  // per operation; chain_ops_[s * (ops + 1) + o] is where operation o's
+  // terms begin, so a trace window can take a slice of an address.
+  chain_terms_.resize(power::kEnergySourceCount * 2 * ops);
+  chain_ops_.resize(power::kEnergySourceCount * (ops + 1));
+  cycle_terms_.clear();
+  cycle_ops_.resize(ops + 1);
+  std::array<std::size_t, power::kEnergySourceCount> len{};
+  const auto emit = [&](EnergySource source, double value,
+                        std::uint64_t times) {
+    const auto s = static_cast<std::size_t>(source);
+    chain_terms_[s * 2 * ops + len[s]++] = {value, times};
+    if (power::info(source).supply_drawn)
+      cycle_terms_.push_back({s, {value, times}});
+  };
+  for (std::size_t o = 0; o < ops; ++o) {
+    cycle_ops_[o] = cycle_terms_.size();
+    for (std::size_t s = 0; s < power::kEnergySourceCount; ++s)
+      chain_ops_[s * (ops + 1) + o] = len[s];
+    emit(EnergySource::kWordline, e_.wordline, 1);
+    emit(EnergySource::kDecoder, e_.decoder, 1);
+    emit(EnergySource::kAddressBus, e_.address_bus, 1);
+    emit(EnergySource::kClockTree, e_.clock_tree, 1);
+    emit(EnergySource::kMemoryControl, e_.control_base, 1);
+    if (run.ops[o].is_read) {
+      emit(EnergySource::kSenseAmp, e_.sense_amp, w);
+      emit(EnergySource::kDataIo, e_.data_io, w);
+      emit(EnergySource::kPrechargeRestoreRead, e_.read_restore, w);
+      emit(EnergySource::kCellRes, e_.cell_res, w);
+    } else {
+      emit(EnergySource::kWriteDriver, e_.write_driver, w);
+      emit(EnergySource::kDataIo, e_.data_io, w);
+      emit(EnergySource::kPrechargeRestoreWrite, e_.write_restore, w);
+    }
+    emit(EnergySource::kPrechargeResFight, e_.others_res_fight, 1);
+    emit(EnergySource::kCellRes, e_.others_cell_res, 1);
+  }
+  cycle_ops_[ops] = cycle_terms_.size();
+  for (std::size_t s = 0; s < power::kEnergySourceCount; ++s)
+    chain_ops_[s * (ops + 1) + ops] = len[s];
+  // Operations [from, to) of source s's chain.
+  const auto slice = [&](std::size_t s, std::size_t from, std::size_t to) {
+    const std::size_t* at = chain_ops_.data() + s * (ops + 1);
+    return std::span<const power::AddTerm>(
+        chain_terms_.data() + s * 2 * ops + at[from], at[to] - at[from]);
+  };
+  const auto traced = [](std::size_t s) {
+    return power::kEnergySourceInfo[s].supply_drawn;
+  };
+
+  // Totals and the element's slots: `count` repetitions of each chain.
+  // execute_run calls here only with no sink or a bulk-fold sink.
+  auto& totals = meter_.raw_totals();
+  power::MeterSink* const sink = meter_.sink();
+  double* const element =
+      sink != nullptr ? sink->bulk_element_slots() : nullptr;
+  for (std::size_t s = 0; s < power::kEnergySourceCount; ++s) {
+    if (len[s] == 0) continue;
+    totals[s] = power::repeat_add(totals[s], slice(s, 0, ops), count);
+    if (element != nullptr && traced(s))
+      element[s] = power::repeat_add(element[s], slice(s, 0, ops), count);
+  }
+
+  // Window slots: each window takes a contiguous stretch of the interior's
+  // cycles — the tail of one address, whole addresses, the head of
+  // another — acquired in cycle order, as the loop acquires them.
+  const std::uint64_t cycles = count * ops;
+  if (sink != nullptr) {
+    const std::uint64_t width = sink->bulk_window_cycles();
+    std::uint64_t cycle = meter_.cycles();
+    const std::uint64_t end = cycle + cycles;
+    std::size_t phase = 0;  // operation index of `cycle`
+    while (cycle < end) {
+      const std::uint64_t window = cycle / width;
+      double* const slots = sink->bulk_window_slots(window);
+      const std::uint64_t span = std::min(end, (window + 1) * width) - cycle;
+      std::array<double, power::kEnergySourceCount> acc;
+      std::copy_n(slots, acc.size(), acc.begin());
+      // A stretch's additions are a pure function of its operation kinds,
+      // where in the address it starts, its length and the slots it starts
+      // from, and the rows of one element usually repeat all four: a
+      // remembered stretch is replayed, bits and all.
+      const auto remembered = std::find_if(
+          window_memo_.begin(), window_memo_.end(),
+          [&](const WindowStretch& m) {
+            return m.phase == phase && m.span == span &&
+                   std::memcmp(m.before.data(), acc.data(), sizeof acc) == 0 &&
+                   m.kinds == kinds;
+          });
+      if (remembered != window_memo_.end()) {
+        acc = remembered->after;
+      } else {
+        const auto before = acc;
+        if (span <= kShortWindowCycles && cycle - window * width < span) {
+          // A short stretch into a window holding less than it adds: its
+          // additions one by one, every source's chain interleaved with
+          // the others' — cheaper than stepping each chain through the
+          // several binades it crosses.
+          std::size_t o = phase;
+          for (std::uint64_t c = 0; c < span; ++c) {
+            for (std::size_t i = cycle_ops_[o]; i < cycle_ops_[o + 1]; ++i) {
+              const auto& [src, term] = cycle_terms_[i];
+              for (std::uint64_t n = 0; n < term.count; ++n)
+                acc[src] += term.value;
+            }
+            if (++o == ops) o = 0;
+          }
+        } else {
+          const std::size_t head =
+              phase == 0 ? 0
+                         : static_cast<std::size_t>(
+                               std::min<std::uint64_t>(span, ops - phase));
+          const std::uint64_t whole = (span - head) / ops;
+          const auto tail = static_cast<std::size_t>((span - head) % ops);
+          for (std::size_t s = 0; s < power::kEnergySourceCount; ++s) {
+            if (len[s] == 0 || !traced(s)) continue;
+            if (head != 0)
+              acc[s] = power::repeat_add(acc[s], slice(s, phase, phase + head),
+                                         1);
+            if (whole != 0)
+              acc[s] = power::repeat_add(acc[s], slice(s, 0, ops), whole);
+            if (tail != 0)
+              acc[s] = power::repeat_add(acc[s], slice(s, 0, tail), 1);
+          }
+        }
+        WindowStretch stretch{kinds, phase, span, before, acc};
+        if (window_memo_.size() < kWindowMemoEntries)
+          window_memo_.push_back(std::move(stretch));
+        else
+          window_memo_[memo_next_++ % kWindowMemoEntries] = std::move(stretch);
+      }
+      std::copy_n(acc.begin(), acc.size(), slots);
+      phase = static_cast<std::size_t>((phase + span) % ops);
+      cycle += span;
+    }
+  }
+
+  // Counters are multiplied, not summed.
+  cycle_ += cycles;
+  meter_.tick_cycles(cycles);
+  stats_.cycles += cycles;
+  stats_.reads += reads * count;
+  stats_.writes += (ops - reads) * count;
+  stats_.full_res_column_cycles += (g.cols - w) * cycles;
+  return true;
 }
 
 double SramArray::bitline_low_side_voltage(std::size_t col) const {

@@ -43,15 +43,23 @@
 //     kept as the executable specification.  The cohort path is required
 //     (and regression-tested) to produce bit-identical supply energy,
 //     ArrayStats and detections; EnergyMeter::add(source, joules, count)
-//     performs bulk accumulation as repeated additions precisely so the
-//     cohort path's per-source floating-point sums match the reference
-//     path's addition-by-addition.
+//     accumulates in bulk with the bits of repeated additions (computed
+//     exactly in O(binades) by power::repeat_add) precisely so the cohort
+//     path's per-source floating-point sums match the reference path's
+//     addition-by-addition.
 //
 // The bitsliced engine has one cycle executor, fast_run_impl: cycle() is a
 // one-address, one-operation run through it.  It is compiled per meter
 // accumulation policy — totals only, a bulk-folding sink (PowerTrace), or
 // a sink that receives every event (WaveformWriter) — and execute_run
-// picks the policy from the attached sink.
+// picks the policy from the attached sink.  A fault-free functional run
+// (no per-event sink, no materialized column, no hook or RES-sensitive
+// cell on its row) repeats the same constant additions at every address,
+// so execute_run advances every address but the last in one step
+// (functional_interior: each accumulator chain by power::repeat_add, the
+// data path word-parallel over the whole row) and runs only the last
+// through fast_run_impl; every meter source, statistic, trace window and
+// element slot keeps its bits.
 //
 // Bit-line voltages are tracked lazily (closed-form exponential decay from
 // the last capture point, memoized per integer cycle count), so a cycle
@@ -59,8 +67,10 @@
 // in milliseconds.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "power/meter.h"
@@ -277,6 +287,14 @@ class SramArray {
   /// one-address, one-operation runs cycle() issues.
   template <Accumulation kPolicy>
   RunResult fast_run_impl(const RunCommand& run);
+  /// Every address but the last of a fault-free functional run (no
+  /// materialized column, no hook or RES-sensitive cell on the row, no
+  /// per-event sink) in one step: the data path decided op-major over the
+  /// addresses' columns, each source's total, element and trace-window
+  /// chain advanced by power::repeat_add, the counters multiplied.  False,
+  /// with nothing changed, when the run does not qualify or a read would
+  /// mismatch.
+  bool functional_interior(const RunCommand& run);
   CohortEval eval_cohort(const Cohort& cohort) const;
   /// eval_cohort keyed by elapsed decay cycles, served from the grow-only
   /// memo below (evaluated directly past the memo cap).
@@ -393,6 +411,35 @@ class SramArray {
   mutable std::vector<CohortEval> eval_table_;
   /// Hoisted constants of the cohort closed form.
   CohortEvalConstants eval_k_;
+  /// Runs shorter than this many cycles stay in the loop: the one-step
+  /// path's fixed cost per run (building the chains, stepping each one)
+  /// outweighs the cycles it saves (a 16x16 March C- session took 2.5x
+  /// the loop's time through it, 32x32 about the same).
+  static constexpr std::size_t kMinInteriorCycles = 64;
+  /// functional_interior's per-source address chains and the same terms
+  /// operation-major (traced sources only), in reused storage.
+  std::vector<power::AddTerm> chain_terms_;
+  std::vector<std::size_t> chain_ops_;
+  std::vector<std::pair<std::size_t, power::AddTerm>> cycle_terms_;
+  std::vector<std::size_t> cycle_ops_;
+  /// A trace window taking at most this many interior cycles, more than
+  /// it already holds, is added cycle by cycle rather than chain by chain.
+  static constexpr std::uint64_t kShortWindowCycles = 512;
+  /// One trace window's share of a run interior: which operations the
+  /// run applies, the operation index and length of the stretch, and the
+  /// window's slots before and after its additions.
+  struct WindowStretch {
+    std::vector<bool> kinds;  ///< is_read per operation
+    std::size_t phase = 0;
+    std::uint64_t span = 0;
+    std::array<double, power::kEnergySourceCount> before{};
+    std::array<double, power::kEnergySourceCount> after{};
+  };
+  /// The last few stretches functional_interior computed, replayed when a
+  /// later row repeats one exactly.
+  static constexpr std::size_t kWindowMemoEntries = 8;
+  std::vector<WindowStretch> window_memo_;
+  std::size_t memo_next_ = 0;
 };
 
 }  // namespace sramlp::sram

@@ -7,8 +7,10 @@
 // Also covers the backend's runs (StreamRun / execute_run) against a
 // per-step drive of the same stream, non-word-line orders (one-address
 // runs), seeded random drives through cycle() and execute_run, traced runs
-// repeated on one session, and the lazy column state surviving
-// reset_measurements().
+// repeated on one session, the lazy column state surviving
+// reset_measurements(), and generated fault-free functional sessions —
+// whose runs advance all but their last address in one step — untraced
+// and traced at windows from 1 cycle to 8x the word count.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,6 +23,7 @@
 #include "engine/command_stream.h"
 #include "faults/models.h"
 #include "march/algorithms.h"
+#include "march/parser.h"
 #include "power/energy_source.h"
 #include "power/trace.h"
 #include "sram/array.h"
@@ -221,6 +224,116 @@ TEST(BitslicedParity, DelayElementsAndIdleWindows) {
   cfg.row_transition_restore = false;
   expect_session_parity(cfg, march::algorithms::march_g_with_delays(),
                         nullptr, "march G with delays, restore-disabled");
+}
+
+// --- generated fault-free functional sessions --------------------------------
+
+/// A random March test in notation, through march::parse_march: an
+/// initialising write, then 2-4 elements of 1-5 operations.  Reads expect
+/// the value the previous operation left — except, now and then, the
+/// opposite one, so some runs read a mismatch and take the loop.
+march::MarchTest generated_march(util::Rng& rng, int index) {
+  const char dirs[] = {'U', 'D', 'B'};
+  bool value = rng.next_bool();
+  std::string notation = std::string("{ B(w") + (value ? "1" : "0") + ")";
+  const std::size_t elements = 2 + rng.next_below(3);
+  for (std::size_t e = 0; e < elements; ++e) {
+    notation += std::string("; ") + dirs[rng.next_below(3)] + "(";
+    const std::size_t ops = 1 + rng.next_below(5);
+    for (std::size_t o = 0; o < ops; ++o) {
+      if (o != 0) notation += ",";
+      if (rng.next_below(3) == 0) {
+        value = rng.next_bool();
+        notation += value ? "w1" : "w0";
+      } else {
+        const bool expect = rng.next_below(12) == 0 ? !value : value;
+        notation += expect ? "r1" : "r0";
+      }
+    }
+    notation += ")";
+  }
+  notation += " }";
+  return march::parse_march("generated " + std::to_string(index), notation);
+}
+
+TEST(BitslicedParity, GeneratedFunctionalSessionsMatchTheReference) {
+  struct Geo {
+    std::size_t rows, cols, w;
+  };
+  // Runs shorter than 64 cycles stay in the loop (40x24/w8 always, the
+  // others with few operations per address).  6x320 rows run up to 1,600
+  // cycles: trace windows of 700 cycles then split addresses inside
+  // stretches too long to add one by one.
+  const Geo geos[] = {{33, 17, 1}, {16, 96, 4}, {9, 640, 8}, {40, 24, 8},
+                      {6, 320, 1}};
+  const auto kinds = sram::DataBackground::kinds();
+  util::Rng rng(0xF00D);
+  for (int i = 0; i < 40; ++i) {
+    const march::MarchTest test = generated_march(rng, i);
+    const Geo& geo = geos[i % 5];
+    SessionConfig cfg = grid_config(Mode::kFunctional, geo.rows, geo.cols,
+                                    geo.w);
+    cfg.background = sram::DataBackground(kinds[i % kinds.size()]);
+    cfg.row_transition_restore = (i / 5) % 2 == 0;
+    const std::uint64_t words = cfg.geometry.words();
+    for (const std::uint64_t window :
+         {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{7},
+          std::uint64_t{256}, std::uint64_t{700}, 8 * words}) {
+      if (window == 0)
+        cfg.trace.reset();
+      else
+        cfg.trace = power::TraceConfig{.window_cycles = window,
+                                       .keep_windows = true};
+      expect_session_parity(
+          cfg, test, nullptr,
+          test.name() + " " + std::to_string(geo.rows) + "x" +
+              std::to_string(geo.cols) + "/w" + std::to_string(geo.w) + " " +
+              cfg.background.name() +
+              (cfg.row_transition_restore ? "" : " no-restore") +
+              " window " + std::to_string(window));
+      if (HasFailure()) return;
+    }
+  }
+}
+
+// A corrupted cell on a row the fault model leaves unhooked: the run's
+// one-step interior must see the mismatch and hand the whole run to the
+// loop, which attributes it (with and without a model attached).
+TEST(BitslicedParity, CorruptedCellOnAnUnhookedRowTakesTheLoop) {
+  const auto test = march::parse_march("no init", "{ U(r0,w1); D(r1,r1,w0) }");
+  for (const bool with_model : {false, true}) {
+    for (const bool traced : {false, true}) {
+      SessionConfig cfg = grid_config(Mode::kFunctional, 8, 512, 4);
+      if (traced)
+        cfg.trace = power::TraceConfig{.window_cycles = 16,
+                                       .keep_windows = true};
+      const std::string where = std::string(with_model ? "model" : "none") +
+                                (traced ? " traced" : "");
+      SessionResult results[2];
+      std::vector<bool> cells[2];
+      for (int m = 0; m < 2; ++m) {
+        cfg.column_model = m == 0 ? ColumnModel::kPerColumnReference
+                                  : ColumnModel::kBitslicedCohort;
+        TestSession session(cfg);
+        faults::FaultSet set({{.kind = faults::FaultKind::kStuckAt1,
+                               .victim = {2, 9}}});
+        if (with_model) {
+          session.attach_fault_model(&set);
+          ASSERT_TRUE(set.relevant_rows().has_value()) << where;
+        }
+        session.array().poke(5, 13, true);  // row 5 is not a hooked row
+        results[m] = session.run(test);
+        for (std::size_t r = 0; r < 8; ++r)
+          for (std::size_t c = 0; c < 512; ++c)
+            cells[m].push_back(session.array().peek(r, c));
+      }
+      EXPECT_GT(results[1].mismatches, 0u) << where;
+      expect_results_identical(results[0], results[1], where);
+      EXPECT_EQ(cells[0], cells[1]) << where << " (cell contents)";
+      if (traced)
+        expect_traces_identical(*results[0].trace, *results[1].trace, where);
+    }
+  }
 }
 
 // --- restore-disabled (faulty-swap) parity ----------------------------------

@@ -1,15 +1,26 @@
-// Unit tests for the power module: energy-source taxonomy, meter,
-// technology parameters, and the paper's §5 analytic model.
+// Unit tests for the power module: energy-source taxonomy, meter, exact
+// repeated addition, technology parameters, and the paper's §5 analytic
+// model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/paper_reference.h"
 #include "power/analytic.h"
 #include "power/energy_source.h"
 #include "power/meter.h"
+#include "power/repeat_add.h"
 #include "power/technology.h"
 #include "util/error.h"
+#include "util/rng.h"
 #include "util/units.h"
 
 namespace {
@@ -144,6 +155,165 @@ TEST(EnergyMeter, ResetClearsEverything) {
   m.reset();
   EXPECT_EQ(m.supply_total(), 0.0);
   EXPECT_EQ(m.cycles(), 0u);
+}
+
+// --- exact repeated addition -------------------------------------------------
+
+using power::AddTerm;
+
+double add_sequentially(double acc, const std::vector<AddTerm>& pattern,
+                        std::uint64_t periods) {
+  for (std::uint64_t k = 0; k < periods; ++k)
+    for (const AddTerm& term : pattern)
+      for (std::uint64_t i = 0; i < term.count; ++i) acc += term.value;
+  return acc;
+}
+
+std::string describe(double acc, const std::vector<AddTerm>& pattern,
+                     std::uint64_t periods) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "acc=%a periods=%llu", acc,
+                static_cast<unsigned long long>(periods));
+  std::string out = buf;
+  for (const AddTerm& term : pattern) {
+    std::snprintf(buf, sizeof buf, " (%a x%llu)", term.value,
+                  static_cast<unsigned long long>(term.count));
+    out += buf;
+  }
+  return out;
+}
+
+/// Bitwise equality (EXPECT_EQ would let -0.0 equal +0.0).
+void expect_same_bits(double expected, double actual,
+                      const std::string& where) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(expected),
+            std::bit_cast<std::uint64_t>(actual))
+      << where << ": expected " << expected << ", got " << actual;
+}
+
+/// An accumulator of one of the shapes the closed form treats specially:
+/// zero, subnormal, one ulp below a power of two, or an ordinary value.
+double generated_accumulator(util::Rng& rng) {
+  const int exponent = static_cast<int>(rng.next_below(120)) - 60;
+  switch (rng.next_below(6)) {
+    case 0:
+      return 0.0;
+    case 1:  // subnormal
+      return std::ldexp(static_cast<double>(1 + rng.next_below(1u << 20)),
+                        -1074 + static_cast<int>(rng.next_below(30)));
+    case 2:  // one ulp below a power of two
+      return std::nextafter(std::ldexp(1.0, exponent), 0.0);
+    default:
+      return std::ldexp(1.0 + rng.next_double(), exponent);
+  }
+}
+
+/// A term relative to @p acc: a tie (an odd multiple of half its ulp), zero,
+/// larger than acc, or an ordinary value a few binades below it.
+double generated_term(util::Rng& rng, double acc) {
+  const int acc_exp = acc == 0.0 ? -60 : std::max(std::ilogb(acc), -1022);
+  switch (rng.next_below(8)) {
+    case 0:  // tie: (2j + 1) * ulp / 2
+      return std::ldexp(static_cast<double>(2 * rng.next_below(64) + 1),
+                        acc_exp - 53);
+    case 1:  // tie after a few binade crossings
+      return std::ldexp(static_cast<double>(2 * rng.next_below(8) + 1),
+                        acc_exp - 50 + static_cast<int>(rng.next_below(4)));
+    case 2:
+      return 0.0;
+    case 3:  // larger than the accumulator
+      return std::ldexp(1.0 + rng.next_double(),
+                        acc_exp + 1 + static_cast<int>(rng.next_below(4)));
+    case 4:  // a short-mantissa constant (exact in few bits)
+      return std::ldexp(static_cast<double>(1 + rng.next_below(16)),
+                        acc_exp - static_cast<int>(rng.next_below(56)));
+    default:
+      return std::ldexp(1.0 + rng.next_double(),
+                        acc_exp - static_cast<int>(rng.next_below(40)));
+  }
+}
+
+TEST(RepeatAdd, EqualsSequentialAdditionOnGeneratedCases) {
+  util::Rng rng(0x5EED);
+  for (int trial = 0; trial < 40000; ++trial) {
+    const double acc = generated_accumulator(rng);
+    std::vector<AddTerm> pattern(1 + rng.next_below(4));
+    for (AddTerm& term : pattern) {
+      term.value = generated_term(rng, acc);
+      term.count = rng.next_below(4) == 0 ? 0 : 1 + rng.next_below(12);
+    }
+    const std::uint64_t periods = rng.next_below(3) == 0
+                                      ? rng.next_below(4)
+                                      : 1 + rng.next_below(600);
+    expect_same_bits(add_sequentially(acc, pattern, periods),
+                     power::repeat_add(acc, pattern, periods),
+                     describe(acc, pattern, periods));
+    if (HasFailure()) return;
+  }
+}
+
+TEST(RepeatAdd, LongRunsAcrossManyBinades) {
+  // Counts up to 10^6 from a zero, a subnormal and an ordinary start:
+  // the chain crosses 20+ binades, each one a closed-form step.
+  util::Rng rng(0xB1ADE);
+  for (int trial = 0; trial < 24; ++trial) {
+    const double acc = trial % 3 == 0   ? 0.0
+                       : trial % 3 == 1 ? std::ldexp(3.0, -1074)
+                                        : generated_accumulator(rng);
+    const double value =
+        trial % 4 == 0 ? 0.1 : std::ldexp(1.0 + rng.next_double(), -40);
+    const std::uint64_t count = 1 + rng.next_below(1000000);
+    const std::vector<AddTerm> single = {{value, 1}};
+    expect_same_bits(add_sequentially(acc, single, count),
+                     power::repeat_add(acc, value, count),
+                     describe(acc, single, count));
+    const std::vector<AddTerm> pattern = {
+        {value, 3}, {generated_term(rng, value), 1}, {value * 0.5, 2}};
+    const std::uint64_t periods = count / 6;
+    expect_same_bits(add_sequentially(acc, pattern, periods),
+                     power::repeat_add(acc, pattern, periods),
+                     describe(acc, pattern, periods));
+  }
+}
+
+TEST(RepeatAdd, TiesFollowTheAccumulatorsParity) {
+  // 1 + 2^-53 is exactly half an ulp of [1, 2): the first addition rounds
+  // to even (1.0 stays), so a multiply-free closed form that ignored the
+  // tie rule would drift.  3 * 2^-53 from an odd significand rounds up.
+  const double half_ulp = std::ldexp(1.0, -53);
+  for (const double acc : {1.0, std::nextafter(1.0, 2.0), 1.5,
+                           std::nextafter(2.0, 0.0)}) {
+    for (const double e : {half_ulp, 3 * half_ulp, 5 * half_ulp}) {
+      for (const std::uint64_t count : {1ull, 2ull, 7ull, 1000ull, 99999ull}) {
+        const std::vector<AddTerm> single = {{e, 1}};
+        expect_same_bits(add_sequentially(acc, single, count),
+                         power::repeat_add(acc, e, count),
+                         describe(acc, single, count));
+        const std::vector<AddTerm> mixed = {{e, 2}, {3 * e, 1}, {e, 1}};
+        expect_same_bits(add_sequentially(acc, mixed, count),
+                         power::repeat_add(acc, mixed, count),
+                         describe(acc, mixed, count));
+      }
+    }
+  }
+  // 0.1 ten times is not 10 * 0.1.
+  EXPECT_EQ(power::repeat_add(0.0, 0.1, 10), 0.9999999999999999);
+}
+
+TEST(RepeatAdd, NonFiniteAndNegativeValuesStaySequential) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<double, double>> cases = {
+      {-0.0, 0.0},  {-0.0, -0.0}, {-1.0, 0.25}, {1.0, -0.125},
+      {inf, 1.0},   {1.0, inf},   {0.0, std::ldexp(1.0, 1000)},
+      {std::numeric_limits<double>::max(), 1e300}};
+  for (const auto& [acc, e] : cases) {
+    for (const std::uint64_t count : {1ull, 40ull, 300ull}) {
+      const std::vector<AddTerm> single = {{e, 1}};
+      expect_same_bits(add_sequentially(acc, single, count),
+                       power::repeat_add(acc, e, count),
+                       describe(acc, single, count));
+    }
+  }
 }
 
 // --- technology ------------------------------------------------------------

@@ -906,6 +906,35 @@ TEST(Service, MetricsScrapeCountsEachServiceOnItsOwn) {
             1u);
 }
 
+TEST(Service, SubmitterCountersCountEachServiceOnItsOwn) {
+  // Two daemons in one process: the per-submitter families are the
+  // scraped service's own, like its other counters.
+  dist::Service::Options options;
+  ServiceHarness first(options, /*workers=*/1);
+  ServiceHarness second(options, /*workers=*/1);
+  const JobSpec sweep = small_sweep_job();
+  dist::submit_job(first.address(), sweep, 5000, {}, "alice");
+  dist::submit_job(second.address(), sweep, 5000, {}, "bob");
+  EXPECT_TRUE(
+      dist::submit_job(second.address(), sweep, 5000, {}, "bob").cache_hit);
+  const std::string a = dist::query_metrics(first.address()).prometheus;
+  const std::string b = dist::query_metrics(second.address()).prometheus;
+  for (const char* family : {"sramlp_submitter_jobs_queued_total",
+                             "sramlp_submitter_jobs_completed_total"}) {
+    EXPECT_NE(a.find(std::string(family) + "{submitter=\"alice\"} 1"),
+              std::string::npos)
+        << a;
+    EXPECT_NE(b.find(std::string(family) + "{submitter=\"bob\"} 2"),
+              std::string::npos)
+        << b;
+  }
+  EXPECT_NE(a.find("sramlp_submitter_shards_leased_total{submitter=\"alice\"}"),
+            std::string::npos)
+      << a;
+  EXPECT_EQ(a.find("submitter=\"bob\""), std::string::npos) << a;
+  EXPECT_EQ(b.find("submitter=\"alice\""), std::string::npos) << b;
+}
+
 TEST(Service, MetricsGaugesReadTheLiveQueues) {
   // No worker yet: the job sits in flight with every shard pending.
   dist::Service::Options options;
