@@ -59,9 +59,10 @@ RATIO_GATES = [
      "a fault-free functional session must cost O(rows x elements), not "
      "O(cycles): every run advances all addresses but its last in one "
      "exact repeated-addition step.  The 512x512 March SS session traced "
-     "at 8 x words windows (5.77M cycles) read ~1.4e5 cycle() calls' "
-     "worth on a shared 4-core host, ~1.5e6 when every cycle ran through "
-     "the batch loop"),
+     "at 8 x words windows (5.77M cycles) read 1.0e5 cycle() calls' worth, "
+     "8.0e5 when every cycle ran through the batch loop (back-to-back "
+     "runs on a shared 4-core host at load average 1.9; every run is in "
+     "the perf history under bench/history)"),
     ("BM_SearchJob128", "BM_SearchVerify128", 2.0,
      "a schedule-search job must stay close to the cycle-accurate "
      "verification of its reported front: one job solves every order and "

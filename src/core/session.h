@@ -63,9 +63,9 @@ struct SessionConfig {
   /// untraced run; the cycle-accurate array folds the trace's windows in
   /// its batched runs.  A low-power run costs ~1.1-1.5x its untraced
   /// twin; a fault-free functional run advances each window's chains
-  /// with power::repeat_add (short windows: their additions one by one,
-  /// or a stretch replayed from an earlier row), ~2x an untraced run that
-  /// itself costs O(rows x elements).
+  /// with power::repeat_add (a stretch an earlier row already added from
+  /// the same slots is replayed), ~2x an untraced run that itself costs
+  /// O(rows x elements).
   std::optional<power::TraceConfig> trace;
   /// Opt-in per-cycle waveform export (borrowed, may be nullptr): a
   /// power::WaveformWriter (or any raw-event MeterSink) subscribed to

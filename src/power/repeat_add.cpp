@@ -12,6 +12,12 @@ constexpr std::uint64_t kSignificandEnd = std::uint64_t{1} << 53;
 
 double add_loop(double acc, std::span<const AddTerm> pattern,
                 std::uint64_t periods) {
+  if (pattern.size() == 1) {  // one flat chain, not three nested loops
+    const double value = pattern[0].value;
+    const std::uint64_t adds = pattern[0].count * periods;
+    for (std::uint64_t i = 0; i < adds; ++i) acc += value;
+    return acc;
+  }
   for (std::uint64_t k = 0; k < periods; ++k)
     for (const AddTerm& term : pattern)
       for (std::uint64_t i = 0; i < term.count; ++i) acc += term.value;
@@ -95,6 +101,37 @@ bool increments(double e, int u, std::uint64_t inc[2]) {
   return true;
 }
 
+/// The binade index of a finite non-negative value (zero and subnormals
+/// share the lowest one, as in split()); kNoBinade for negative,
+/// infinite and NaN values.
+constexpr int kNoBinade = 0x7FF;
+int binade_of(double v) {
+  const auto field = static_cast<int>(std::bit_cast<std::uint64_t>(v) >> 52);
+  return field >= 0x7FF ? kNoBinade : std::max(field, 1);
+}
+
+/// Whether the plain loop costs less than stepping binade by binade
+/// through the remaining @p periods from @p acc (which has left the
+/// binade it started in).  Stepping costs about kStepAdds additions per
+/// binade the chain visits, plus the additions of the period that
+/// crosses each boundary; an accumulator below one period's sum crosses
+/// once more to reach it.
+bool loop_is_cheaper(double acc, std::span<const AddTerm> pattern,
+                     std::uint64_t periods, std::uint64_t period_adds) {
+  double period_sum = 0.0;
+  for (const AddTerm& term : pattern)
+    period_sum += term.value * static_cast<double>(term.count);
+  const double end = acc + period_sum * static_cast<double>(periods);
+  const int from = binade_of(std::max(acc, period_sum));
+  const int to = binade_of(end);
+  if (from == kNoBinade || to == kNoBinade) return true;  // overflow
+  const auto crossings =
+      static_cast<std::uint64_t>(to - from + (acc < period_sum ? 1 : 0));
+  return sat_mul(period_adds, periods) <=
+         sat_add(sat_mul(crossings + 1, kStepAdds),
+                 sat_mul(crossings, period_adds));
+}
+
 /// Advance @p acc by as many whole periods (at most @p periods) as keep it
 /// inside its binade, in closed form; returns the number advanced.
 std::uint64_t advance_in_binade(double* acc, std::span<const AddTerm> pattern,
@@ -161,13 +198,20 @@ std::uint64_t advance_in_binade(double* acc, std::span<const AddTerm> pattern,
 double repeat_add(double acc, std::span<const AddTerm> pattern,
                   std::uint64_t periods) {
   std::uint64_t adds = 0;
-  for (const AddTerm& term : pattern) adds = sat_add(adds, term.count);
-  if (sat_mul(adds, periods) <= kLoopAdds)
+  bool steppable = binade_of(acc) != kNoBinade;
+  for (const AddTerm& term : pattern) {
+    adds = sat_add(adds, term.count);
+    steppable = steppable && binade_of(term.value) != kNoBinade;
+  }
+  if (!steppable || sat_mul(adds, periods) <= kStepAdds)
     return add_loop(acc, pattern, periods);
   while (periods > 0) {
+    // Most chains stay inside their binade: one step, nothing to weigh.
     periods -= advance_in_binade(&acc, pattern, periods);
     if (periods == 0) break;
-    // This period leaves the binade (or cannot be stepped): term by term.
+    if (loop_is_cheaper(acc, pattern, periods, adds))
+      return add_loop(acc, pattern, periods);
+    // This period leaves the binade: term by term.
     for (const AddTerm& term : pattern)
       acc = repeat_add(acc, term.value, term.count);
     --periods;

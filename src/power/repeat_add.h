@@ -23,8 +23,10 @@
 //   binade [0, 2^-1021), where every value is a multiple of 2^-1074.
 //
 // The cost is O(binades crossed x pattern terms), not O(additions).  A
-// negative or non-finite accumulator or term still gets the exact
-// sequential result, one addition at a time.  Pinned against the plain
+// chain short enough, or crossing enough binades, that stepping costs
+// more than adding (one from an accumulator far below its increment)
+// runs as the plain loop, and so does a negative or non-finite
+// accumulator or term.  Pinned against the plain
 // loop on generated cases by test_power.cpp.
 #pragma once
 
@@ -45,12 +47,19 @@ struct AddTerm {
 double repeat_add(double acc, std::span<const AddTerm> pattern,
                   std::uint64_t periods);
 
-/// Up to this many additions the loop itself is the cheapest route.
-inline constexpr std::uint64_t kLoopAdds = 24;
+/// About how many dependent additions one closed-form step costs.  A
+/// step (splitting the accumulator, one increment per term, the period
+/// arithmetic) takes ~15-30 ns and a dependent addition ~0.8 ns on a
+/// 2 GHz Xeon; each binade crossed costs one more step.  A chain of at
+/// most kStepAdds additions loops (inline for one value).  A longer one
+/// takes one step inside its binade; if it leaves the binade, the rest
+/// loops when its additions are at most kStepAdds per binade it would
+/// still visit, plus each crossing period's own additions.
+inline constexpr std::uint64_t kStepAdds = 32;
 
 /// The bits of @p count sequential additions of @p value to @p acc.
 inline double repeat_add(double acc, double value, std::uint64_t count) {
-  if (count <= kLoopAdds) {
+  if (count <= kStepAdds) {
     for (std::uint64_t i = 0; i < count; ++i) acc += value;
     return acc;
   }

@@ -70,7 +70,6 @@
 #include <array>
 #include <cstdint>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "power/meter.h"
@@ -416,15 +415,9 @@ class SramArray {
   /// outweighs the cycles it saves (a 16x16 March C- session took 2.5x
   /// the loop's time through it, 32x32 about the same).
   static constexpr std::size_t kMinInteriorCycles = 64;
-  /// functional_interior's per-source address chains and the same terms
-  /// operation-major (traced sources only), in reused storage.
+  /// functional_interior's per-source address chains, in reused storage.
   std::vector<power::AddTerm> chain_terms_;
   std::vector<std::size_t> chain_ops_;
-  std::vector<std::pair<std::size_t, power::AddTerm>> cycle_terms_;
-  std::vector<std::size_t> cycle_ops_;
-  /// A trace window taking at most this many interior cycles, more than
-  /// it already holds, is added cycle by cycle rather than chain by chain.
-  static constexpr std::uint64_t kShortWindowCycles = 512;
   /// One trace window's share of a run interior: which operations the
   /// run applies, the operation index and length of the stretch, and the
   /// window's slots before and after its additions.
